@@ -11,6 +11,7 @@ spectra and equilibrium states of Kuramoto oscillator networks.
 from .circulant import (
     CirculantMatrix,
     dft_matrix,
+    fourier_modes,
     fourier_vector,
     root_of_unity_powers,
 )
@@ -64,6 +65,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CirculantMatrix",
     "dft_matrix",
+    "fourier_modes",
     "fourier_vector",
     "root_of_unity_powers",
     "JoinSpec",

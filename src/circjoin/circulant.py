@@ -10,7 +10,6 @@ c_0 + c_{k-1} w^j + c_{k-2} w^{2j} + ... + c_1 w^{(k-1)j}.
 
 import numpy as np
 
-from . import _kernels
 from .errors import PreconditionError
 
 
@@ -30,8 +29,17 @@ def fourier_vector(k, j):
     """The Fourier mode v_{k,j}, entries w^{m*j} for m = 0..k-1."""
     if not 0 <= j < k:
         raise PreconditionError(f"fourier index {j} out of range [0, {k - 1}]")
-    powers = root_of_unity_powers(k)
-    return powers[(np.arange(k) * j) % k]
+    return fourier_modes(k, [j])[:, 0]
+
+
+def fourier_modes(k, js):
+    """The k x len(js) matrix whose columns are the Fourier modes v_{k,j}.
+
+    Exponents are reduced mod k before scaling, so entry (m, j) is
+    bit-identical to root_of_unity_powers(k)[(m*j) % k] without
+    building the table.
+    """
+    return np.exp(2j * np.pi * (np.outer(np.arange(k), js) % k) / k)
 
 
 def dft_matrix(k):
@@ -40,15 +48,13 @@ def dft_matrix(k):
     Nonsingular (Vandermonde in the k-th roots of unity), with
     |det| = k^{k/2}.
     """
-    powers = root_of_unity_powers(k)
-    m = np.arange(k)
-    return powers[np.outer(m, m) % k]
+    return fourier_modes(k, np.arange(k))
 
 
 class CirculantMatrix:
     """A circulant matrix stored by its defining vector (first column)."""
 
-    __slots__ = ("vector",)
+    __slots__ = ("vector", "_eigenvalues")
 
     def __init__(self, values):
         v = np.atleast_1d(np.asarray(values, dtype=np.complex128))
@@ -59,22 +65,16 @@ class CirculantMatrix:
         v = v.copy()
         v.setflags(write=False)
         self.vector = v
+        self._eigenvalues = None
 
     @property
     def k(self):
         return self.vector.shape[0]
 
     def row_sum(self):
-        """Sum of the defining vector.
-
-        Accumulated in the order c_0, c_{k-1}, c_{k-2}, ..., c_1 so it is
-        bit-identical to the j = 0 eigenvalue.
-        """
-        c = self.vector
-        acc = c[0]
-        for m in range(1, self.k):
-            acc = acc + c[self.k - m]
-        return complex(acc)
+        """Sum of the defining vector, read from the j = 0 eigenvalue so
+        the two are bit-identical."""
+        return complex(self.eigenvalues()[0])
 
     def dense(self):
         """Dense expansion; entry (r, s) = c_{(r-s) mod k}."""
@@ -83,9 +83,25 @@ class CirculantMatrix:
         return self.vector[idx]
 
     def eigenvalues(self):
-        """All k eigenvalues, ordered by Fourier index j = 0..k-1."""
-        powers = root_of_unity_powers(self.k)
-        return _kernels.circulant_eigenvalues(self.vector, powers)
+        """All k eigenvalues, ordered by Fourier index j = 0..k-1.
+
+        The eigenvalue sum_m c_m w^{-m*j} is the discrete Fourier
+        transform of the defining vector, so this is one FFT, computed
+        on first use and returned read-only afterwards.
+        """
+        if self._eigenvalues is None:
+            lam = np.fft.fft(self.vector)
+            lam.setflags(write=False)
+            self._eigenvalues = lam
+        return self._eigenvalues
+
+    def matvec(self, x):
+        """C @ x by FFT circular convolution, along axis 0 of a (k,) or
+        (k, m) array."""
+        lam = self.eigenvalues()
+        if np.ndim(x) == 2:
+            lam = lam[:, None]
+        return np.fft.ifft(lam * np.fft.fft(x, axis=0), axis=0)
 
     def eigenpairs(self):
         """List of (eigenvalue, Fourier eigenvector) pairs, j = 0..k-1."""

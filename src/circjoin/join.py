@@ -95,14 +95,36 @@ class JoinSpec:
 
     def condensed(self):
         """The d x d matrix of block row sums and scaled couplings."""
-        d = self.d
-        a = np.empty((d, d), dtype=np.complex128)
-        for i in range(d):
-            for j in range(d):
-                a[i, j] = self.blocks[i].row_sum() if i == j else self.couplings[
-                    i, j
-                ] * self.blocks[j].k
+        a = self.couplings * np.array(self.block_sizes)
+        np.fill_diagonal(a, [b.row_sum() for b in self.blocks])
         return a
+
+    def matvec(self, x):
+        """A @ x without the dense A, for x of shape (n,) or (n, m).
+
+        Each block acts by FFT circular convolution, and the constant
+        off-diagonal blocks act through the block sums of x, so this
+        costs O(n log n) per column and no n x n storage.
+        """
+        x = np.asarray(x, dtype=np.complex128)
+        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+            raise PreconditionError(
+                f"expected an array of shape ({self.n},) or ({self.n}, m)"
+            )
+        offs = self.offsets()
+        cross = self.couplings @ np.add.reduceat(x, offs, axis=0)
+        return np.concatenate(
+            [
+                b.matvec(x[o : o + b.k]) + cross[i]
+                for i, (b, o) in enumerate(zip(self.blocks, offs))
+            ]
+        )
+
+    def inf_norm(self):
+        """Largest absolute row sum of the dense expansion, read from
+        the blocks and couplings."""
+        rows = [np.abs(b.vector).sum() for b in self.blocks]
+        return float((rows + np.abs(self.couplings) @ self.block_sizes).max())
 
     def is_real(self):
         return bool(
@@ -121,19 +143,31 @@ class JoinSpec:
         return f"JoinSpec(d={self.d}, sizes={self.block_sizes})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CirculantEigenpair:
     """Eigenpair of the join inherited from one circulant block.
 
-    `block` is 1-based; `fourier_index` j runs over 1..k_i-1.  The
-    eigenvector has the Fourier mode v_{k_i, j} in block i's coordinate
-    range and zeros elsewhere.
+    `block` is 1-based; `fourier_index` j runs over 1..k-1, where k is
+    the block size.  The eigenvector has the Fourier mode v_{k, j} in
+    the block's coordinate range [offset, offset + k) of the n-vector
+    and zeros elsewhere; it is built on each access of `vector`, so a
+    pair holds only scalars.
     """
 
     block: int
     fourier_index: int
     eigenvalue: complex
-    vector: np.ndarray = field(repr=False)
+    k: int
+    offset: int
+    n: int
+
+    @property
+    def vector(self):
+        w = np.zeros(self.n, dtype=np.complex128)
+        w[self.offset : self.offset + self.k] = fourier_vector(
+            self.k, self.fourier_index
+        )
+        return w
 
 
 @dataclass(frozen=True)
@@ -152,7 +186,8 @@ class JordanChain:
 class SpectralDecomposition:
     """Complete generalized eigendecomposition of a join.
 
-    `circulant_pairs` hold the per-block eigenpairs; `condensed_chains`
+    `circulant_pairs` hold the per-block eigenpairs (O(1) storage each,
+    vectors built on demand); `condensed_chains`
     the Jordan chains of the condensed matrix (vectors in C^d) and
     `expanded_chains` their tensor expansions to C^n, in matching order.
     """
@@ -198,21 +233,20 @@ def block_eigenpairs(join):
     the constant off-diagonal blocks annihilate it.
     """
     n = join.n
-    offs = join.offsets()
     pairs = []
-    for i, block in enumerate(join.blocks):
-        lam = block.eigenvalues()
-        for j in range(1, block.k):
-            w = np.zeros(n, dtype=np.complex128)
-            w[offs[i] : offs[i] + block.k] = fourier_vector(block.k, j)
-            pairs.append(
-                CirculantEigenpair(
-                    block=i + 1,
-                    fourier_index=j,
-                    eigenvalue=complex(lam[j]),
-                    vector=w,
-                )
+    for i, (block, offset) in enumerate(zip(join.blocks, join.offsets())):
+        lam = block.eigenvalues().tolist()
+        pairs.extend(
+            CirculantEigenpair(
+                block=i + 1,
+                fourier_index=j,
+                eigenvalue=lam[j],
+                k=block.k,
+                offset=offset,
+                n=n,
             )
+            for j in range(1, block.k)
+        )
     return tuple(pairs)
 
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DivergenceError, PreconditionError
 from .join import JoinSpec
 
@@ -58,14 +57,42 @@ class KuramotoSystem:
         return self.network.n
 
 
+def _kuramoto_rhs(theta, adj, omega, eps):
+    """omega_i + eps * sum_l adj[i,l] * sin(theta_l - theta_i)."""
+    diff = theta[None, :] - theta[:, None]
+    return omega + eps * (adj * np.sin(diff)).sum(axis=1)
+
+
+def _rk4_trajectory(theta0, adj, omega, eps, dt, steps):
+    """Classical fixed-step RK4; returns (trajectory, bad_step).
+
+    trajectory has steps+1 rows of unreduced phases; bad_step is the
+    1-based step at which the state first became non-finite, or -1.
+    """
+    n = theta0.shape[0]
+    out = np.empty((steps + 1, n))
+    out[0] = theta0
+    th = theta0.copy()
+    # overflow/invalid are expected on divergence and reported via bad_step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps):
+            k1 = _kuramoto_rhs(th, adj, omega, eps)
+            k2 = _kuramoto_rhs(th + 0.5 * dt * k1, adj, omega, eps)
+            k3 = _kuramoto_rhs(th + 0.5 * dt * k2, adj, omega, eps)
+            k4 = _kuramoto_rhs(th + dt * k3, adj, omega, eps)
+            th = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(th).all():
+                return out, s + 1
+            out[s + 1] = th
+    return out, -1
+
+
 def rhs(system, theta):
     """Instantaneous phase velocities at the given state."""
     theta = np.ascontiguousarray(theta, dtype=np.float64)
     if theta.shape != (system.n,):
         raise PreconditionError(f"state must have length {system.n}")
-    return _kernels.kuramoto_rhs(
-        theta, system.adjacency, system.omega, system.epsilon
-    )
+    return _kuramoto_rhs(theta, system.adjacency, system.omega, system.epsilon)
 
 
 def default_equilibrium_tol(system):
@@ -182,7 +209,7 @@ def integrate(system, theta0, dt, steps):
     theta0 = np.ascontiguousarray(theta0, dtype=np.float64)
     if theta0.shape != (system.n,):
         raise PreconditionError(f"initial state must have length {system.n}")
-    thetas, bad = _kernels.rk4_trajectory(
+    thetas, bad = _rk4_trajectory(
         theta0, system.adjacency, system.omega, system.epsilon, float(dt), steps
     )
     if bad >= 0:

@@ -157,28 +157,42 @@ def _cluster(values, delta):
 
     Returns (mean, multiplicity) pairs sorted by (Re, Im); multiplicities
     sum to len(values).  Deterministic: values are visited in (Re, Im)
-    order and ties go to the nearest existing cluster.
+    order and ties go to the nearest existing cluster, the oldest among
+    equals.
+
+    A cluster's mean moves only when it absorbs a value, so once the
+    visited real part runs more than 2*delta past it (the factor 2
+    covers rounding in the distance) it can never match again.  Such
+    clusters are dropped from the front of the window, and each value is
+    compared with the rest in one vectorized distance computation.
+    Distances use hypot, as abs() of a complex scalar does, so merges
+    are exactly those of a one-by-one scan over all clusters.
     """
     values = np.asarray(values, dtype=np.complex128)
     order = np.lexsort((values.imag, values.real))
     sums = []
     counts = []
-    for idx in order:
-        v = values[idx]
+    means = np.empty(len(values), dtype=np.complex128)
+    lo = 0
+    for v in values[order]:
+        while lo < len(sums) and v.real - means[lo].real > 2.0 * delta:
+            lo += 1
         best = -1
-        best_dist = np.inf
-        for ci in range(len(sums)):
-            dist = abs(v - sums[ci] / counts[ci])
-            if dist <= delta and dist < best_dist:
-                best = ci
-                best_dist = dist
+        if lo < len(sums):
+            window = means[lo : len(sums)]
+            dist = np.hypot(v.real - window.real, v.imag - window.imag)
+            nearest = int(np.argmin(dist))
+            if dist[nearest] <= delta:
+                best = lo + nearest
         if best < 0:
             sums.append(v)
             counts.append(1)
+            best = len(sums) - 1
         else:
             sums[best] += v
             counts[best] += 1
-    out = [(complex(sums[i] / counts[i]), counts[i]) for i in range(len(sums))]
+        means[best] = sums[best] / counts[best]
+    out = [(complex(means[i]), counts[i]) for i in range(len(sums))]
     out.sort(key=lambda pair: (pair[0].real, pair[0].imag))
     return out
 

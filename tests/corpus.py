@@ -42,6 +42,21 @@ def random_real_join(rng, dmax=5, kmax=8, unit_couplings=False):
     return JoinSpec(blocks, couplings)
 
 
+def dense_decomposition_residual(a, decomposition):
+    """Oracle residual: checks every eigenpair and chain link densely."""
+    n = a.shape[0]
+    worst = 0.0
+    for p in decomposition.circulant_pairs:
+        worst = max(worst, np.abs(a @ p.vector - p.eigenvalue * p.vector).max())
+    for chain in decomposition.expanded_chains:
+        shifted = a - chain.eigenvalue * np.eye(n)
+        prev = np.zeros(n, dtype=np.complex128)
+        for u in chain.vectors:
+            worst = max(worst, np.abs(shifted @ u - prev).max())
+            prev = u
+    return float(worst)
+
+
 def multiset_match(actual, expected, tol):
     """Greedy nearest pairing of two eigenvalue multisets.
 
@@ -89,6 +104,25 @@ def defective_joins():
         JoinSpec(
             [CirculantMatrix([0.0, 1.0, 1.0]), CirculantMatrix([0.0, 1.0, 0.0, 1.0])],
             [[0.0, 0.5], [0.0, 0.0]],
+        )
+    )
+    return cases
+
+
+def structured_corpus():
+    """Joins for structured-vs-dense checks: random complex and real joins,
+    the defective cases, degenerate ring joins and a few larger blocks."""
+    rng = np.random.default_rng(77)
+    cases = [random_join(rng) for _ in range(25)]
+    cases += [random_real_join(rng) for _ in range(10)]
+    cases += defective_joins()
+    ring = CirculantMatrix([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+    cases.append(JoinSpec([ring] * 8, np.ones((8, 8))))
+    cases.append(JoinSpec([CirculantMatrix(unit_disk(rng, 300))]))
+    cases.append(
+        JoinSpec(
+            [random_circulant(rng, k) for k in (64, 1, 37, 128)],
+            unit_disk(rng, (4, 4)),
         )
     )
     return cases

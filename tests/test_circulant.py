@@ -1,7 +1,14 @@
+import mpmath
 import numpy as np
 import pytest
 
-from circjoin import CirculantMatrix, dft_matrix, fourier_vector, root_of_unity_powers
+from circjoin import (
+    CirculantMatrix,
+    dft_matrix,
+    fourier_modes,
+    fourier_vector,
+    root_of_unity_powers,
+)
 from circjoin.errors import PreconditionError
 
 from corpus import inf_norm, multiset_match, unit_disk
@@ -49,6 +56,54 @@ def test_trace_identities_random(k):
     assert abs((eig**2).sum() - np.trace(a @ a)) <= tol
 
 
+def direct_sum_eigenvalues(c):
+    """Reference O(k^2) evaluation c_0 + c_{k-1} w^j + ... + c_1 w^{(k-1)j},
+    with the w-powers read from the table mod k."""
+    k = c.shape[0]
+    powers = root_of_unity_powers(k)
+    lam = np.full(k, c[0], dtype=np.complex128)
+    j = np.arange(k)
+    for m in range(1, k):
+        lam += c[k - m] * powers[(m * j) % k]
+    return lam
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8, 31, 128])
+def test_fft_eigenvalues_match_direct_sum(k):
+    rng = np.random.default_rng(400 + k)
+    c = rng.normal(size=k) + 1j * rng.normal(size=k)
+    got = CirculantMatrix(c).eigenvalues()
+    tol = 1e-13 * np.abs(c).sum()
+    assert np.abs(got - direct_sum_eigenvalues(c)).max() <= tol
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+def test_fft_eigenvalues_match_mpmath(k):
+    rng = np.random.default_rng(500 + k)
+    c = unit_disk(rng, k)
+    got = CirculantMatrix(c).eigenvalues()
+    tol = 1e-13 * np.abs(c).sum()
+    with mpmath.workdps(50):
+        cm = [mpmath.mpc(z.real, z.imag) for z in c]
+        for j in range(k):
+            exact = mpmath.fsum(
+                cm[m] * mpmath.expjpi(mpmath.mpf(-2 * m * j) / k) for m in range(k)
+            )
+            assert abs(complex(exact) - got[j]) <= tol
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 64])
+def test_matvec_matches_dense(k):
+    rng = np.random.default_rng(600 + k)
+    c = CirculantMatrix(unit_disk(rng, k))
+    a = c.dense()
+    tol = 1e-13 * (1.0 + inf_norm(a))
+    x = unit_disk(rng, k)
+    assert np.abs(c.matvec(x) - a @ x).max() <= tol
+    xs = unit_disk(rng, (k, 3))
+    assert np.abs(c.matvec(xs) - a @ xs).max() <= tol
+
+
 def test_row_sum_examples():
     assert CirculantMatrix([0, 1, 1]).row_sum() == 2.0
     assert CirculantMatrix([0, 1, 0]).row_sum() == 1.0
@@ -85,6 +140,16 @@ def test_fourier_vector_entries():
         direct = np.exp(2j * np.pi * np.arange(k) * j / k)
         np.testing.assert_allclose(v, direct, atol=1e-12)
         assert v[1] == powers[j % k]
+
+
+def test_fourier_modes_are_fourier_vectors_bit_for_bit():
+    for k in (1, 2, 7, 12, 97):
+        modes = fourier_modes(k, np.arange(k))
+        assert modes.shape == (k, k)
+        for j in range(k):
+            table = root_of_unity_powers(k)[(np.arange(k) * j) % k]
+            assert modes[:, j].tobytes() == table.tobytes()
+            assert fourier_vector(k, j).tobytes() == table.tobytes()
 
 
 @pytest.mark.parametrize("k", range(1, 17))

@@ -15,7 +15,14 @@ from circjoin import (
 )
 from circjoin.errors import PreconditionError, SizeCapError
 
-from corpus import defective_joins, inf_norm, multiset_match, random_join, unit_disk
+from corpus import (
+    defective_joins,
+    dense_decomposition_residual,
+    inf_norm,
+    multiset_match,
+    random_join,
+    unit_disk,
+)
 
 
 def k8_minus_directed_triangle():
@@ -23,21 +30,6 @@ def k8_minus_directed_triangle():
         [CirculantMatrix([0, 1, 0]), CirculantMatrix([0, 1, 1, 1, 1])],
         np.ones((2, 2)),
     )
-
-
-def max_decomposition_residual(a, decomposition):
-    """Oracle residual: checks every eigenpair and chain link densely."""
-    n = a.shape[0]
-    worst = 0.0
-    for p in decomposition.circulant_pairs:
-        worst = max(worst, np.abs(a @ p.vector - p.eigenvalue * p.vector).max())
-    for chain in decomposition.expanded_chains:
-        shifted = a - chain.eigenvalue * np.eye(n)
-        prev = np.zeros(n, dtype=np.complex128)
-        for u in chain.vectors:
-            worst = max(worst, np.abs(shifted @ u - prev).max())
-            prev = u
-    return float(worst)
 
 
 def independent_diagonalizable(abar):
@@ -329,7 +321,7 @@ def test_residuals_and_counts_random(seed):
     assert sum(len(ch) for ch in dec.condensed_chains) == spec.d
     a = spec.dense()
     tau = 1e-8 * (1.0 + inf_norm(a))
-    assert max_decomposition_residual(a, dec) <= tau
+    assert dense_decomposition_residual(a, dec) <= tau
     tol2 = 1e-8 * (1.0 + inf_norm(a) ** 2)
     vals = np.array(dec.eigenvalue_multiset())
     assert abs(vals.sum() - np.trace(a)) <= tol2

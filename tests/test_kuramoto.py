@@ -59,6 +59,20 @@ def test_rhs_global_shift_equivariance_exact():
         assert np.array_equal(rhs(system, theta + c), rhs(system, theta))
 
 
+def test_rhs_is_the_dense_formula_bit_for_bit():
+    network = JoinSpec(
+        [ring_graph(9, 2).adjacency(), CirculantMatrix([0.0, 0.5, 0.0, 0.5])],
+        [[0.0, 0.3], [0.3, 0.0]],
+    )
+    rng = np.random.default_rng(13)
+    omega = rng.normal(size=network.n)
+    system = KuramotoSystem(network, epsilon=0.7, omega=omega)
+    theta = rng.uniform(-np.pi, np.pi, network.n)
+    adj = network.dense().real
+    expected = omega + 0.7 * (adj * np.sin(theta[None, :] - theta[:, None])).sum(axis=1)
+    assert rhs(system, theta).tobytes() == expected.tobytes()
+
+
 def test_rhs_rejects_wrong_length():
     system = two_oscillators()
     with pytest.raises(PreconditionError):

@@ -6,7 +6,7 @@ import pytest
 from circjoin import smalleig
 from circjoin.errors import ConvergenceError, IllConditionedError, PreconditionError
 
-from corpus import inf_norm, multiset_match
+from corpus import inf_norm, multiset_match, unit_disk
 
 
 def flat(pairs):
@@ -94,6 +94,92 @@ def test_sweep_budget_exhaustion():
 def test_cluster_merges_nearby_values():
     pairs = smalleig._cluster(np.array([1.0, 1.0 + 1e-9, 5.0]), 1e-7)
     assert pairs == [((1.0 + 5e-10) + 0.0j, 2), (5.0 + 0.0j, 1)]
+
+
+def reference_cluster(values, delta):
+    """The plain greedy scan: every value is compared with every cluster."""
+    values = np.asarray(values, dtype=np.complex128)
+    order = np.lexsort((values.imag, values.real))
+    sums = []
+    counts = []
+    for idx in order:
+        v = values[idx]
+        best = -1
+        best_dist = np.inf
+        for ci in range(len(sums)):
+            dist = abs(v - sums[ci] / counts[ci])
+            if dist <= delta and dist < best_dist:
+                best = ci
+                best_dist = dist
+        if best < 0:
+            sums.append(v)
+            counts.append(1)
+        else:
+            sums[best] += v
+            counts[best] += 1
+    out = [(complex(sums[i] / counts[i]), counts[i]) for i in range(len(sums))]
+    out.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+    return out
+
+
+def assert_cluster_matches_reference(values, delta):
+    got = smalleig._cluster(values, delta)
+    want = reference_cluster(values, delta)
+    # repr tells signed zeros apart, so this is a bit-for-bit comparison
+    assert repr(got) == repr(want)
+    assert sum(m for _, m in got) == len(values)
+
+
+def cluster_corpus():
+    """(values, delta) cases: random spectra, exact ties, equal real parts,
+    tight clusters."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for delta in 10.0 ** np.arange(-12, 1):
+        for size in (1, 7, 40, 150):
+            centers = unit_disk(rng, max(1, size // 4))
+            picks = centers[rng.integers(0, centers.size, size)]
+            jitter = delta * rng.uniform(0, 2, size) * unit_disk(rng, size)
+            cases.append((picks + jitter, delta))
+            cases.append((unit_disk(rng, size), delta))
+    for _ in range(30):
+        size = int(rng.integers(2, 120))
+        grid = (rng.integers(-6, 7, size) + 1j * rng.integers(-6, 7, size)) / 4.0
+        cases.append((grid, 0.25))
+        cases.append((grid, 0.5))
+        cases.append((grid.real + 0.0j, 0.25))
+    for delta in (1e-9, 1e-3, 0.3):
+        for size in (5, 60, 200):
+            cases.append((1j * rng.normal(size=size), delta))
+            cases.append((3.0 + 1j * np.round(rng.normal(size=size), 1), delta))
+    for delta in (1e-10, 1e-6, 1e-2):
+        values = []
+        for size in rng.integers(1, 61, 12):
+            center = 10.0 * unit_disk(rng, 1)[0]
+            values.extend(center + 1e-3 * delta * unit_disk(rng, int(size)))
+        cases.append((np.array(values), delta))
+    return cases
+
+
+def test_cluster_matches_reference_scan_on_corpus():
+    for values, delta in cluster_corpus():
+        assert_cluster_matches_reference(values, delta)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_cluster_matches_reference_scan_on_block_report(seed):
+    # the report's own setting: one 2048-block, delta 1e-9 * (1 + max |v|)
+    rng = np.random.default_rng(seed)
+    lam = np.fft.fft(rng.uniform(-1.0, 1.0, 2048))[1:]
+    assert_cluster_matches_reference(lam, 1e-9 * (1.0 + np.abs(lam).max()))
+
+
+def test_cluster_matches_reference_scan_on_ring_block():
+    # a symmetric ring has every eigenvalue twice (j and k - j)
+    v = np.zeros(2048)
+    v[[1, 2, 3, -3, -2, -1]] = 1.0
+    lam = np.fft.fft(v)[1:]
+    assert_cluster_matches_reference(lam, 1e-9 * (1.0 + np.abs(lam).max()))
 
 
 def chain_relations_hold(m, lam, chains, tol):

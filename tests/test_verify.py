@@ -1,0 +1,160 @@
+"""The matrix-free verification path: structured matvec and residuals
+checked against dense oracles, corrupted decompositions rejected, and
+no dense expansion built."""
+
+import dataclasses
+import io
+import json
+import sys
+
+import numpy as np
+import pytest
+
+from circjoin import JoinSpec, cli, full_spectrum
+from circjoin.cli import decomposition_residual, emit_join_document, main
+from circjoin.errors import PreconditionError
+
+from corpus import (
+    dense_decomposition_residual,
+    inf_norm,
+    structured_corpus,
+    unit_disk,
+)
+
+K8_DOC = json.dumps(
+    {"blocks": [[0, 1, 0], [0, 1, 1, 1, 1]], "couplings": [[0, 1], [1, 0]]}
+)
+
+
+def two_block_join():
+    """Block 1 has well-separated eigenvalues; couplings are nonzero."""
+    return JoinSpec(
+        [np.arange(8.0), np.array([0.0, 1.0, 0.0])], [[0.0, 0.5], [0.25, 0.0]]
+    )
+
+
+def run_spectrum(doc, flags, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code = main(["spectrum", "-", *flags])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("index", range(len(structured_corpus())))
+def test_matvec_matches_dense(index):
+    spec = structured_corpus()[index]
+    a = spec.dense()
+    tol = 1e-13 * (1.0 + inf_norm(a))
+    rng = np.random.default_rng(index)
+    x = unit_disk(rng, spec.n)
+    assert np.abs(spec.matvec(x) - a @ x).max() <= tol
+    xs = unit_disk(rng, (spec.n, 5))
+    assert spec.matvec(xs).shape == (spec.n, 5)
+    assert np.abs(spec.matvec(xs) - a @ xs).max() <= tol
+    assert abs(spec.inf_norm() - inf_norm(a)) <= 1e-13 * (1.0 + inf_norm(a))
+
+
+def test_matvec_rejects_wrong_shape():
+    spec = structured_corpus()[0]
+    with pytest.raises(PreconditionError):
+        spec.matvec(np.zeros(spec.n + 1))
+    with pytest.raises(PreconditionError):
+        spec.matvec(np.zeros((spec.n, 2, 2)))
+
+
+@pytest.mark.parametrize("index", range(len(structured_corpus())))
+def test_residual_matches_dense_oracle(index):
+    spec = structured_corpus()[index]
+    dec = full_spectrum(spec)
+    a = spec.dense()
+    residual, _ = decomposition_residual(spec, dec)
+    oracle = dense_decomposition_residual(a, dec)
+    assert abs(residual - oracle) <= 1e-12 * (1.0 + inf_norm(a))
+
+
+def test_residual_chunks_do_not_change_the_result(monkeypatch):
+    spec = structured_corpus()[-1]
+    dec = full_spectrum(spec)
+    whole = decomposition_residual(spec, dec)
+    monkeypatch.setattr(cli, "VERIFY_CHUNK", 100)
+    assert decomposition_residual(spec, dec) == whole
+
+
+def corrupt_with(monkeypatch, corrupt):
+    def corrupted_spectrum(join, **kwargs):
+        return corrupt(full_spectrum(join, **kwargs))
+
+    monkeypatch.setattr(cli, "full_spectrum", corrupted_spectrum)
+
+
+def swap_fourier_eigenvalues(dec):
+    pairs = list(dec.circulant_pairs)
+    a, b = pairs[0], pairs[1]
+    assert a.block == b.block and abs(a.eigenvalue - b.eigenvalue) > 0.1
+    pairs[0] = dataclasses.replace(a, eigenvalue=b.eigenvalue)
+    pairs[1] = dataclasses.replace(b, eigenvalue=a.eigenvalue)
+    return dataclasses.replace(dec, circulant_pairs=tuple(pairs))
+
+
+def perturb_chain_vector(dec):
+    chain = dec.expanded_chains[0]
+    vectors = chain.vectors.copy()
+    vectors[0, 0] += 1e-6
+    chains = (dataclasses.replace(chain, vectors=vectors),) + dec.expanded_chains[1:]
+    return dataclasses.replace(dec, expanded_chains=chains)
+
+
+def test_swapped_fourier_eigenvalues_fail_verification(monkeypatch, capsys):
+    spec = two_block_join()
+    dec = swap_fourier_eigenvalues(full_spectrum(spec))
+    residual, offender = decomposition_residual(spec, dec)
+    assert residual > 1.0 and offender.startswith("block 1, fourier index")
+    corrupt_with(monkeypatch, swap_fourier_eigenvalues)
+    code, out, err = run_spectrum(
+        emit_join_document(spec), ["--verify"], monkeypatch, capsys
+    )
+    assert code == 4 and out == "" and "residual" in err
+
+
+def test_row_sum_mode_is_caught_by_the_coupling_leak():
+    # the j = 0 mode satisfies C_b v = lambda v inside its block, but the
+    # couplings do not annihilate it: rows of block i read a_ib * k_b
+    spec = two_block_join()
+    dec = full_spectrum(spec)
+    pairs = list(dec.circulant_pairs)
+    pairs[0] = dataclasses.replace(
+        pairs[0], fourier_index=0, eigenvalue=spec.blocks[0].row_sum()
+    )
+    dec = dataclasses.replace(dec, circulant_pairs=tuple(pairs))
+    residual, offender = decomposition_residual(spec, dec)
+    assert residual == pytest.approx(0.25 * 8, rel=1e-12)
+    assert offender == "block 1, fourier index 0"
+    oracle = dense_decomposition_residual(spec.dense(), dec)
+    assert residual == pytest.approx(oracle, rel=1e-12)
+
+
+def test_perturbed_chain_vector_fails_verification(monkeypatch, capsys):
+    spec, _ = cli.parse_join_document(K8_DOC)
+    dec = perturb_chain_vector(full_spectrum(spec))
+    residual, offender = decomposition_residual(spec, dec)
+    assert residual > 1e-6 and offender == "condensed chain 0, depth 1"
+    corrupt_with(monkeypatch, perturb_chain_vector)
+    code, out, err = run_spectrum(K8_DOC, ["--verify"], monkeypatch, capsys)
+    assert code == 4 and out == "" and "residual" in err
+
+
+def test_verify_builds_no_dense_matrix(monkeypatch, capsys):
+    docs = [K8_DOC] + [emit_join_document(spec) for spec in structured_corpus()[::5]]
+    expected = [
+        run_spectrum(doc, ["--verify"], monkeypatch, capsys)[:2] for doc in docs
+    ]
+
+    def no_dense(self, cap=None):
+        raise AssertionError("dense expansion built")
+
+    monkeypatch.setattr(JoinSpec, "dense", no_dense)
+    for doc, (code, out) in zip(docs, expected):
+        assert code == 0
+        assert "max_residual" in json.loads(out)
+        again = run_spectrum(doc, ["--verify"], monkeypatch, capsys)
+        assert again[:2] == (code, out)
