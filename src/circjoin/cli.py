@@ -157,14 +157,15 @@ def _provenance_rank(p):
 
 
 def _report_rows(decomposition):
-    """Cluster equal eigenvalues within each provenance group."""
+    """Cluster equal eigenvalues within each provenance group, at a
+    distance of 1e-9 * max |eigenvalue|."""
     groups = {}
     for p in decomposition.circulant_pairs:
         groups.setdefault(p.block, []).append(p.eigenvalue)
     for chain in decomposition.condensed_chains:
         groups.setdefault("condensed", []).extend([chain.eigenvalue] * len(chain))
     biggest = max((abs(v) for vals in groups.values() for v in vals), default=0.0)
-    delta = REPORT_CLUSTER_SCALE * (1.0 + biggest)
+    delta = REPORT_CLUSTER_SCALE * biggest
     rows = [
         (mean, mult, prov)
         for prov, vals in groups.items()
@@ -187,7 +188,8 @@ def decomposition_residual(join, decomposition, cap=DENSE_CAP):
     FFT call.  All lifted chain vectors go through one structured
     matvec.  Joins with n above `cap` raise SizeCapError.
 
-    Returns (max residual, human-readable tag of the offender).
+    Returns (max residual, human-readable tag of the offender); a NaN
+    residual counts as inf, so it is never passed over.
     """
     if join.n > cap:
         raise SizeCapError(f"verification of size {join.n} exceeds cap {cap}")
@@ -205,6 +207,7 @@ def decomposition_residual(join, decomposition, cap=DENSE_CAP):
             modes = fourier_modes(block.k, js[s : s + step])
             r = np.abs(block.matvec(modes) - modes * lams[s : s + step]).max(axis=0)
             r = np.maximum(r, leak[b - 1] * np.abs(modes.sum(axis=0)))
+            r[np.isnan(r)] = np.inf
             i = int(np.argmax(r))
             if r[i] > worst:
                 worst, tag = float(r[i]), f"block {b}, fourier index {js[s + i]}"
@@ -217,6 +220,7 @@ def decomposition_residual(join, decomposition, cap=DENSE_CAP):
         prev[:, 1:] = u[:, :-1]
         prev[:, starts] = 0.0  # a chain starts with an eigenvector
         r = np.abs(join.matvec(u) - u * lam - prev).max(axis=0)
+        r[np.isnan(r)] = np.inf
         i = int(np.argmax(r))
         if r[i] > worst:
             ci = int(np.searchsorted(starts, i, side="right")) - 1
@@ -227,10 +231,7 @@ def decomposition_residual(join, decomposition, cap=DENSE_CAP):
 
 def spectrum_report(join, args):
     decomposition = full_spectrum(
-        join,
-        cluster_delta=args.cluster_delta,
-        sigma_tol=args.sigma_tol,
-        sweep_budget=args.sweep_budget,
+        join, cluster_delta=args.cluster_delta, sigma_tol=args.sigma_tol
     )
     rows = _report_rows(decomposition)
     report = {
@@ -272,7 +273,7 @@ def spectrum_report(join, args):
         residual, offender = decomposition_residual(join, decomposition, cap=args.cap)
         tol = args.verify_tol
         if tol is None:
-            tol = 1e-8 * (1.0 + join.inf_norm())
+            tol = 1e-8 * join.inf_norm()
         if residual > tol:
             raise VerificationError(
                 f"residual {residual:.3e} exceeds tolerance {tol:.3e} at {offender}"
@@ -490,15 +491,15 @@ def _add_spectrum_flags(p):
     p.add_argument("--verify", action="store_true",
                    help="check all residuals with the structured (FFT) matvec")
     p.add_argument("--verify-tol", type=float, default=None,
-                   help="residual tolerance (default 1e-8 * (1 + inf-norm))")
+                   help="residual tolerance (default 1e-8 * inf-norm of the join)")
     p.add_argument("--cap", type=int, default=DENSE_CAP,
                    help="largest n that --verify accepts (no dense matrix is built)")
     p.add_argument("--cluster-delta", type=float, default=None,
-                   help="condensed eigenvalue merge distance")
+                   help="condensed eigenvalue merge distance "
+                   "(default 1e-7 * inf-norm of the condensed matrix)")
     p.add_argument("--sigma-tol", type=float, default=None,
-                   help="null-space singular value threshold")
-    p.add_argument("--sweep-budget", type=int, default=None,
-                   help="QR sweep budget (default 100 * d^2)")
+                   help="null-space singular value threshold "
+                   "(default 1e-8 * inf-norm of the condensed matrix)")
 
 
 def build_parser():
@@ -569,7 +570,10 @@ def main(argv=None):
         code = exc.code
         return int(code) if code is not None else 0
     try:
-        return args.func(args) or 0
+        # overflow is caught by explicit finiteness checks and reported
+        # as one error line, so numpy's own warnings stay off stderr
+        with np.errstate(all="ignore"):
+            return args.func(args) or 0
     except ParseError as exc:
         print(f"circjoin: parse error: {exc}", file=sys.stderr)
         return 2

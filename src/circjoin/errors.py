@@ -18,7 +18,8 @@ class PreconditionError(CircjoinError, ValueError):
 
 
 class SizeCapError(PreconditionError):
-    """A dense expansion was requested above the configured size cap."""
+    """A join is larger than the configured size cap (dense expansion or
+    --verify)."""
 
 
 class NumericalError(CircjoinError):
@@ -26,7 +27,7 @@ class NumericalError(CircjoinError):
 
 
 class ConvergenceError(NumericalError):
-    """An iteration exhausted its budget without converging."""
+    """LAPACK's eigenvalue iteration did not converge."""
 
 
 class IllConditionedError(NumericalError):
@@ -42,4 +43,4 @@ class DivergenceError(NumericalError):
 
 
 class VerificationError(NumericalError):
-    """A residual check against the dense expansion failed."""
+    """A residual check (--verify) failed or was not finite."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circulant import CirculantMatrix, fourier_vector
-from .errors import PreconditionError, SizeCapError
+from .errors import NumericalError, PreconditionError, SizeCapError
 from . import smalleig
 
 DENSE_CAP = 4096
@@ -259,7 +259,7 @@ def tensor_expand(v, sizes):
     return np.repeat(v, sizes)
 
 
-def full_spectrum(join, *, cluster_delta=None, sigma_tol=None, sweep_budget=None):
+def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
     """Eigenvalues and a generalized eigenbasis of the join.
 
     The eigenvalue multiset is the union (multiplicities adding, no
@@ -270,9 +270,7 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None, sweep_budget=None
     """
     pairs = block_eigenpairs(join)
     abar = join.condensed()
-    spec = smalleig.eigenvalues(
-        abar, cluster_delta=cluster_delta, sweep_budget=sweep_budget
-    )
+    spec = smalleig.eigenvalues(abar, cluster_delta=cluster_delta)
     sizes = join.block_sizes
     condensed_chains = []
     expanded_chains = []
@@ -291,41 +289,17 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None, sweep_budget=None
     )
 
 
-def _charpoly_direct(a):
-    """det(X*I - A) by minor expansion with polynomial entries.
+def reduced_char_poly(join):
+    """Monic degree-d polynomial whose roots are the non-block
+    eigenvalues of the join; equals the characteristic polynomial of the
+    condensed matrix.  Coefficients are returned highest degree first.
 
-    Exponential in d; used only for d <= 4.  Polynomials are coefficient
-    arrays, lowest degree first.
+    Computed by Leverrier's trace recursion c_k = -tr(A B_k) / k,
+    B_{k+1} = A B_k + c_k I, which is exact on integer condensed matrices
+    while the intermediate values stay below 2^53.  Raises NumericalError
+    when a coefficient overflows.
     """
-    d = a.shape[0]
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            r, c = rows[0], cols[0]
-            base = np.array([-a[r, c]], dtype=np.complex128)
-            if r == c:
-                return np.concatenate([base, [1.0]])
-            return base
-        total = np.zeros(1, dtype=np.complex128)
-        r = rows[0]
-        sign = 1.0
-        for pick, c in enumerate(cols):
-            entry = det([r], [c])
-            minor = det(rows[1:], cols[:pick] + cols[pick + 1 :])
-            term = sign * np.convolve(entry, minor)
-            width = max(len(total), len(term))
-            total = np.pad(total, (0, width - len(total)))
-            total += np.pad(term, (0, width - len(term)))
-            sign = -sign
-        return total
-
-    coeffs = det(list(range(d)), list(range(d)))
-    return coeffs[::-1]
-
-
-def _charpoly_leverrier(a):
-    """Characteristic polynomial by the trace recursion
-    c_k = -tr(A B_k) / k, B_{k+1} = A B_k + c_k I."""
+    a = join.condensed()
     d = a.shape[0]
     coeffs = np.empty(d + 1, dtype=np.complex128)
     coeffs[0] = 1.0
@@ -335,18 +309,9 @@ def _charpoly_leverrier(a):
         c = -np.trace(ab) / k
         coeffs[k] = c
         b = ab + c * np.eye(d, dtype=np.complex128)
+    if not np.all(np.isfinite(coeffs)):
+        raise NumericalError("a reduced_char_poly coefficient overflows")
     return coeffs
-
-
-def reduced_char_poly(join):
-    """Monic degree-d polynomial whose roots are the non-block
-    eigenvalues of the join; equals the characteristic polynomial of the
-    condensed matrix.  Coefficients are returned highest degree first.
-    """
-    abar = join.condensed()
-    if join.d <= 4:
-        return _charpoly_direct(abar)
-    return _charpoly_leverrier(abar)
 
 
 def eigenbasis_matrix(decomposition):

@@ -1,20 +1,23 @@
 """Eigenvalues and Jordan chains of small dense complex matrices.
 
 Intended for the d x d condensed matrix of a join (d up to a few dozen).
-Sizes 1 and 2 use closed forms; larger matrices go through Householder
-Hessenberg reduction followed by a shifted QR iteration, eigenvalues
-read off the (numerically) triangular result.  Nearby eigenvalues are
+Eigenvalues come from LAPACK (np.linalg.eigvals); nearby ones are
 merged into clusters with summed multiplicity, and Jordan chains are
-recovered from SVD null spaces of powers of (M - lambda*I).
+recovered from SVD null spaces of powers of (M - lambda*I).  Default
+tolerances are relative to the matrix's inf-norm, so scaling the input
+scales the results.
 """
+
+import math
 
 import numpy as np
 
-from .errors import ConvergenceError, IllConditionedError, PreconditionError
-
-DEFAULT_SWEEP_FACTOR = 100  # sweep budget = factor * d^2
-
-_EPS = float(np.finfo(np.float64).eps)
+from .errors import (
+    ConvergenceError,
+    IllConditionedError,
+    NumericalError,
+    PreconditionError,
+)
 
 
 def _as_square(matrix):
@@ -27,129 +30,10 @@ def _as_square(matrix):
 
 
 def _inf_norm(a):
-    return float(np.abs(a).sum(axis=1).max()) if a.size else 0.0
-
-
-def _quadratic_roots(trace, det):
-    """Roots of X^2 - trace*X + det, the larger-magnitude root first."""
-    half = trace / 2.0
-    s = np.sqrt(complex(half * half - det))
-    if half.real * s.real + half.imag * s.imag < 0.0:
-        s = -s
-    r1 = half + s
-    if r1 == 0.0:
-        return 0.0j, 0.0j
-    return complex(r1), complex(det / r1)
-
-
-def _hessenberg(a):
-    """Unitary similarity reduction to upper Hessenberg form (Householder)."""
-    h = np.array(a, dtype=np.complex128)
-    d = h.shape[0]
-    for p in range(d - 2):
-        x = h[p + 1 :, p].copy()
-        nx = float(np.linalg.norm(x))
-        if nx <= 1e-300:
-            h[p + 2 :, p] = 0.0
-            continue
-        phase = x[0] / abs(x[0]) if x[0] != 0.0 else 1.0
-        v = x
-        v[0] += phase * nx
-        vn = float(np.linalg.norm(v))
-        if vn <= 1e-300:
-            continue
-        v = v / vn
-        h[p + 1 :, p:] -= 2.0 * np.outer(v, v.conj() @ h[p + 1 :, p:])
-        h[:, p + 1 :] -= 2.0 * np.outer(h[:, p + 1 :] @ v, v.conj())
-        h[p + 2 :, p] = 0.0
-    return h
-
-
-def _givens(a, b):
-    """Rotation (c real, s complex) with [c s; -conj(s) c] @ [a; b] = [r; 0]."""
-    if b == 0.0:
-        return 1.0, 0.0 + 0.0j
-    if a == 0.0:
-        return 0.0, complex(np.conj(b) / abs(b))
-    aa = abs(a)
-    r = np.hypot(aa, abs(b))
-    return aa / r, complex((a / aa) * np.conj(b) / r)
-
-
-def _qr_sweep(h, lo, hi, shift):
-    """One explicit shifted QR step on the Hessenberg window [lo, hi]."""
-    for p in range(lo, hi + 1):
-        h[p, p] -= shift
-    rotations = []
-    for p in range(lo, hi):
-        c, s = _givens(h[p, p], h[p + 1, p])
-        rotations.append((c, s))
-        top = c * h[p, p : hi + 1] + s * h[p + 1, p : hi + 1]
-        bot = -np.conj(s) * h[p, p : hi + 1] + c * h[p + 1, p : hi + 1]
-        h[p, p : hi + 1] = top
-        h[p + 1, p : hi + 1] = bot
-        h[p + 1, p] = 0.0
-    for i, (c, s) in enumerate(rotations):
-        p = lo + i
-        rows = slice(lo, min(p + 2, hi + 1))
-        left = c * h[rows, p] + np.conj(s) * h[rows, p + 1]
-        right = -s * h[rows, p] + c * h[rows, p + 1]
-        h[rows, p] = left
-        h[rows, p + 1] = right
-    for p in range(lo, hi + 1):
-        h[p, p] += shift
-
-
-def _schur_eigenvalues(h, budget):
-    """Drive a Hessenberg matrix to triangular form; return its diagonal.
-
-    Eigenvalue-only variant: similarity updates are confined to the
-    active window, which is always bracketed by zeroed subdiagonals, so
-    panels outside the window never influence the result.
-    """
-    d = h.shape[0]
-    hnorm = max(_inf_norm(h), 1e-300)
-    evs = np.empty(d, dtype=np.complex128)
-    m = d - 1
-    sweeps = 0
-    since_deflation = 0
-    while m >= 0:
-        lo = m
-        while lo > 0:
-            tst = abs(h[lo - 1, lo - 1]) + abs(h[lo, lo])
-            thr = _EPS * tst if tst > 0.0 else _EPS * hnorm
-            if abs(h[lo, lo - 1]) <= max(thr, 1e-300):
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == m:
-            evs[m] = h[m, m]
-            m -= 1
-            since_deflation = 0
-            continue
-        if lo == m - 1:
-            t = h[lo, lo] + h[m, m]
-            det = h[lo, lo] * h[m, m] - h[lo, m] * h[m, lo]
-            evs[m], evs[m - 1] = _quadratic_roots(t, det)
-            m -= 2
-            since_deflation = 0
-            continue
-        sweeps += 1
-        since_deflation += 1
-        if sweeps > budget:
-            raise ConvergenceError(
-                f"QR iteration exceeded its budget of {budget} sweeps"
-            )
-        if since_deflation % 10 == 0:
-            # exceptional shift to break symmetric cycling
-            shift = h[m, m] + 0.75 * abs(h[m, m - 1])
-        else:
-            t = h[m - 1, m - 1] + h[m, m]
-            det = h[m - 1, m - 1] * h[m, m] - h[m - 1, m] * h[m, m - 1]
-            r1, r2 = _quadratic_roots(t, det)
-            shift = r1 if abs(r1 - h[m, m]) <= abs(r2 - h[m, m]) else r2
-        _qr_sweep(h, lo, m, shift)
-    return evs
+    norm = float(np.abs(a).sum(axis=1).max())
+    if not np.isfinite(norm):
+        raise NumericalError("the inf-norm of the matrix overflows")
+    return norm
 
 
 def _cluster(values, delta):
@@ -197,38 +81,27 @@ def _cluster(values, delta):
     return out
 
 
-def eigenvalues(matrix, *, cluster_delta=None, sweep_budget=None):
+def eigenvalues(matrix, *, cluster_delta=None):
     """All eigenvalues of a square complex matrix, with multiplicities.
 
     Returns a list of (eigenvalue, multiplicity) pairs sorted by
-    (Re, Im), multiplicities summing to the matrix size.  Any two raw
-    eigenvalues within cluster_delta (default 1e-7 * (1 + inf-norm)) are
-    merged to their mean.  Sizes 1 and 2 use closed forms; larger sizes
-    run shifted QR with a sweep budget of 100 * d^2 by default and raise
-    ConvergenceError when it is exhausted.
+    (Re, Im), multiplicities summing to the matrix size.  The raw
+    eigenvalues come from LAPACK's shifted QR (np.linalg.eigvals); any
+    two within cluster_delta (default 1e-7 * inf-norm) are merged to
+    their mean.  Raises ConvergenceError when LAPACK does not converge
+    and NumericalError when an eigenvalue overflows.
     """
     a = _as_square(matrix)
-    d = a.shape[0]
     if cluster_delta is None:
-        cluster_delta = 1e-7 * (1.0 + _inf_norm(a))
-    if d == 1:
-        raw = np.array([a[0, 0]])
-    elif d == 2:
-        t = a[0, 0] + a[1, 1]
-        det = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-        raw = np.array(_quadratic_roots(t, det))
-    else:
-        budget = sweep_budget if sweep_budget is not None else DEFAULT_SWEEP_FACTOR * d * d
-        raw = _schur_eigenvalues(_hessenberg(a), budget)
-    return _cluster(raw, cluster_delta)
-
-
-def eigenvalue_multiset(matrix, **kwargs):
-    """Flat list of eigenvalues, each repeated by multiplicity."""
-    out = []
-    for lam, mult in eigenvalues(matrix, **kwargs):
-        out.extend([lam] * mult)
-    return out
+        cluster_delta = 1e-7 * _inf_norm(a)
+    try:
+        raw = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigenvalue solver: {exc}") from exc
+    pairs = _cluster(raw, cluster_delta)
+    if not all(np.isfinite(lam) for lam, _ in pairs):
+        raise NumericalError("an eigenvalue of the condensed matrix overflows")
+    return pairs
 
 
 def _nullspace(a, tol):
@@ -244,25 +117,61 @@ def jordan_chains(matrix, eigenvalue, multiplicity, *, sigma_tol=None):
 
     Each chain is an array of shape (length, d) whose rows u_1, ..., u_m
     satisfy (M - lambda*I) u_1 ~ 0 and (M - lambda*I) u_r = u_{r-1}; the
-    lengths sum to `multiplicity`.  Chain structure is read off the
+    lengths sum to `multiplicity`, and each chain is scaled so that its
+    longest vector has unit norm.  Chain structure is read off the
     nullities of (M - lambda*I)^p thresholded at sigma_tol (default
-    1e-8 * (1 + inf-norm)); chain tops are chosen orthogonal to the
+    1e-8 * inf-norm); chain tops are chosen orthogonal to the
     lower-power null space and to taller chains, so the assembled chain
     vectors stay well conditioned.
 
+    The work is done on e = (M - lambda*I) / 2^t with 2^t the power of
+    two just above the inf-norm, so powers of e cannot overflow: the
+    null space of e^p is thresholded at sigma_tol / 2^t, that is,
+    (M - lambda*I)^p at sigma_tol * 2^(t*(p-1)).  Since 2^t scales with
+    M, scaling M by a power of two scales the chains' links and leaves
+    their structure unchanged.
+
     Raises IllConditionedError when the nullity sequence is inconsistent
-    with the requested multiplicity, or when the chain vectors fail the
-    independence floor; perturbing the input to separate eigenvalue
-    clusters usually resolves this.
+    with the requested multiplicity, when the chain vectors fail the
+    independence floor or underflow, or when LAPACK's SVD or QR does not
+    converge; perturbing the input to separate eigenvalue clusters
+    usually resolves this.
     """
     a = _as_square(matrix)
     d = a.shape[0]
     if not 1 <= multiplicity <= d:
         raise PreconditionError(f"multiplicity {multiplicity} out of range [1, {d}]")
+    norm = _inf_norm(a)
     if sigma_tol is None:
-        sigma_tol = 1e-8 * (1.0 + _inf_norm(a))
-    e = a - eigenvalue * np.eye(d, dtype=np.complex128)
+        sigma_tol = 1e-8 * norm
+    t = min(max(math.frexp(norm)[1], -1021), 1023)  # 2^-t stays finite
+    e = (a - eigenvalue * np.eye(d, dtype=np.complex128)) * math.ldexp(1.0, -t)
+    try:
+        scaled = _chains(e, multiplicity, math.ldexp(sigma_tol, -t))
+    except np.linalg.LinAlgError as exc:
+        raise IllConditionedError(
+            f"Jordan chains at {complex(eigenvalue)}: LAPACK: {exc}"
+        ) from exc
+    chains = []
+    for chain in scaled:
+        if len(chain) > 1:
+            # row r = e^(m-r) u_m is 2^(t*(r-m)) (M - lambda*I)^(m-r) u_m:
+            # undo the factor, shifted so that none exceeds 1
+            k = t * np.arange(len(chain) - 1, -1, -1)
+            chain = chain * np.ldexp(1.0, k - k.max())[:, None]
+            if not np.abs(chain).max(axis=1).min() > 0.0:
+                raise IllConditionedError(
+                    f"Jordan chain vectors at {complex(eigenvalue)} underflow"
+                )
+            chain = chain / np.linalg.norm(chain, axis=1).max()
+        chains.append(chain)
+    return chains
 
+
+def _chains(e, multiplicity, sigma_tol):
+    """Jordan chains of e at eigenvalue 0, each scaled so that its
+    longest vector has unit norm."""
+    d = e.shape[0]
     bad = (
         "nullspace dimensions of (M - lambda*I)^p are inconsistent with "
         f"multiplicity {multiplicity}; the input is numerically ambiguous "

@@ -1,5 +1,6 @@
 """Shared generators and oracle helpers for the test suite."""
 
+import mpmath
 import numpy as np
 
 from circjoin import CirculantMatrix, JoinSpec
@@ -55,6 +56,14 @@ def dense_decomposition_residual(a, decomposition):
             worst = max(worst, np.abs(shifted @ u - prev).max())
             prev = u
     return float(worst)
+
+
+def mpmath_eigenvalues(a, dps=50):
+    """Eigenvalues of a square matrix at dps digits, as mpmath numbers."""
+    with mpmath.workdps(dps):
+        # [0] picks the eigenvalues for every size; mpmath returns a
+        # 3-tuple for 1 x 1 input
+        return mpmath.eig(mpmath.matrix(np.asarray(a).tolist()))[0]
 
 
 def multiset_match(actual, expected, tol):

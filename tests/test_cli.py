@@ -123,6 +123,37 @@ def test_verify_failure_exits_4(tmp_path, capsys):
     assert "residual" in err
 
 
+def test_overflowing_document_exits_4(tmp_path, capsys):
+    # the K8 document with every entry 1e300: c_2 of the reduced
+    # characteristic polynomial is about 1e601
+    doc = json.dumps(
+        {"blocks": [[1e300] * 3, [1e300] * 5], "couplings": [[1e300] * 2] * 2}
+    )
+    path = write(tmp_path, "big.json", doc)
+    for flags in ([], ["--verify"], ["--output", "csv"]):
+        code, out, err = run(["spectrum", path, *flags], capsys)
+        assert (code, out) == (4, "")
+        assert err.splitlines() == [
+            "circjoin: numerical error: a reduced_char_poly coefficient overflows"
+        ]
+
+
+def test_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    path = write(tmp_path, "k8.json", K8_DOC)
+    code, out, err = run(["spectrum", path], capsys)
+    assert (code, out) == (4, "")
+    assert len(err.splitlines()) == 1 and "did not converge" in err
+
+
+def test_sweep_budget_flag_is_gone(tmp_path, capsys):
+    path = write(tmp_path, "k8.json", K8_DOC)
+    assert run(["spectrum", "--sweep-budget", "5", path], capsys)[0] == 2
+
+
 def test_dense_cap_precondition_exits_3(tmp_path, capsys):
     path = write(tmp_path, "k8.json", K8_DOC)
     code, _, err = run(["spectrum", path, "--verify", "--cap", "4"], capsys)

@@ -1,7 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+import sympy
 
 from circjoin import (
     CirculantMatrix,
@@ -14,11 +16,18 @@ from circjoin import (
     tensor_expand,
 )
 from circjoin.errors import PreconditionError, SizeCapError
+from circjoin.graphs import (
+    complete_graph,
+    join as join_graphs,
+    remove_cycle_from_complete,
+    ring_graph,
+)
 
 from corpus import (
     defective_joins,
     dense_decomposition_residual,
     inf_norm,
+    mpmath_eigenvalues,
     multiset_match,
     random_join,
     unit_disk,
@@ -272,6 +281,47 @@ def test_reduced_char_poly_matches_condensed_roots(d):
     np.testing.assert_allclose(coeffs, oracle, atol=1e-8)
 
 
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6])
+def test_reduced_char_poly_matches_mpmath(d):
+    # coefficient i measured against C(d, i) * ||A||^i, its natural scale
+    rng = np.random.default_rng(900 + d)
+    blocks = [
+        CirculantMatrix(unit_disk(rng, int(rng.integers(1, 6)))) for _ in range(d)
+    ]
+    spec = JoinSpec(blocks, unit_disk(rng, (d, d)))
+    a = spec.condensed()
+    coeffs = reduced_char_poly(spec)
+    with mpmath.workdps(60):
+        oracle = [mpmath.mpf(1)]
+        for r in mpmath_eigenvalues(a, 60):  # prod (X - r), highest degree first
+            oracle = [x - r * y for x, y in zip(oracle + [0], [0] + oracle)]
+        oracle = [complex(c) for c in oracle]
+    norm = inf_norm(a)
+    for i, (c, want) in enumerate(zip(coeffs, oracle)):
+        assert abs(c - want) <= 1e-14 * math.comb(d, i) * norm**i
+
+
+def graph_joins():
+    """Integer graph joins with d = 1..8 blocks."""
+    sizes = [3, 5, 4, 7, 1, 6, 2, 9]
+    cases = []
+    for d in range(1, 9):
+        cases.append(join_graphs(*[ring_graph(k + 4, 1 + k % 2) for k in sizes[:d]]))
+        cases.append(join_graphs(*[complete_graph(k) for k in sizes[:d]]))
+    cases.append(remove_cycle_from_complete(8, 3, directed=True))
+    cases.append(remove_cycle_from_complete(8, 3, directed=False))
+    return cases
+
+
+@pytest.mark.parametrize("index", range(len(graph_joins())))
+def test_reduced_char_poly_is_exact_on_graph_joins(index):
+    spec = graph_joins()[index]
+    a = spec.condensed()
+    assert np.array_equal(a, np.round(a.real))
+    expected = sympy.Matrix(a.real.astype(int).tolist()).charpoly().all_coeffs()
+    assert reduced_char_poly(spec).tolist() == [complex(int(c)) for c in expected]
+
+
 # ---------------------------------------------------------------------------
 # eigenbasis matrix
 # ---------------------------------------------------------------------------
@@ -384,18 +434,6 @@ def test_determinant_factorization_random(seed):
     for k in spec.block_sizes:
         rhs *= k ** (k / 2.0)
     assert abs(lhs - rhs) <= 1e-6 * max(lhs, rhs)
-
-
-def test_full_spectrum_propagates_convergence_error():
-    from circjoin.errors import ConvergenceError
-
-    rng = np.random.default_rng(13)
-    spec = JoinSpec(
-        [CirculantMatrix(unit_disk(rng, 2)) for _ in range(4)],
-        unit_disk(rng, (4, 4)),
-    )
-    with pytest.raises(ConvergenceError):
-        full_spectrum(spec, sweep_budget=1)
 
 
 def test_joinspec_accepts_raw_vectors():

@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from circjoin import smalleig
-from circjoin.errors import ConvergenceError, IllConditionedError, PreconditionError
+from circjoin.errors import (
+    ConvergenceError,
+    IllConditionedError,
+    NumericalError,
+    PreconditionError,
+)
 
-from corpus import inf_norm, multiset_match, unit_disk
+from corpus import inf_norm, mpmath_eigenvalues, multiset_match, unit_disk
 
 
 def flat(pairs):
@@ -44,9 +49,11 @@ def test_diagonal_matrices():
 
 @pytest.mark.parametrize("d", [3, 4, 5, 8, 12])
 def test_matches_generic_solver_on_random(d):
+    # 50-digit mpmath eigenvalues, not LAPACK, which smalleig itself calls
     rng = np.random.default_rng(400 + d)
     m = random_complex_matrix(rng, d)
-    multiset_match(flat(smalleig.eigenvalues(m)), np.linalg.eigvals(m), 1e-9 * (1 + inf_norm(m)))
+    oracle = [complex(v) for v in mpmath_eigenvalues(m, 50)]
+    multiset_match(flat(smalleig.eigenvalues(m)), oracle, 1e-12 * inf_norm(m))
 
 
 @pytest.mark.parametrize("d", [2, 3, 5, 7])
@@ -84,11 +91,26 @@ def test_permutation_matrix_needs_exceptional_shift():
     )
 
 
-def test_sweep_budget_exhaustion():
-    rng = np.random.default_rng(11)
-    m = random_complex_matrix(rng, 8)
-    with pytest.raises(ConvergenceError):
-        smalleig.eigenvalues(m, sweep_budget=1)
+def test_lapack_failure_is_a_convergence_error(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        smalleig.eigenvalues(np.eye(3))
+
+
+def test_overflowing_cluster_mean_is_a_numerical_error():
+    # 1e308 twice merges into one cluster whose sum overflows
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="overflows"):
+        smalleig.eigenvalues(np.diag([1e308, 1e308]))
+
+
+def test_inf_norm_overflow_is_a_numerical_error():
+    # an infinite merge distance would report 1e308 and -1e308 as 0 x2
+    m = np.array([[1e308, 1e308], [0.0, -1e308]])
+    with np.errstate(over="ignore"), pytest.raises(NumericalError, match="inf-norm"):
+        smalleig.eigenvalues(m)
 
 
 def test_cluster_merges_nearby_values():
@@ -232,6 +254,42 @@ def test_jordan_mixed_structure():
     chain_relations_hold(m, 0.0, chains, 1e-10)
     stacked = np.hstack([c.T for c in chains])
     assert np.linalg.svd(stacked, compute_uv=False)[-1] >= 1e-6
+
+
+@pytest.mark.parametrize("s", [-150, -60, 0, 60, 150])
+def test_jordan_chains_scale_with_the_matrix(s):
+    # a length-3 chain plus an eigenvector: structure and normalized
+    # vectors are the same at every power-of-two scale
+    m = np.zeros((4, 4))
+    m[0, 1] = m[1, 2] = 1.0
+    m[0, 3] = 0.5
+    ref = smalleig.jordan_chains(m, 0.0, 4)
+    scale = 2.0**s
+    chains = smalleig.jordan_chains(m * scale, 0.0, 4)
+    assert [len(c) for c in chains] == [len(c) for c in ref] == [3, 1]
+    chain_relations_hold(m * scale, 0.0, chains, 1e-14 * scale)
+    for got, want in zip(chains, ref):
+        # link r of a chain of (scale * M) is scale^-r times that of M
+        powers = scale ** -np.arange(len(want), dtype=float)
+        expect = want * powers[:, None]
+        expect /= np.linalg.norm(expect, axis=1).max()
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-15)
+
+
+def test_jordan_chain_underflow_is_ill_conditioned():
+    # a length-3 chain of a matrix of norm 1e200 needs a link of 1e-400
+    m = 1e200 * np.diag([1.0, 1.0], k=1)
+    with pytest.raises(IllConditionedError, match="underflow"):
+        smalleig.jordan_chains(m, 0.0, 3)
+
+
+def test_jordan_lapack_failure_is_ill_conditioned(monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    with pytest.raises(IllConditionedError, match="SVD did not converge"):
+        smalleig.jordan_chains(np.eye(2), 1.0, 2)
 
 
 def test_jordan_inconsistent_multiplicity_errors():

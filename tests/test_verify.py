@@ -143,6 +143,42 @@ def test_perturbed_chain_vector_fails_verification(monkeypatch, capsys):
     assert code == 4 and out == "" and "residual" in err
 
 
+def nan_in_chain_vector(dec):
+    chain = dec.expanded_chains[0]
+    vectors = chain.vectors.copy()
+    vectors[0, 2] = np.nan
+    chains = (dataclasses.replace(chain, vectors=vectors),) + dec.expanded_chains[1:]
+    return dataclasses.replace(dec, expanded_chains=chains)
+
+
+def nan_fourier_eigenvalue(dec):
+    pairs = list(dec.circulant_pairs)
+    pairs[1] = dataclasses.replace(pairs[1], eigenvalue=complex(np.nan, 0.0))
+    return dataclasses.replace(dec, circulant_pairs=tuple(pairs))
+
+
+@pytest.mark.parametrize(
+    "corrupt, offender",
+    [
+        (nan_in_chain_vector, "condensed chain 0, depth 1"),
+        (nan_fourier_eigenvalue, "block 1, fourier index 2"),
+    ],
+)
+def test_nan_residual_fails_verification(corrupt, offender, monkeypatch, capsys):
+    spec, _ = cli.parse_join_document(K8_DOC)
+    assert decomposition_residual(spec, corrupt(full_spectrum(spec))) == (
+        np.inf,
+        offender,
+    )
+    corrupt_with(monkeypatch, corrupt)
+    code, out, err = run_spectrum(K8_DOC, ["--verify"], monkeypatch, capsys)
+    assert (code, out) == (4, "")
+    assert err.splitlines() == [
+        f"circjoin: numerical error: residual inf exceeds tolerance "
+        f"{1e-8 * spec.inf_norm():.3e} at {offender}"
+    ]
+
+
 def test_verify_builds_no_dense_matrix(monkeypatch, capsys):
     docs = [K8_DOC] + [emit_join_document(spec) for spec in structured_corpus()[::5]]
     expected = [
