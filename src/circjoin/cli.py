@@ -169,7 +169,7 @@ def _report_rows(decomposition):
     rows = [
         (mean, mult, prov)
         for prov, vals in groups.items()
-        for mean, mult in _cluster(np.array(vals), delta)
+        for mean, mult, _ in _cluster(np.array(vals), delta)
     ]
     rows.sort(key=lambda r: (r[0].real, r[0].imag, _provenance_rank(r[2])))
     return rows

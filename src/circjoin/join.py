@@ -94,9 +94,18 @@ class JoinSpec:
         return a
 
     def condensed(self):
-        """The d x d matrix of block row sums and scaled couplings."""
+        """The d x d matrix of block row sums and scaled couplings.
+
+        Raises NumericalError when an entry overflows: finite blocks
+        and couplings can still have an infinite row sum or a_ij * k_j.
+        """
+        sums = [b.row_sum() for b in self.blocks]
+        if not np.all(np.isfinite(sums)):
+            raise NumericalError("a block row sum overflows")
         a = self.couplings * np.array(self.block_sizes)
-        np.fill_diagonal(a, [b.row_sum() for b in self.blocks])
+        if not np.all(np.isfinite(a)):
+            raise NumericalError("a coupling times a block size overflows")
+        np.fill_diagonal(a, sums)
         return a
 
     def matvec(self, x):
@@ -266,16 +275,21 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
     merging across origins) of the block eigenvalues for j >= 1 and the
     condensed spectrum; condensed Jordan chains are lifted by tensor
     expansion.  The diagonalizable flag mirrors the condensed matrix.
-    Tolerance keywords are forwarded to the condensed eigensolver.
+
+    The condensed solve is one `smalleig.eigensystem` call: one LAPACK
+    `eig` of the d x d matrix, O(d^3), with SVD null spaces only for
+    repeated or uncertified eigenvalues.  Tolerance keywords are
+    forwarded to it.
     """
     pairs = block_eigenpairs(join)
-    abar = join.condensed()
-    spec = smalleig.eigenvalues(abar, cluster_delta=cluster_delta)
+    spec = smalleig.eigensystem(
+        join.condensed(), cluster_delta=cluster_delta, sigma_tol=sigma_tol
+    )
     sizes = join.block_sizes
     condensed_chains = []
     expanded_chains = []
-    for lam, mult in spec:
-        for vecs in smalleig.jordan_chains(abar, lam, mult, sigma_tol=sigma_tol):
+    for lam, _, chains in spec:
+        for vecs in chains:
             condensed_chains.append(JordanChain(eigenvalue=lam, vectors=vecs))
             lifted = np.array([tensor_expand(u, sizes) for u in vecs])
             expanded_chains.append(JordanChain(eigenvalue=lam, vectors=lifted))

@@ -1,11 +1,15 @@
 """Eigenvalues and Jordan chains of small dense complex matrices.
 
-Intended for the d x d condensed matrix of a join (d up to a few dozen).
-Eigenvalues come from LAPACK (np.linalg.eigvals); nearby ones are
-merged into clusters with summed multiplicity, and Jordan chains are
-recovered from SVD null spaces of powers of (M - lambda*I).  Default
-tolerances are relative to the matrix's inf-norm, so scaling the input
-scales the results.
+Intended for the d x d condensed matrix of a join (d up to a few
+hundred).  `eigensystem` is one LAPACK eig (np.linalg.eig), O(d^3):
+nearby eigenvalues are merged into clusters with summed multiplicity,
+and a simple eigenvalue keeps LAPACK's eigenvector when a residual and
+separation certificate proves that the SVD rank test would find one
+chain of length 1.  Repeated or uncertified eigenvalues get their
+Jordan chains from SVD null spaces of powers of (M - lambda*I)
+(`jordan_chains`).  `eigenvalues` is the values-only entry
+(np.linalg.eigvals).  Default tolerances are relative to the matrix's
+inf-norm, so scaling the input scales the results.
 """
 
 import math
@@ -36,13 +40,20 @@ def _inf_norm(a):
     return norm
 
 
+def _scale_exponent(norm):
+    """t with 2^t the power of two just above `norm`, clamped so that
+    2^-t stays finite."""
+    return min(max(math.frexp(norm)[1], -1021), 1023)
+
+
 def _cluster(values, delta):
     """Greedily merge values within delta of a cluster mean.
 
-    Returns (mean, multiplicity) pairs sorted by (Re, Im); multiplicities
-    sum to len(values).  Deterministic: values are visited in (Re, Im)
-    order and ties go to the nearest existing cluster, the oldest among
-    equals.
+    Returns (mean, multiplicity, members) triples sorted by (Re, Im),
+    where members is the tuple of indices into `values` merged into the
+    cluster; multiplicities sum to len(values).  Deterministic: values
+    are visited in (Re, Im) order and ties go to the nearest existing
+    cluster, the oldest among equals.
 
     A cluster's mean moves only when it absorbs a value, so once the
     visited real part runs more than 2*delta past it (the factor 2
@@ -55,10 +66,10 @@ def _cluster(values, delta):
     values = np.asarray(values, dtype=np.complex128)
     order = np.lexsort((values.imag, values.real))
     sums = []
-    counts = []
+    members = []
     means = np.empty(len(values), dtype=np.complex128)
     lo = 0
-    for v in values[order]:
+    for idx, v in zip(order.tolist(), values[order]):
         while lo < len(sums) and v.real - means[lo].real > 2.0 * delta:
             lo += 1
         best = -1
@@ -70,15 +81,34 @@ def _cluster(values, delta):
                 best = lo + nearest
         if best < 0:
             sums.append(v)
-            counts.append(1)
+            members.append([idx])
             best = len(sums) - 1
         else:
             sums[best] += v
-            counts[best] += 1
-        means[best] = sums[best] / counts[best]
-    out = [(complex(means[i]), counts[i]) for i in range(len(sums))]
-    out.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+            members[best].append(idx)
+        means[best] = sums[best] / len(members[best])
+    out = [
+        (complex(means[i]), len(members[i]), tuple(members[i]))
+        for i in range(len(sums))
+    ]
+    out.sort(key=lambda c: (c[0].real, c[0].imag))
     return out
+
+
+def _lapack(solver, a):
+    """solver(a), with LAPACK's non-convergence as ConvergenceError."""
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigenvalue solver: {exc}") from exc
+
+
+def _finite_clusters(values, delta):
+    """_cluster, with an overflowing cluster mean as NumericalError."""
+    clusters = _cluster(values, delta)
+    if not all(np.isfinite(mean) for mean, _, _ in clusters):
+        raise NumericalError("an eigenvalue of the condensed matrix overflows")
+    return clusters
 
 
 def eigenvalues(matrix, *, cluster_delta=None):
@@ -94,14 +124,79 @@ def eigenvalues(matrix, *, cluster_delta=None):
     a = _as_square(matrix)
     if cluster_delta is None:
         cluster_delta = 1e-7 * _inf_norm(a)
+    raw = _lapack(np.linalg.eigvals, a)
+    return [(mean, mult) for mean, mult, _ in _finite_clusters(raw, cluster_delta)]
+
+
+def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
+    """Eigenvalues, multiplicities and Jordan chains of a square matrix.
+
+    Returns (eigenvalue, multiplicity, chains) triples, clustered and
+    sorted as by `eigenvalues`; `chains` is what `jordan_chains` returns
+    for that cluster, with the same defaults (cluster_delta 1e-7 and
+    sigma_tol 1e-8 times the inf-norm).
+
+    One np.linalg.eig gives every eigenvalue and eigenvector.  A simple
+    eigenvalue whose eigenpair is certified (see `_certified`) to pass
+    jordan_chains' nullity test keeps its LAPACK eigenvector (unit norm,
+    largest component real) as its one chain; every other cluster, of
+    multiplicity > 1 or uncertified, goes to `jordan_chains`.  The cost
+    is O(d^3), plus O(d^3) or more per cluster that falls back.  Raises
+    as `eigenvalues` and `jordan_chains` do.
+    """
+    a = _as_square(matrix)
+    norm = _inf_norm(a)
+    if cluster_delta is None:
+        cluster_delta = 1e-7 * norm
+    if sigma_tol is None:
+        sigma_tol = 1e-8 * norm
+    w, x = _lapack(np.linalg.eig, a)
+    clusters = _finite_clusters(w, cluster_delta)
+    certified = _certified(a, w, x, norm, sigma_tol)
+    out = []
+    for lam, mult, members in clusters:
+        if mult == 1 and certified[members[0]]:
+            chains = [np.array([x[:, members[0]]])]
+        else:
+            chains = jordan_chains(a, lam, mult, sigma_tol=sigma_tol)
+        out.append((lam, mult, chains))
+    return out
+
+
+def _certified(a, w, x, norm, sigma_tol):
+    """Boolean mask over the eigenpairs (w_i, x_i) of `a`, unit-norm x_i:
+    True where sigma_d(M - w_i I) <= sigma_tol < sigma_(d-1)(M - w_i I)
+    is proven with a factor-2 margin on each side, so that jordan_chains
+    at w_i would find nullity 1, that is, one chain of length 1.
+
+    With R = M X - X W (W = diag(w)), M - w_i I = X (W - w_i I) X^-1 +
+    R X^-1, so
+      (a) sigma_d <= ||R e_i|| <= sigma_tol / 2, and
+      (b) sigma_(d-1) >= gap_i / kappa(X) - ||R|| / sigma_min(X)
+          > 2 sigma_tol,
+    where gap_i = min_(j != i) |w_j - w_i| (sigma_k(X D X^-1) >=
+    sigma_k(D) / kappa(X), and Weyl's inequality for R X^-1; the
+    Frobenius norm bounds ||R||_2).  (b) is tested multiplied through
+    by sigma_min(X), so a singular X fails it without a division.  The
+    quantities are computed on M / 2^t, as in jordan_chains, so they
+    neither overflow nor underflow with the scale of M.  Nothing is
+    certified when X is not finite or its SVD fails.
+    """
+    uncertified = np.zeros(len(w), dtype=bool)
+    if not np.all(np.isfinite(x)):
+        return uncertified
     try:
-        raw = np.linalg.eigvals(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK eigenvalue solver: {exc}") from exc
-    pairs = _cluster(raw, cluster_delta)
-    if not all(np.isfinite(lam) for lam, _ in pairs):
-        raise NumericalError("an eigenvalue of the condensed matrix overflows")
-    return pairs
+        sv = np.linalg.svd(x, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return uncertified
+    scale = math.ldexp(1.0, -_scale_exponent(norm))
+    tol = sigma_tol * scale
+    ws = w * scale
+    r = (a * scale) @ x - x * ws
+    dist = np.abs(ws[:, None] - ws[None, :])
+    np.fill_diagonal(dist, np.inf)
+    bound = dist.min(axis=1) * sv[-1] ** 2 / sv[0] - np.linalg.norm(r)
+    return (np.linalg.norm(r, axis=0) <= tol / 2) & (bound > 2 * tol * sv[-1])
 
 
 def _nullspace(a, tol):
@@ -144,7 +239,7 @@ def jordan_chains(matrix, eigenvalue, multiplicity, *, sigma_tol=None):
     norm = _inf_norm(a)
     if sigma_tol is None:
         sigma_tol = 1e-8 * norm
-    t = min(max(math.frexp(norm)[1], -1021), 1023)  # 2^-t stays finite
+    t = _scale_exponent(norm)
     e = (a - eigenvalue * np.eye(d, dtype=np.complex128)) * math.ldexp(1.0, -t)
     try:
         scaled = _chains(e, multiplicity, math.ldexp(sigma_tol, -t))

@@ -138,11 +138,35 @@ def test_overflowing_document_exits_4(tmp_path, capsys):
         ]
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"blocks": [[1e308, 1e308]]}, "a block row sum overflows"),
+        (
+            {"blocks": [[1e308, 1e308], [1.0]], "couplings": [[0, 1], [1, 0]]},
+            "a block row sum overflows",
+        ),
+        (
+            {"blocks": [[1.0], [1.0, 1.0]], "couplings": [[0, 1e308], [1, 0]]},
+            "a coupling times a block size overflows",
+        ),
+    ],
+)
+@pytest.mark.parametrize("flags", [[], ["--verify"]])
+def test_overflowing_condensed_matrix_exits_4(tmp_path, capsys, doc, message, flags):
+    # every entry is finite, but a condensed-matrix entry is not
+    path = write(tmp_path, "sum.json", json.dumps(doc))
+    code, out, err = run(["spectrum", path, *flags], capsys)
+    assert (code, out) == (4, "")
+    assert err.splitlines() == [f"circjoin: numerical error: {message}"]
+
+
 def test_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+    for solver in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, solver, no_convergence)
     path = write(tmp_path, "k8.json", K8_DOC)
     code, out, err = run(["spectrum", path], capsys)
     assert (code, out) == (4, "")

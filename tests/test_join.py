@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from circjoin import (
     eigenbasis_matrix,
     full_spectrum,
     reduced_char_poly,
+    smalleig,
     tensor_expand,
 )
 from circjoin.errors import PreconditionError, SizeCapError
@@ -29,6 +31,7 @@ from corpus import (
     inf_norm,
     mpmath_eigenvalues,
     multiset_match,
+    random_circulant,
     random_join,
     unit_disk,
 )
@@ -229,6 +232,53 @@ def test_full_spectrum_defective_two_by_two():
     assert dec.eigenvalue_multiset() == [0.0 + 0.0j, 0.0 + 0.0j]
     assert not dec.diagonalizable
     assert [len(ch) for ch in dec.condensed_chains] == [2]
+
+
+def count_jordan_chains(monkeypatch):
+    """Record the multiplicity of every smalleig.jordan_chains call."""
+    calls = []
+    jordan_chains = smalleig.jordan_chains
+
+    def counted(matrix, eigenvalue, multiplicity, **kwargs):
+        calls.append(multiplicity)
+        return jordan_chains(matrix, eigenvalue, multiplicity, **kwargs)
+
+    monkeypatch.setattr(smalleig, "jordan_chains", counted)
+    return calls
+
+
+def test_condensed_solve_runs_svd_chains_only_for_repeated_eigenvalues(monkeypatch):
+    calls = count_jordan_chains(monkeypatch)
+    rng = np.random.default_rng(64)
+    sizes = rng.integers(2, 9, 64)
+    spec = JoinSpec([random_circulant(rng, k) for k in sizes], unit_disk(rng, (64, 64)))
+    dec = full_spectrum(spec)
+    assert calls == []
+    assert dec.diagonalizable and len(dec.condensed_chains) == 64
+    # 64 rings: condensed eigenvalues 2 + 6 * 63 (simple) and -4 (x63)
+    dec = full_spectrum(join_graphs(*[ring_graph(6, 1)] * 64))
+    assert calls == [63]
+    assert dec.diagonalizable
+
+
+def test_condensed_solve_mixing_defective_and_simple_is_warning_free(monkeypatch):
+    # condensed matrix: a 2x2 Jordan block at 0 and simple eigenvalues
+    # 1 and 3; LAPACK's eigenvectors at 0 are parallel, so the
+    # eigenvector matrix is singular and no eigenpair is certified
+    calls = count_jordan_chains(monkeypatch)
+    spec = JoinSpec(
+        [[0.0], [0.0], [0.5, 0.5], [3.0]],
+        np.triu(np.full((4, 4), 0.25)) + np.diag([1.0, 0.0, 0.0], k=1),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dec = full_spectrum(spec)
+        # the 3x3 single chain has an exactly singular eigenvector matrix
+        for defective in defective_joins():
+            full_spectrum(defective)
+    assert [len(ch) for ch in dec.condensed_chains] == [2, 1, 1]
+    assert not dec.diagonalizable
+    assert calls[:3] == [2, 1, 1]
 
 
 def test_full_spectrum_single_block_matches_fourier_decomposition():

@@ -95,7 +95,7 @@ def joins(draw):
     return blocks, couplings
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300)
 @given(joins(), st.integers(-60, 60))
 def test_report_is_invariant_under_power_of_two_scaling(join, s):
     blocks, couplings = join

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circjoin import smalleig
 from circjoin.errors import (
@@ -114,8 +116,8 @@ def test_inf_norm_overflow_is_a_numerical_error():
 
 
 def test_cluster_merges_nearby_values():
-    pairs = smalleig._cluster(np.array([1.0, 1.0 + 1e-9, 5.0]), 1e-7)
-    assert pairs == [((1.0 + 5e-10) + 0.0j, 2), (5.0 + 0.0j, 1)]
+    clusters = smalleig._cluster(np.array([5.0, 1.0 + 1e-9, 1.0]), 1e-7)
+    assert clusters == [((1.0 + 5e-10) + 0.0j, 2, (2, 1)), (5.0 + 0.0j, 1, (0,))]
 
 
 def reference_cluster(values, delta):
@@ -123,24 +125,27 @@ def reference_cluster(values, delta):
     values = np.asarray(values, dtype=np.complex128)
     order = np.lexsort((values.imag, values.real))
     sums = []
-    counts = []
+    members = []
     for idx in order:
         v = values[idx]
         best = -1
         best_dist = np.inf
         for ci in range(len(sums)):
-            dist = abs(v - sums[ci] / counts[ci])
+            dist = abs(v - sums[ci] / len(members[ci]))
             if dist <= delta and dist < best_dist:
                 best = ci
                 best_dist = dist
         if best < 0:
             sums.append(v)
-            counts.append(1)
+            members.append([int(idx)])
         else:
             sums[best] += v
-            counts[best] += 1
-    out = [(complex(sums[i] / counts[i]), counts[i]) for i in range(len(sums))]
-    out.sort(key=lambda pair: (pair[0].real, pair[0].imag))
+            members[best].append(int(idx))
+    out = [
+        (complex(sums[i] / len(members[i])), len(members[i]), tuple(members[i]))
+        for i in range(len(sums))
+    ]
+    out.sort(key=lambda c: (c[0].real, c[0].imag))
     return out
 
 
@@ -149,7 +154,9 @@ def assert_cluster_matches_reference(values, delta):
     want = reference_cluster(values, delta)
     # repr tells signed zeros apart, so this is a bit-for-bit comparison
     assert repr(got) == repr(want)
-    assert sum(m for _, m in got) == len(values)
+    assert sorted(i for _, _, members in got for i in members) == list(
+        range(len(values))
+    )
 
 
 def cluster_corpus():
@@ -300,6 +307,173 @@ def test_jordan_inconsistent_multiplicity_errors():
 def test_jordan_rejects_bad_multiplicity():
     with pytest.raises(PreconditionError):
         smalleig.jordan_chains(np.eye(2), 1.0, 3)
+
+
+def eigensystem_or_error(m, **kwargs):
+    try:
+        return smalleig.eigensystem(m, **kwargs)
+    except NumericalError as exc:
+        return type(exc)
+
+
+def svd_path(m, **kwargs):
+    """eigensystem with no eigenpair certified, so that every cluster
+    goes through jordan_chains."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            smalleig, "_certified", lambda a, w, *rest: np.zeros(len(w), dtype=bool)
+        )
+        return eigensystem_or_error(m, **kwargs)
+
+
+def null_vector_spread(m, lam, u, v):
+    """How far apart two unit approximate null vectors u, v of
+    E = M - lam*I can be: each is within (||E x|| + sigma_d) /
+    sigma_(d-1) of the exact one, so the pair within twice the sum.
+    Tiny for a well-separated eigenvalue; for an ill-conditioned one,
+    neither vector is determined to 1e-12."""
+    e = m - lam * np.eye(len(m))
+    sv = np.linalg.svd(e, compute_uv=False)
+    if len(sv) == 1:
+        return 0.0
+    r = np.linalg.norm(e @ u) + np.linalg.norm(e @ v) + 2.0 * sv[-1]
+    return 2.0 * r / sv[-2]
+
+
+def assert_same_as_svd_path(m, **kwargs):
+    """Same clusters, chain lengths and errors as the SVD path, and
+    simple eigenvectors equal up to a unit phase within 1e-12 plus the
+    spread that the conditioning of the null vector allows."""
+    got, want = eigensystem_or_error(m, **kwargs), svd_path(m, **kwargs)
+    if isinstance(got, type) or isinstance(want, type):
+        assert got == want
+        return
+    assert [c[:2] for c in got] == [c[:2] for c in want]
+    for (lam, mult, chains), (_, _, ref) in zip(got, want):
+        assert [len(c) for c in chains] == [len(c) for c in ref], lam
+        if mult == 1:
+            u, v = chains[0][0], ref[0][0]
+            phase = np.vdot(v, u)
+            diff = np.abs(u - phase / abs(phase) * v).max()
+            assert diff <= 1e-12 + null_vector_spread(m, lam, u, v), lam
+
+
+def similar_to_diagonal(rng, d):
+    """S diag(lam) S^-1 with cond(S) from 1e2 to 1e8 and eigenvalues on
+    a half-integer grid, so some repeat, half of them moved by ~1e-6."""
+    u, _ = np.linalg.qr(random_complex_matrix(rng, d))
+    v, _ = np.linalg.qr(random_complex_matrix(rng, d))
+    s = u @ np.diag(np.geomspace(1.0, 10.0 ** -rng.uniform(2.0, 8.0), d)) @ v
+    lam = np.round(2.0 * rng.normal(size=d)) / 2.0 + 0j
+    lam[: d // 2] += 1e-6 * rng.normal(size=d // 2)
+    return s @ np.diag(lam) @ np.linalg.inv(s)
+
+
+def perturbed_jordan(rng, d):
+    """A Jordan block at 0 of size m <= d with eps in its corner, so
+    its eigenvalues spread by eps^(1/m), from far below to far above
+    cluster_delta and sigma_tol, next to the simple eigenvalues
+    1, ..., d - m."""
+    size = int(rng.integers(1, d + 1))
+    a = np.diag(np.arange(d, dtype=np.complex128) - size + 1.0)
+    a[:size, :size] = np.diag(np.ones(size - 1), k=1)
+    a[size - 1, 0] += 10.0 ** -rng.uniform(3.0, 30.0)
+    return a
+
+
+@settings(max_examples=300)
+@given(
+    st.sampled_from([random_complex_matrix, similar_to_diagonal, perturbed_jordan]),
+    st.integers(1, 16),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([None, (1e-9, 1e-7), (1e-12, 1e-12)]),
+    st.sampled_from([0, 300, -300]),
+)
+def test_eigensystem_matches_the_svd_path(family, d, seed, tols, s):
+    m = family(np.random.default_rng(seed), d) * 2.0**s
+    kwargs = {}
+    if tols is not None:
+        norm = inf_norm(m)
+        kwargs = {"cluster_delta": tols[0] * norm, "sigma_tol": tols[1] * norm}
+    assert_same_as_svd_path(m, **kwargs)
+
+
+@pytest.mark.parametrize("s", [0, 300, -300])
+@pytest.mark.parametrize("gap", [1e-9, 5e-8, 2e-7, 1e-6])
+def test_eigensystem_near_the_nullity_threshold(gap, s):
+    # eigenvalues 0 and `gap` are apart at cluster_delta but within
+    # sigma_tol of each other for some tolerances, so M has nullity 2
+    # at either one: only half (b) of the certificate sees that
+    rng = np.random.default_rng(9)
+    diagonal = np.diag([0.0, gap, 1.0]) + 0.3 * np.eye(3, k=2)
+    jordan = np.diag([0.0, 0.0, gap, 1.0])
+    jordan[0, 1] = 1.0
+    x = np.eye(3) + 0.5 * random_complex_matrix(rng, 3)
+    similar = x @ np.diag([0.0, gap, 1.0]) @ np.linalg.inv(x)
+    scale = 2.0**s
+    for m in (diagonal, jordan, similar):
+        assert_same_as_svd_path(m * scale)
+        for delta, tol in ((1e-9, 1e-7), (1e-10, 2e-8), (1e-10, 1e-6)):
+            assert_same_as_svd_path(
+                m * scale, cluster_delta=delta * scale, sigma_tol=tol * scale
+            )
+
+
+def test_certificate_rejects_inaccurate_eigenvectors(monkeypatch):
+    # eigenvectors off by ~1e-6 keep a clear margin for half (b), but
+    # their residuals fail half (a), so jordan_chains decides
+    lapack_eig = np.linalg.eig
+
+    def sloppy_eig(a):
+        w, x = lapack_eig(a)
+        x = x + 1e-6 * random_complex_matrix(np.random.default_rng(0), len(w))
+        return w, x / np.linalg.norm(x, axis=0)
+
+    monkeypatch.setattr(np.linalg, "eig", sloppy_eig)
+    calls = []
+    jordan_chains = smalleig.jordan_chains
+    monkeypatch.setattr(
+        smalleig,
+        "jordan_chains",
+        lambda *args, **kwargs: calls.append(args) or jordan_chains(*args, **kwargs),
+    )
+    rng = np.random.default_rng(10)
+    for d in (2, 5, 8):
+        m = random_complex_matrix(rng, d)
+        calls.clear()
+        assert len(smalleig.eigensystem(m)) == d
+        assert len(calls) == d
+        assert_same_as_svd_path(m)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_certificate_skips_non_finite_eigenvectors(monkeypatch, bad):
+    lapack_eig = np.linalg.eig
+
+    def broken_eig(a):
+        w, x = lapack_eig(a)
+        x[0, 0] = bad
+        return w, x
+
+    monkeypatch.setattr(np.linalg, "eig", broken_eig)
+    m = random_complex_matrix(np.random.default_rng(11), 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert_same_as_svd_path(m)
+
+
+def test_eigensystem_lapack_failure_is_a_convergence_error(monkeypatch):
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        smalleig.eigensystem(np.eye(3))
+
+
+def test_eigensystem_overflowing_cluster_mean_is_a_numerical_error():
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="overflows"):
+        smalleig.eigensystem(np.diag([1e308, 1e308]))
 
 
 def test_rejects_non_square():
