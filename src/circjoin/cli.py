@@ -419,6 +419,13 @@ def _kuramoto_system(args):
     return KuramotoSystem(spec, epsilon=args.epsilon, omega=args.omega)
 
 
+def _csv_rows(times, values):
+    """One line per time, "t,v_1,...,v_n", every number as _fmt17 writes
+    it: one %-template per row instead of a format call per value."""
+    template = ",".join(["%.17g"] * (values.shape[1] + 1))
+    return [template % (t, *row) for t, row in zip(times.tolist(), values.tolist())]
+
+
 def cmd_kuramoto_simulate(args):
     system = _kuramoto_system(args)
     if args.state is not None:
@@ -434,11 +441,7 @@ def cmd_kuramoto_simulate(args):
         raise PreconditionError("simulate needs --state or --j (with optional --phi)")
     trajectory = integrate(system, theta0, args.dt, args.steps)
     header = "t," + ",".join(f"theta_{i + 1}" for i in range(system.n))
-    out = [header]
-    reduced = trajectory.reduced()
-    for row, t in enumerate(trajectory.times):
-        vals = ",".join(_fmt17(x) for x in reduced[row])
-        out.append(f"{_fmt17(t)},{vals}")
+    out = [header, *_csv_rows(trajectory.times, trajectory.reduced())]
     if args.drift:
         drift = float(np.abs(trajectory.thetas - trajectory.thetas[0]).max())
         out.append(f"# max_drift={_fmt17(drift)}")

@@ -33,7 +33,7 @@ class JoinSpec:
     be given as CirculantMatrix instances or raw defining vectors.
     """
 
-    __slots__ = ("blocks", "couplings")
+    __slots__ = ("blocks", "couplings", "_layout")
 
     def __init__(self, blocks, couplings=None):
         blocks = tuple(
@@ -56,6 +56,7 @@ class JoinSpec:
         a.setflags(write=False)
         self.blocks = blocks
         self.couplings = a
+        self._layout = None
 
     @property
     def d(self):
@@ -113,21 +114,52 @@ class JoinSpec:
 
         Each block acts by FFT circular convolution, and the constant
         off-diagonal blocks act through the block sums of x, so this
-        costs O(n log n) per column and no n x n storage.
+        costs O(n log n) per column and no n x n storage.  The blocks of
+        one size share one fft/ifft pair on their stacked slices of x.
         """
+        n, offsets, groups = self._matvec_layout()
         x = np.asarray(x, dtype=np.complex128)
-        if x.ndim not in (1, 2) or x.shape[0] != self.n:
+        if x.ndim not in (1, 2) or x.shape[0] != n:
             raise PreconditionError(
-                f"expected an array of shape ({self.n},) or ({self.n}, m)"
+                f"expected an array of shape ({n},) or ({n}, m)"
             )
-        offs = self.offsets()
-        cross = self.couplings @ np.add.reduceat(x, offs, axis=0)
-        return np.concatenate(
-            [
-                b.matvec(x[o : o + b.k]) + cross[i]
-                for i, (b, o) in enumerate(zip(self.blocks, offs))
-            ]
-        )
+        cross = self.couplings @ np.add.reduceat(x, offsets, axis=0)
+        out = np.empty_like(x)
+        for ids, rows, lam in groups:
+            if x.ndim == 2:
+                lam = lam[:, :, None]
+            # The transforms run in place on fresh arrays, which skips
+            # np.fft's output allocation.  The product is lam * spec on a
+            # named array, as in CirculantMatrix.matvec: numpy's complex
+            # multiply is not bit-commutative, and on a large temporary
+            # numpy may evaluate it in place as spec *= lam.
+            spec = x[rows]
+            np.fft.fft(spec, axis=1, out=spec)
+            conv = lam * spec
+            np.fft.ifft(conv, axis=1, out=conv)
+            conv += cross[ids]
+            out[rows] = conv
+        return out
+
+    def _matvec_layout(self):
+        """(n, block offsets, groups) for matvec, built on first use.
+
+        There is one group per distinct block size k: the (g, 1) indices
+        of its g blocks, the (g, k) indices of their rows in the join,
+        and their (g, k) stacked eigenvalues.
+        """
+        if self._layout is None:
+            sizes = np.array(self.block_sizes)
+            offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
+            groups = []
+            # not np.unique, whose first call imports numpy.ma (~10 ms of
+            # a cold start)
+            for k in sorted(set(sizes.tolist())):
+                ids = np.flatnonzero(sizes == k)[:, None]
+                lam = np.array([b.eigenvalues() for b in self.blocks if b.k == k])
+                groups.append((ids, offsets[ids] + np.arange(k), lam))
+            self._layout = (int(sizes.sum()), offsets, tuple(groups))
+        return self._layout
 
     def inf_norm(self):
         """Largest absolute row sum of the dense expansion, read from

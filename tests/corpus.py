@@ -125,6 +125,20 @@ def structured_corpus():
     cases = [random_join(rng) for _ in range(25)]
     cases += [random_real_join(rng) for _ in range(10)]
     cases += defective_joins()
+    # mixed, repeated and interleaved block sizes, drawn from their own
+    # stream so the cases around them stay as they were
+    mixed = np.random.default_rng(78)
+    for sizes in ([3, 5, 3, 1, 5, 8], [1, 4, 1, 4, 1], [37, 64, 2, 37, 64]):
+        d = len(sizes)
+        cases.append(
+            JoinSpec([random_circulant(mixed, k) for k in sizes], unit_disk(mixed, (d, d)))
+        )
+    cases.append(
+        JoinSpec(
+            [CirculantMatrix(mixed.uniform(-1.0, 1.0, k)) for k in (3, 5, 3, 1, 5, 8)],
+            mixed.uniform(-1.0, 1.0, (6, 6)),
+        )
+    )
     ring = CirculantMatrix([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
     cases.append(JoinSpec([ring] * 8, np.ones((8, 8))))
     cases.append(JoinSpec([CirculantMatrix(unit_disk(rng, 300))]))

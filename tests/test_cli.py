@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from circjoin.cli import emit_join_document, main, parse_join_document
-from circjoin import remove_cycle_from_complete
+from circjoin.cli import _csv_rows, emit_join_document, main, parse_join_document
+from circjoin import JoinSpec, join, remove_cycle_from_complete, ring_graph
+from circjoin.join import DENSE_CAP
 
 
 def run(args, capsys):
@@ -303,6 +304,57 @@ def test_kuramoto_check(tmp_path, capsys):
     report = json.loads(out)
     assert report["equilibrium"] is False
     assert report["residual"] > 1e-3
+
+
+def test_kuramoto_commands_build_no_dense_matrix(tmp_path, capsys, monkeypatch):
+    doc = emit_join_document(
+        JoinSpec(
+            [[0.0, 1.0, 0.0, 1.0], [0.0, 0.5, 0.5], [0.0, 1.0, 0.0, 1.0]],
+            [[0.0, 0.2, 0.1], [0.3, 0.0, 0.2], [0.1, 0.4, 0.0]],
+        )
+    )
+    path = write(tmp_path, "net.json", doc)
+    state = write(tmp_path, "state.json", json.dumps([0.1 * i for i in range(11)]))
+    commands = [
+        ["kuramoto", "simulate", path, "--state", state, "--steps", "5", "--drift"],
+        ["kuramoto", "check", path, "--state", state],
+        ["kuramoto", "equilibrium", write(tmp_path, "ring.json", ring_doc()), "--j", "1"],
+    ]
+    expected = [run(argv, capsys) for argv in commands]
+
+    def no_dense(self, cap=None):
+        raise AssertionError("dense expansion built")
+
+    monkeypatch.setattr(JoinSpec, "dense", no_dense)
+    for argv, (code, out, err) in zip(commands, expected):
+        assert code == 0, err
+        assert run(argv, capsys) == (code, out, err)
+
+
+def test_kuramoto_equilibrium_has_no_size_cap(tmp_path, capsys):
+    network = join(*[ring_graph(2048, 3)] * 8)
+    assert network.n > DENSE_CAP
+    path = write(tmp_path, "big.json", emit_join_document(network))
+    code, out, err = run(["kuramoto", "equilibrium", path, "--j", "1"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["equilibrium"] is True
+
+
+def test_simulate_rows_match_per_value_formatting():
+    times = np.array([0.0, 0.1, 1e-300, 2.0])
+    values = np.array(
+        [
+            [0.0, -0.0, np.pi],
+            [1e-300, -1e-300, -np.pi],
+            [np.nextafter(np.pi, 4.0), 1.0 / 3.0, 2.5e-310],
+            [-0.0, 0.0, 123456789.125],
+        ]
+    )
+    expected = [
+        ",".join(format(x, ".17g") for x in [t, *row])
+        for t, row in zip(times, values)
+    ]
+    assert _csv_rows(times, values) == expected
 
 
 def test_spectrum_eigenvectors_flag(tmp_path, capsys):

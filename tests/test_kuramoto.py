@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,6 +17,8 @@ from circjoin import (
     ring_graph,
 )
 from circjoin.errors import DivergenceError, PreconditionError
+
+from corpus import inf_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -59,18 +62,61 @@ def test_rhs_global_shift_equivariance_exact():
         assert np.array_equal(rhs(system, theta + c), rhs(system, theta))
 
 
-def test_rhs_is_the_dense_formula_bit_for_bit():
+def dense_rhs(network, omega, eps, theta):
+    """The O(n^2) formula omega_i + eps * sum_l A_il sin(theta_l - theta_i)."""
+    adj = network.dense().real
+    return omega + eps * (adj * np.sin(theta[None, :] - theta[:, None])).sum(axis=1)
+
+
+def rhs_tolerance(system):
+    return 1e-13 * (1.0 + abs(system.epsilon) * inf_norm(system.network.dense()))
+
+
+# mixed, repeated and interleaved block sizes; matvec transforms the
+# blocks of each size together
+RHS_SIZES = ([3, 5, 3, 1, 5, 8], [4, 4, 4], [1, 7, 2, 7, 1, 2], [16, 9, 16, 33, 9])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_rhs_matches_the_dense_formula(seed):
+    rng = np.random.default_rng(seed)
+    sizes = RHS_SIZES[seed % len(RHS_SIZES)]
+    d = len(sizes)
     network = JoinSpec(
-        [ring_graph(9, 2).adjacency(), CirculantMatrix([0.0, 0.5, 0.0, 0.5])],
-        [[0.0, 0.3], [0.3, 0.0]],
+        [CirculantMatrix(rng.uniform(-1.0, 1.0, k)) for k in sizes],
+        rng.uniform(-1.0, 1.0, (d, d)),
     )
-    rng = np.random.default_rng(13)
+    omega = rng.normal(size=network.n)
+    system = KuramotoSystem(network, epsilon=rng.uniform(-2.0, 2.0), omega=omega)
+    tol = rhs_tolerance(system)
+    for scale in (np.pi, 20.0):
+        theta = rng.uniform(-scale, scale, network.n)
+        expected = dense_rhs(network, omega, system.epsilon, theta)
+        assert np.abs(rhs(system, theta) - expected).max() <= tol
+
+
+def test_rhs_matches_mpmath():
+    rng = np.random.default_rng(14)
+    network = JoinSpec(
+        [CirculantMatrix(rng.uniform(-1.0, 1.0, k)) for k in (3, 1, 3, 2)],
+        rng.uniform(-1.0, 1.0, (4, 4)),
+    )
     omega = rng.normal(size=network.n)
     system = KuramotoSystem(network, epsilon=0.7, omega=omega)
     theta = rng.uniform(-np.pi, np.pi, network.n)
     adj = network.dense().real
-    expected = omega + 0.7 * (adj * np.sin(theta[None, :] - theta[:, None])).sum(axis=1)
-    assert rhs(system, theta).tobytes() == expected.tobytes()
+    with mpmath.workdps(50):
+        expected = [
+            mpmath.mpf(omega[i])
+            + mpmath.mpf(0.7)
+            * mpmath.fsum(
+                mpmath.mpf(adj[i, l]) * mpmath.sin(mpmath.mpf(theta[l]) - mpmath.mpf(theta[i]))
+                for l in range(network.n)
+            )
+            for i in range(network.n)
+        ]
+        worst = max(abs(mpmath.mpf(r) - e) for r, e in zip(rhs(system, theta), expected))
+    assert worst <= rhs_tolerance(system)
 
 
 def test_rhs_rejects_wrong_length():
