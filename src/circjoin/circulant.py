@@ -35,11 +35,11 @@ def fourier_vector(k, j):
 def fourier_modes(k, js):
     """The k x len(js) matrix whose columns are the Fourier modes v_{k,j}.
 
-    Exponents are reduced mod k before scaling, so entry (m, j) is
-    bit-identical to root_of_unity_powers(k)[(m*j) % k] without
-    building the table.
+    Entry (m, j) is root_of_unity_powers(k)[(m*j) % k]: a gather from one
+    table of k exponentials, not an exp per entry.
     """
-    return np.exp(2j * np.pi * (np.outer(np.arange(k), js) % k) / k)
+    js = np.asarray(js, dtype=np.intp)
+    return root_of_unity_powers(k)[np.outer(np.arange(k), js) % k]
 
 
 def dft_matrix(k):

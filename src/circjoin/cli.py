@@ -14,11 +14,15 @@ error, 3 precondition error, 4 numerical error.
 
 import argparse
 import json
+import math
 import sys
+from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
-from .circulant import fourier_modes
+from . import jsontext
+from .circulant import fourier_modes, root_of_unity_powers
 from .errors import (
     NumericalError,
     ParseError,
@@ -33,7 +37,7 @@ from .graphs import (
     remove_cycle_from_complete,
     ring_graph,
 )
-from .join import DENSE_CAP, JoinSpec, full_spectrum, reduced_char_poly
+from .join import DENSE_CAP, JoinSpec, full_spectrum, reduced_char_poly, tensor_expand
 from .kuramoto import (
     KuramotoSystem,
     build_twisted_equilibrium,
@@ -52,14 +56,19 @@ VERIFY_CHUNK = 1 << 16  # matrix entries per batch of Fourier modes in --verify
 # ---------------------------------------------------------------------------
 
 def _entry_to_complex(entry, where):
-    if isinstance(entry, (int, float)) and not isinstance(entry, bool):
-        return complex(entry)
-    if (
-        isinstance(entry, (list, tuple))
-        and len(entry) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry)
-    ):
-        return complex(entry[0], entry[1])
+    try:
+        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+            return complex(entry)
+        if (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and all(
+                isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry
+            )
+        ):
+            return complex(entry[0], entry[1])
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ParseError(f"{where}: {exc}") from exc
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
 
 
@@ -136,7 +145,7 @@ def emit_join_document(join, labels=None):
     }
     if labels is not None:
         doc["labels"] = list(labels)
-    return json.dumps(doc, indent=2) + "\n"
+    return jsontext.dumps(doc) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -175,18 +184,15 @@ def _report_rows(decomposition):
     return rows
 
 
-def _vector_json(vec):
-    return np.stack([vec.real, vec.imag], axis=1).tolist()
-
-
 def decomposition_residual(join, decomposition, cap=DENSE_CAP):
     """Largest eigen/chain residual (inf-norm), without the dense matrix.
 
     A Fourier pair of block b has residual C_b v - lambda v on block
     b's rows and a_ib * sum(v) on the rows of every other block i; the
     modes are checked a block at a time, VERIFY_CHUNK matrix entries per
-    FFT call.  All lifted chain vectors go through one structured
-    matvec.  Joins with n above `cap` raise SizeCapError.
+    FFT call.  The condensed chains are lifted together by one np.repeat
+    (`tensor_expand`) and go through one structured matvec.  Joins with
+    n above `cap` raise SizeCapError.
 
     Returns (max residual, human-readable tag of the offender); a NaN
     residual counts as inf, so it is never passed over.
@@ -211,9 +217,10 @@ def decomposition_residual(join, decomposition, cap=DENSE_CAP):
             i = int(np.argmax(r))
             if r[i] > worst:
                 worst, tag = float(r[i]), f"block {b}, fourier index {js[s + i]}"
-    chains = decomposition.expanded_chains
+    chains = decomposition.condensed_chains
     if chains:
-        u = np.concatenate([ch.vectors for ch in chains]).T
+        stack = np.concatenate([ch.vectors for ch in chains])
+        u = tensor_expand(stack, decomposition.block_sizes).T
         lam = np.concatenate([np.full(len(ch), ch.eigenvalue) for ch in chains])
         starts = np.cumsum([0] + [len(ch) for ch in chains[:-1]])
         prev = np.zeros_like(u)
@@ -229,7 +236,64 @@ def decomposition_residual(join, decomposition, cap=DENSE_CAP):
     return max(worst, 0.0), tag
 
 
-def spectrum_report(join, args):
+def _pair_lists(table, index):
+    """The vectors table[index[r]], one per row r, as nested [re, im]
+    lists."""
+    pairs = np.stack([table.real, table.imag], axis=-1)
+    return pairs[index].tolist()
+
+
+def _pair_texts(table, index):
+    """The vectors of `_pair_lists` as jsontext values: each table entry
+    is formatted once and every vector is joined from those texts."""
+    table = jsontext.PairTable(table.tolist())
+    return [table.list(row) for row in index.tolist()]
+
+
+def _eigenvectors(decomposition, pair_lists):
+    """The report's "eigenvectors" section.
+
+    Every vector in it is a gather from a short table.  The zero-padded
+    Fourier vector of block b at index j holds root (m*j) % k of the
+    block's k roots of unity at row m of the block and an exact zero
+    elsewhere; a lifted chain vector repeats its d condensed coordinates.
+    `pair_lists(table, index)` turns a complex table and an (r, n) index
+    array into the r written vectors.
+    """
+    n, d = decomposition.n, decomposition.d
+    circulant = []
+    for _, run in groupby(decomposition.circulant_pairs, attrgetter("block")):
+        run = list(run)
+        k, offset = run[0].k, run[0].offset
+        table = np.append(root_of_unity_powers(k), 0.0)  # entry k is the zero
+        index = np.full((len(run), n), k)
+        js = [p.fourier_index for p in run]
+        index[:, offset : offset + k] = np.outer(js, np.arange(k)) % k
+        circulant += [
+            {
+                "block": p.block,
+                "fourier_index": p.fourier_index,
+                "eigenvalue": [p.eigenvalue.real, p.eigenvalue.imag],
+                "vector": vector,
+            }
+            for p, vector in zip(run, pair_lists(table, index))
+        ]
+    lift = tensor_expand(np.arange(d), decomposition.block_sizes)
+    condensed = [
+        {
+            "eigenvalue": [ch.eigenvalue.real, ch.eigenvalue.imag],
+            "chain": pair_lists(
+                ch.vectors.ravel(), lift + d * np.arange(len(ch))[:, None]
+            ),
+        }
+        for ch in decomposition.condensed_chains
+    ]
+    return {"circulant": circulant, "condensed": condensed}
+
+
+def _spectrum(join, args, pair_lists):
+    """The report dict; `pair_lists` writes the --eigenvectors vectors
+    (see `_eigenvectors`)."""
     decomposition = full_spectrum(
         join, cluster_delta=args.cluster_delta, sigma_tol=args.sigma_tol
     )
@@ -251,24 +315,7 @@ def spectrum_report(join, args):
         ],
     }
     if args.eigenvectors:
-        report["eigenvectors"] = {
-            "circulant": [
-                {
-                    "block": p.block,
-                    "fourier_index": p.fourier_index,
-                    "eigenvalue": [p.eigenvalue.real, p.eigenvalue.imag],
-                    "vector": _vector_json(p.vector),
-                }
-                for p in decomposition.circulant_pairs
-            ],
-            "condensed": [
-                {
-                    "eigenvalue": [ch.eigenvalue.real, ch.eigenvalue.imag],
-                    "chain": [_vector_json(u) for u in ch.vectors],
-                }
-                for ch in decomposition.expanded_chains
-            ],
-        }
+        report["eigenvectors"] = _eigenvectors(decomposition, pair_lists)
     if args.verify:
         residual, offender = decomposition_residual(join, decomposition, cap=args.cap)
         tol = args.verify_tol
@@ -282,9 +329,16 @@ def spectrum_report(join, args):
     return report
 
 
-def _print_report(report, output):
-    if output == "json":
-        print(json.dumps(report, indent=2))
+def spectrum_report(join, args):
+    """The spectrum report as a dict: the JSON that the spectrum command
+    writes, with every vector as nested [re, im] lists."""
+    return _spectrum(join, args, _pair_lists)
+
+
+def _print_report(join, args):
+    report = _spectrum(join, args, _pair_texts)
+    if args.output == "json":
+        print(jsontext.dumps(report))
         return
     lines = ["eigenvalue,multiplicity,provenance"]
     for row in report["eigenvalues"]:
@@ -309,9 +363,12 @@ def _read_input(path):
 
 def _parse_phis(text):
     try:
-        return [float(p) for p in text.split(",") if p.strip() != ""]
+        phis = [float(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
         raise ParseError(f"invalid --phi list {text!r}") from exc
+    if not all(map(math.isfinite, phis)):
+        raise ParseError(f"--phi offsets must be finite, got {text!r}")
+    return phis
 
 
 def _read_state(path):
@@ -326,7 +383,13 @@ def _read_state(path):
         isinstance(x, (int, float)) and not isinstance(x, bool) for x in data
     ):
         raise ParseError("state file must be a JSON array of numbers")
-    return np.asarray(data, dtype=np.float64)
+    try:
+        theta = np.asarray(data, dtype=np.float64)
+    except OverflowError as exc:  # an integer literal beyond the float range
+        raise ParseError(f"state file: {exc}") from exc
+    if not np.all(np.isfinite(theta)):
+        raise ParseError("state file phases must be finite")
+    return theta
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +462,7 @@ def _build_graph(args):
 
 def cmd_spectrum(args):
     spec, _ = parse_join_document(_read_input(args.input))
-    report = spectrum_report(spec, args)
-    _print_report(report, args.output)
+    _print_report(spec, args)
     return 0
 
 
@@ -409,8 +471,7 @@ def cmd_graph(args):
     if args.emit == "spec":
         sys.stdout.write(emit_join_document(spec, labels))
         return 0
-    report = spectrum_report(spec, args)
-    _print_report(report, args.output)
+    _print_report(spec, args)
     return 0
 
 
@@ -463,7 +524,7 @@ def cmd_kuramoto_equilibrium(args):
         "residual": residual,
         "equilibrium": flag,
     }
-    print(json.dumps(report, indent=2))
+    print(jsontext.dumps(report))
     return 0
 
 
@@ -479,7 +540,7 @@ def cmd_kuramoto_check(args):
     tol = args.tol if args.tol is not None else default_equilibrium_tol(system)
     flag, residual = check_equilibrium(system, theta, tol=tol)
     report = {"equilibrium": flag, "residual": residual, "tol": tol}
-    print(json.dumps(report, indent=2))
+    print(jsontext.dumps(report))
     return 0
 
 
@@ -487,20 +548,33 @@ def cmd_kuramoto_check(args):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+def _finite_float(text):
+    """argparse type of every float flag.  NaN passes no comparison, so a
+    NaN tolerance would skip its check, and a NaN or infinite parameter
+    would reach the output; both exit 2 here instead."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _add_spectrum_flags(p):
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--eigenvectors", action="store_true",
                    help="include the generalized eigenbasis in the report")
     p.add_argument("--verify", action="store_true",
                    help="check all residuals with the structured (FFT) matvec")
-    p.add_argument("--verify-tol", type=float, default=None,
+    p.add_argument("--verify-tol", type=_finite_float, default=None,
                    help="residual tolerance (default 1e-8 * inf-norm of the join)")
     p.add_argument("--cap", type=int, default=DENSE_CAP,
                    help="largest n that --verify accepts (no dense matrix is built)")
-    p.add_argument("--cluster-delta", type=float, default=None,
+    p.add_argument("--cluster-delta", type=_finite_float, default=None,
                    help="condensed eigenvalue merge distance "
                    "(default 1e-7 * inf-norm of the condensed matrix)")
-    p.add_argument("--sigma-tol", type=float, default=None,
+    p.add_argument("--sigma-tol", type=_finite_float, default=None,
                    help="null-space singular value threshold "
                    "(default 1e-8 * inf-norm of the condensed matrix)")
 
@@ -544,8 +618,8 @@ def build_parser():
         q = kur_sub.add_parser(name)
         q.add_argument("input", nargs="?", default="-",
                        help="join document path, or - for stdin")
-        q.add_argument("--epsilon", type=float, default=1.0)
-        q.add_argument("--omega", type=float, default=None,
+        q.add_argument("--epsilon", type=_finite_float, default=1.0)
+        q.add_argument("--omega", type=_finite_float, default=None,
                        help="uniform natural frequency (default 0)")
         q.add_argument("--j", type=int, default=None,
                        help="fourier winding index of the twisted state")
@@ -553,10 +627,10 @@ def build_parser():
                        help="comma-separated per-block phase offsets")
         q.add_argument("--state", type=str, default=None,
                        help="JSON array of phases")
-        q.add_argument("--tol", type=float, default=None,
+        q.add_argument("--tol", type=_finite_float, default=None,
                        help="equilibrium residual tolerance")
         if name == "simulate":
-            q.add_argument("--dt", type=float, default=0.01)
+            q.add_argument("--dt", type=_finite_float, default=0.01)
             q.add_argument("--steps", type=int, default=1000)
             q.add_argument("--drift", action="store_true",
                            help="append a max-drift comment line")

@@ -225,18 +225,18 @@ class JordanChain:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Complete generalized eigendecomposition of a join.
+    """Complete generalized eigendecomposition of a join, in O(n + d^2).
 
     `circulant_pairs` hold the per-block eigenpairs (O(1) storage each,
-    vectors built on demand); `condensed_chains`
-    the Jordan chains of the condensed matrix (vectors in C^d) and
-    `expanded_chains` their tensor expansions to C^n, in matching order.
+    vectors built on demand); `condensed_chains` the Jordan chains of
+    the condensed matrix, with vectors in C^d.  The join's chains are
+    their tensor expansions, `tensor_expand(chain.vectors, block_sizes)`,
+    built by whoever needs them.
     """
 
     block_sizes: tuple
     circulant_pairs: tuple
     condensed_chains: tuple
-    expanded_chains: tuple
     diagonalizable: bool
 
     @property
@@ -272,11 +272,19 @@ def block_eigenpairs(join):
     For block i and 1 <= j <= k_i - 1 the zero-padded Fourier mode is an
     eigenvector of the whole join because its entries sum to zero, so
     the constant off-diagonal blocks annihilate it.
+
+    Raises NumericalError when one of these eigenvalues overflows: a
+    finite defining vector can still have an infinite Fourier transform.
+    (The j = 0 eigenvalue is the row sum, which `JoinSpec.condensed`
+    checks.)
     """
     n = join.n
     pairs = []
     for i, (block, offset) in enumerate(zip(join.blocks, join.offsets())):
-        lam = block.eigenvalues().tolist()
+        lam = block.eigenvalues()
+        if not np.all(np.isfinite(lam[1:])):
+            raise NumericalError("a block eigenvalue overflows")
+        lam = lam.tolist()
         pairs.extend(
             CirculantEigenpair(
                 block=i + 1,
@@ -292,12 +300,16 @@ def block_eigenpairs(join):
 
 
 def tensor_expand(v, sizes):
-    """Repeat coordinate i of v sizes[i] times, in block order."""
+    """Repeat coordinate i of v sizes[i] times, in block order.
+
+    `v` is one vector in C^d or a stack of them along the last axis, such
+    as a JordanChain's `vectors`; the stack is lifted by one np.repeat.
+    """
     v = np.asarray(v)
     sizes = tuple(int(s) for s in sizes)
-    if v.ndim != 1 or v.shape[0] != len(sizes):
+    if v.ndim < 1 or v.shape[-1] != len(sizes):
         raise PreconditionError("vector length must match the number of blocks")
-    return np.repeat(v, sizes)
+    return np.repeat(v, sizes, axis=-1)
 
 
 def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
@@ -305,8 +317,10 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
 
     The eigenvalue multiset is the union (multiplicities adding, no
     merging across origins) of the block eigenvalues for j >= 1 and the
-    condensed spectrum; condensed Jordan chains are lifted by tensor
-    expansion.  The diagonalizable flag mirrors the condensed matrix.
+    condensed spectrum.  Condensed Jordan chains stay in C^d; a chain of
+    the join is the tensor expansion of one, so the decomposition holds
+    O(n + d^2) numbers.  The diagonalizable flag mirrors the condensed
+    matrix.
 
     The condensed solve is one `smalleig.eigensystem` call: one LAPACK
     `eig` of the d x d matrix, O(d^3), with SVD null spaces only for
@@ -317,21 +331,16 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
     spec = smalleig.eigensystem(
         join.condensed(), cluster_delta=cluster_delta, sigma_tol=sigma_tol
     )
-    sizes = join.block_sizes
-    condensed_chains = []
-    expanded_chains = []
-    for lam, _, chains in spec:
-        for vecs in chains:
-            condensed_chains.append(JordanChain(eigenvalue=lam, vectors=vecs))
-            lifted = np.array([tensor_expand(u, sizes) for u in vecs])
-            expanded_chains.append(JordanChain(eigenvalue=lam, vectors=lifted))
-    diagonalizable = all(len(ch) == 1 for ch in condensed_chains)
+    condensed_chains = tuple(
+        JordanChain(eigenvalue=lam, vectors=vecs)
+        for lam, _, chains in spec
+        for vecs in chains
+    )
     return SpectralDecomposition(
-        block_sizes=sizes,
+        block_sizes=join.block_sizes,
         circulant_pairs=pairs,
-        condensed_chains=tuple(condensed_chains),
-        expanded_chains=tuple(expanded_chains),
-        diagonalizable=diagonalizable,
+        condensed_chains=condensed_chains,
+        diagonalizable=all(len(ch) == 1 for ch in condensed_chains),
     )
 
 

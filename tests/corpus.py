@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 
-from circjoin import CirculantMatrix, JoinSpec
+from circjoin import CirculantMatrix, JoinSpec, JordanChain
 
 
 def inf_norm(a):
@@ -43,13 +43,22 @@ def random_real_join(rng, dmax=5, kmax=8, unit_couplings=False):
     return JoinSpec(blocks, couplings)
 
 
+def lifted_chains(decomposition):
+    """The join's Jordan chains: each condensed chain with every vector's
+    coordinate i repeated k_i times."""
+    return [
+        JordanChain(ch.eigenvalue, np.repeat(ch.vectors, decomposition.block_sizes, axis=1))
+        for ch in decomposition.condensed_chains
+    ]
+
+
 def dense_decomposition_residual(a, decomposition):
     """Oracle residual: checks every eigenpair and chain link densely."""
     n = a.shape[0]
     worst = 0.0
     for p in decomposition.circulant_pairs:
         worst = max(worst, np.abs(a @ p.vector - p.eigenvalue * p.vector).max())
-    for chain in decomposition.expanded_chains:
+    for chain in lifted_chains(decomposition):
         shifted = a - chain.eigenvalue * np.eye(n)
         prev = np.zeros(n, dtype=np.complex128)
         for u in chain.vectors:

@@ -26,7 +26,13 @@ from circjoin import (
 )
 from circjoin.cli import main as cli_main
 
-from corpus import defective_joins, inf_norm, multiset_match, random_join
+from corpus import (
+    defective_joins,
+    inf_norm,
+    lifted_chains,
+    multiset_match,
+    random_join,
+)
 
 CORPUS_SEED = 20260808
 
@@ -49,7 +55,7 @@ def _max_residual(a, decomposition):
     worst = 0.0
     for p in decomposition.circulant_pairs:
         worst = max(worst, float(np.abs(a @ p.vector - p.eigenvalue * p.vector).max()))
-    for chain in decomposition.expanded_chains:
+    for chain in lifted_chains(decomposition):
         shifted = a - chain.eigenvalue * np.eye(n)
         prev = np.zeros(n, dtype=np.complex128)
         for u in chain.vectors:
@@ -170,7 +176,7 @@ def test_criterion_6_diagonalizability_and_chain_lifting():
             abar = spec.condensed()
             assert dec.diagonalizable == _independent_diagonalizable(abar)
             a = spec.dense()
-            for chain in dec.expanded_chains:
+            for chain in lifted_chains(dec):
                 m = len(chain)
                 shifted = a - chain.eigenvalue * np.eye(spec.n)
                 tol = 1e-8 * (1.0 + inf_norm(a)) ** m

@@ -397,3 +397,109 @@ def test_kuramoto_errors(tmp_path, capsys):
     assert run(["kuramoto", "check", path, "--state", short], capsys)[0] == 3
     bad_state = write(tmp_path, "bad_state.json", "[1, 2")
     assert run(["kuramoto", "check", path, "--state", bad_state], capsys)[0] == 2
+
+
+# Non-finite input: every case below once printed NaN or Infinity, or
+# passed a check it never made, with exit 0 (or, for huge integers, a
+# traceback).  Flags exit 2 through argparse (usage lines, then one error
+# line), documents and state files exit 2 and overflow exits 4, each with
+# one error line.
+NONFINITE_CASES = {
+    "block-eigenvalue-overflow": (
+        ["spectrum", "DOC"], {"blocks": [[1e308, -1e308]]}, None, 4,
+        "circjoin: numerical error: a block eigenvalue overflows",
+    ),
+    "verify-tol-nan": (
+        ["spectrum", "DOC", "--verify", "--verify-tol", "nan"], None, None, 2,
+        "circjoin spectrum: error: argument --verify-tol: not a finite number: 'nan'",
+    ),
+    "cluster-delta-nan": (
+        ["spectrum", "DOC", "--cluster-delta", "nan"], None, None, 2,
+        "circjoin spectrum: error: argument --cluster-delta: not a finite number: 'nan'",
+    ),
+    "sigma-tol-inf": (
+        ["graph", "ring", "--k", "5", "--m", "1", "--emit", "spectrum",
+         "--sigma-tol", "inf"], None, None, 2,
+        "circjoin graph: error: argument --sigma-tol: not a finite number: 'inf'",
+    ),
+    "state-nan": (
+        ["kuramoto", "check", "RING", "--state", "STATE"], None, "[NaN, 0, 0, 0, 0, 0]", 2,
+        "circjoin: parse error: state file phases must be finite",
+    ),
+    "state-huge-integer": (
+        ["kuramoto", "check", "RING", "--state", "STATE"], None,
+        "[1" + "0" * 400 + ", 0, 0, 0, 0, 0]", 2,
+        "circjoin: parse error: state file: int too large to convert to float",
+    ),
+    "check-tol-nan": (
+        ["kuramoto", "check", "RING", "--state", "STATE", "--tol", "nan"], None,
+        "[0, 0, 0, 0, 0, 0]", 2,
+        "circjoin kuramoto check: error: argument --tol: not a finite number: 'nan'",
+    ),
+    "check-epsilon-inf": (
+        ["kuramoto", "check", "RING", "--state", "STATE", "--epsilon", "inf"], None,
+        "[0, 0, 0, 0, 0, 0]", 2,
+        "circjoin kuramoto check: error: argument --epsilon: not a finite number: 'inf'",
+    ),
+    "equilibrium-epsilon-nan": (
+        ["kuramoto", "equilibrium", "RING", "--j", "1", "--epsilon", "nan"], None, None, 2,
+        "circjoin kuramoto equilibrium: error: argument --epsilon: "
+        "not a finite number: 'nan'",
+    ),
+    "equilibrium-phi-nan": (
+        ["kuramoto", "equilibrium", "RING", "--j", "1", "--phi=nan"], None, None, 2,
+        "circjoin: parse error: --phi offsets must be finite, got 'nan'",
+    ),
+    "simulate-omega-inf": (
+        ["kuramoto", "simulate", "RING", "--j", "1", "--omega=-inf"], None, None, 2,
+        "circjoin kuramoto simulate: error: argument --omega: not a finite number: '-inf'",
+    ),
+    "simulate-dt-nan": (
+        ["kuramoto", "simulate", "RING", "--j", "1", "--dt", "NaN"], None, None, 2,
+        "circjoin kuramoto simulate: error: argument --dt: not a finite number: 'NaN'",
+    ),
+    "document-huge-integer": (
+        ["spectrum", "DOC"], None, None, 2,
+        "circjoin: parse error: blocks[0][1]: int too large to convert to float",
+    ),
+    # finite input, but a value bound for stdout overflows: the mean of a
+    # merged report row, and the default tolerance 1e-8 * (1 + |eps| * norm)
+    "report-row-mean-overflow": (
+        ["spectrum", "DOC", "--verify"], {"blocks": [[1e308, -0.5e308, -0.5e308]]}, None, 4,
+        "circjoin: numerical error: a non-finite number cannot be written as JSON",
+    ),
+    "check-default-tol-overflow": (
+        ["kuramoto", "check", "RING", "--state", "STATE", "--epsilon", "1e308"], None,
+        "[0, 0, 0, 0, 0, 0]", 4,
+        "circjoin: numerical error: a non-finite number cannot be written as JSON",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NONFINITE_CASES))
+def test_non_finite_input_exits_without_output(case, tmp_path, capsys):
+    argv, doc, state, expected_code, message = NONFINITE_CASES[case]
+    if case == "document-huge-integer":
+        doc_text = '{"blocks": [[0, 1' + "0" * 400 + "]]}"
+    else:
+        doc_text = json.dumps(doc) if doc is not None else K8_DOC
+    paths = {
+        "DOC": write(tmp_path, "doc.json", doc_text),
+        "RING": write(tmp_path, "ring.json", ring_doc()),
+        "STATE": write(tmp_path, "state.json", state or "[]"),
+    }
+    code, out, err = run([paths.get(a, a) for a in argv], capsys)
+    assert (code, out) == (expected_code, "")
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert lines[-1] == message
+    assert sum("error" in line for line in lines) == 1
+
+
+def test_invalid_float_flag_message_is_unchanged(tmp_path, capsys):
+    path = write(tmp_path, "k8.json", K8_DOC)
+    code, out, err = run(["spectrum", path, "--verify-tol", "abc"], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == (
+        "circjoin spectrum: error: argument --verify-tol: invalid float value: 'abc'"
+    )

@@ -29,6 +29,7 @@ from corpus import (
     defective_joins,
     dense_decomposition_residual,
     inf_norm,
+    lifted_chains,
     mpmath_eigenvalues,
     multiset_match,
     random_circulant,
@@ -182,8 +183,18 @@ def test_tensor_expand_examples():
         np.array([1.0, 1.0, 2.0, 2.0, 2.0]),
     )
     assert np.array_equal(tensor_expand(np.array([3.5]), (4,)), np.full(4, 3.5))
+    # a stack of vectors lifts row by row
+    stack = np.array([[1.0, 2.0], [3.0, 4.0j]])
+    assert np.array_equal(
+        tensor_expand(stack, (1, 2)),
+        np.array([tensor_expand(row, (1, 2)) for row in stack]),
+    )
     with pytest.raises(PreconditionError):
         tensor_expand(np.array([1.0, 2.0]), (2,))
+    with pytest.raises(PreconditionError):
+        tensor_expand(stack, (1, 2, 3))
+    with pytest.raises(PreconditionError):
+        tensor_expand(np.float64(1.0), (1,))
 
 
 def test_tensor_expand_lifts_condensed_eigenvectors():
@@ -287,7 +298,7 @@ def test_full_spectrum_single_block_matches_fourier_decomposition():
     multiset_match(dec.eigenvalue_multiset(), c.eigenvalues(), 1e-10)
     # row-sum mode arrives via the condensed path with a constant vector
     assert len(dec.condensed_chains) == 1
-    lifted = dec.expanded_chains[0].vectors[0]
+    lifted = lifted_chains(dec)[0].vectors[0]
     assert np.abs(lifted - lifted[0]).max() <= 1e-12
 
 
@@ -462,7 +473,7 @@ def test_defective_chain_powers_annihilate():
         dec = full_spectrum(spec)
         a = spec.dense()
         norm = inf_norm(a)
-        for chain in dec.expanded_chains:
+        for chain in lifted_chains(dec):
             m = len(chain)
             shifted = a - chain.eigenvalue * np.eye(spec.n)
             power = np.linalg.matrix_power(shifted, m)

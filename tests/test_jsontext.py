@@ -1,0 +1,263 @@
+"""The JSON writer: byte identity with json.dumps(indent=2), which stays
+here as the oracle, on hand-made values and on every CLI output."""
+
+import hashlib
+import io
+import json
+import math
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, strategies as st
+
+from circjoin import JoinSpec, NumericalError, cli
+from circjoin.cli import build_parser, emit_join_document, main, spectrum_report
+from circjoin.jsontext import PairTable, dumps
+
+from corpus import defective_joins, structured_corpus
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 2.0, 1e16, 0.1]
+
+K8_DOC = json.dumps(
+    {"blocks": [[0, 1, 0], [0, 1, 1, 1, 1]], "couplings": [[0, 1], [1, 0]]}
+)
+
+
+def oracle(obj):
+    return json.dumps(obj, indent=2)
+
+
+def run(argv, stdin, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+# ---------------------------------------------------------------------------
+# the writer on its own
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        EDGE_FLOATS,
+        [[x, -x] for x in EDGE_FLOATS],
+        [[x] for x in EDGE_FLOATS],
+        [
+            {"re": x, "im": -x, "multiplicity": i + 1, "provenance": p}
+            for i, (x, p) in enumerate(zip(EDGE_FLOATS, [1, "condensed"] * 5))
+        ],
+        [{"re": 1.0, "provenance": 2}, {"re": 2.0, "provenance": 3}],
+        [{"re": 1.0, "provenance": "condensed"}] * 3,
+        {"x": EDGE_FLOATS[2], "y": [1, 2.5, 10**30, -7], "z": [True, False, None]},
+        [],
+        [[]],
+        [[], []],
+        {},
+        {"empty": [], "nested": {}, "pairs": [[]], "rows": [{}]},
+        [[1.0, 2.0], [3.0]],
+        [[1.0, "a"], [2.0, "b"]],
+        [{"a": 1.0}, {"b": 1.0}],
+        [{"a": [1.0]}, {"a": [2.0]}],
+        [{"a": 1, "b": 2.0}, {"a": 2.0, "b": 3}],
+        (1.0, (2.0, 3.0), [True]),
+        {"%d": ["%s", "%r%%"], "k%": [{"%": 1.0}, {"%": 2.0}]},
+        ["quote \" backslash \\ tab \t newline \n bell \x07", "ünïcødé ✓ 😀", ""],
+        [np.float64(1.5), np.float64(-0.0)],
+        [[np.float64(0.25), 1.0]],
+        [{"re": np.float64(0.5), "im": 0.0}],
+        "plain",
+        3,
+        -0.0,
+        None,
+        True,
+    ],
+)
+def test_dumps_is_json_dumps(obj):
+    assert dumps(obj) == oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        math.nan,
+        -math.inf,
+        [1.0, math.nan],
+        [1, 2, math.inf],
+        [[1.0, math.inf], [0.0, 0.0]],
+        [{"re": math.nan, "im": 0.0}],
+        [{"re": 1, "x": math.inf}, {"re": 2, "x": 3}],
+        {"residual": math.nan, "tol": 1e-8},
+        [np.float64("nan")],
+    ],
+)
+def test_non_finite_float_raises_instead_of_printing(obj):
+    json.dumps(obj, indent=2)  # json itself would print NaN or Infinity
+    with pytest.raises(NumericalError):
+        dumps(obj)
+
+
+def test_pair_table_lists_match_nested_lists():
+    values = [1 + 2j, -0.0 + 5e-324j, complex(1e308, -1e-300), 0j]
+    table = PairTable(values)
+    for index in ([], [3], [0, 3, 3, 1, 2, 0]):
+        nested = [[values[i].real, values[i].imag] for i in index]
+        for wrap in (lambda v: v, lambda v: [v, {"vector": v}]):
+            assert dumps(wrap(table.list(index))) == oracle(wrap(nested))
+
+
+def test_pair_table_rejects_non_finite_entries():
+    # the table is formatted, and checked, as a whole on first write
+    for bad in (complex(0.0, math.nan), complex(math.inf, 0.0)):
+        with pytest.raises(NumericalError):
+            dumps(PairTable([1.0, bad]).list([0]))
+
+
+def test_unsupported_values_raise_type_error():
+    for obj in ({1: 2.0}, [object()], np.int64(3)):
+        with pytest.raises(TypeError):
+            dumps(obj)
+
+
+JSON_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**30), max_value=10**30)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(EDGE_FLOATS)
+    | st.text(max_size=6)
+)
+
+
+@given(
+    st.recursive(
+        JSON_SCALARS,
+        lambda inner: st.lists(inner, max_size=5)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+        | st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                            min_size=2, max_size=2), max_size=5)
+        | st.lists(st.fixed_dictionaries({"re": st.floats(allow_nan=False,
+                                                          allow_infinity=False),
+                                          "p": st.integers() | st.just("condensed")}),
+                   max_size=5),
+        max_leaves=40,
+    )
+)
+def test_dumps_is_json_dumps_on_generated_values(obj):
+    assert dumps(obj) == oracle(obj)
+
+
+# ---------------------------------------------------------------------------
+# every CLI output is the text json.dumps writes
+# ---------------------------------------------------------------------------
+
+SPECTRUM_FLAGS = [[], ["--eigenvectors"], ["--verify"], ["--eigenvectors", "--verify"]]
+
+
+REPORT_DOCS = [
+    emit_join_document(spec)
+    for spec in [
+        cli.parse_join_document(K8_DOC)[0], *structured_corpus(), *defective_joins()
+    ]
+]
+
+
+@pytest.mark.parametrize("index", range(len(REPORT_DOCS)))
+def test_spectrum_stdout_is_json_dumps_of_spectrum_report(index, monkeypatch, capsys):
+    doc = REPORT_DOCS[index]
+    spec, _ = cli.parse_join_document(doc)
+    for flags in SPECTRUM_FLAGS:
+        code, out, err = run(["spectrum", "-", *flags], doc, monkeypatch, capsys)
+        assert code == 0, err
+        report = spectrum_report(spec, build_parser().parse_args(["spectrum", *flags]))
+        assert out == oracle(report) + "\n"
+        assert dumps(report) == oracle(report)
+
+
+def test_spectrum_report_provenance_kinds():
+    spec, _ = cli.parse_join_document(K8_DOC)
+    report = spectrum_report(spec, build_parser().parse_args(["spectrum"]))
+    kinds = {type(row["provenance"]) for row in report["eigenvalues"]}
+    assert kinds == {int, str}
+    assert dumps(report) == oracle(report)
+
+
+def kuramoto_doc(d=2, k=12):
+    ring = [0.0, 1.0, 1.0] + [0.0] * (k - 5) + [1.0, 1.0]
+    return json.dumps({"blocks": [ring] * d, "couplings": np.ones((d, d)).tolist()})
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kuramoto", "equilibrium", "-", "--j", "1"],
+        ["kuramoto", "equilibrium", "-", "--j", "2", "--phi=0.3,-1.2", "--epsilon", "0.5"],
+        ["kuramoto", "check", "-", "--state", "STATE"],
+        ["kuramoto", "check", "-", "--state", "STATE", "--tol", "1e-300"],
+    ],
+)
+def test_kuramoto_reports_are_json_dumps_text(argv, tmp_path, monkeypatch, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps([0.1 * i - 1.0 for i in range(24)]))
+    argv = [str(state) if a == "STATE" else a for a in argv]
+    code, out, err = run(argv, kuramoto_doc(), monkeypatch, capsys)
+    assert code == 0, err
+    assert out == oracle(json.loads(out)) + "\n"
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        None,
+        [],
+        ['quote " and backslash \\', "control \x00\x01\x1f\t\n", "ünï ✓ 😀 %s %r"],
+    ],
+)
+def test_emitted_documents_are_json_dumps_text(labels):
+    spec = JoinSpec(
+        [[0.0, 1.0, -0.0], [1e-300, 5e-324 + 1j, 2.0], [1e16]],
+        [[0.0, 1.0, 0.5j], [1e308, 0.0, -2.0], [0.25, 0.0, 0.0]],
+    )
+    text = emit_join_document(spec, labels)
+    assert text == oracle(json.loads(text)) + "\n"
+    again, back = cli.parse_join_document(text)
+    assert again == spec and back == labels
+    assert emit_join_document(again, back) == text
+
+
+# ---------------------------------------------------------------------------
+# stdout pinned across commits
+# ---------------------------------------------------------------------------
+
+def real_join_doc():
+    rng = np.random.default_rng(128)
+    blocks = [rng.uniform(-1.0, 1.0, 128).tolist() for _ in range(2)]
+    couplings = rng.uniform(-1.0, 1.0, (2, 2)).tolist()
+    return json.dumps({"blocks": blocks, "couplings": couplings})
+
+
+# sha256 of stdout as the json.dumps(indent=2) writer printed it, on
+# x86-64 Linux with numpy 2.4 (OpenBLAS, pocketfft).  FFT, exp and LAPACK
+# rounding elsewhere may move last digits; the byte-identity tests above
+# hold on any platform.
+PINNED = [
+    (["spectrum", "-", "--eigenvectors", "--verify"], K8_DOC,
+     "8e8f2e7a08a497806c1c238f7c0925c8041e18423802e4ea5229357e8623de08"),
+    (["spectrum", "-", "--eigenvectors", "--verify"], real_join_doc(),
+     "3cfd001d622be1fb4adcbdc1c57f34997cb635178bef00ff36e8dbf0d6290106"),
+    (["kuramoto", "equilibrium", "-", "--j", "1", "--phi=0.3,-1.2"], kuramoto_doc(),
+     "033237e5f45a2fdd7d57de9bf55004b07502c0f00e3d374d31ad12e01657fb9b"),
+    (["graph", "join", "ring:5:1", "complement:cycle:4", "--emit", "spec"], "",
+     "8c915c44b8ac5f0656f31e15da1c91399a9826bf6a71cd6282bcf7df0b896a75"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, digest", PINNED, ids=["k8", "real-2x128", "equilibrium", "graph-spec"]
+)
+def test_stdout_matches_pinned_digest(argv, stdin, digest, monkeypatch, capsys):
+    code, out, err = run(argv, stdin, monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

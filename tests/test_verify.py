@@ -96,12 +96,18 @@ def swap_fourier_eigenvalues(dec):
     return dataclasses.replace(dec, circulant_pairs=tuple(pairs))
 
 
-def perturb_chain_vector(dec):
-    chain = dec.expanded_chains[0]
+def replace_first_chain_entry(dec, change):
+    """`dec` with coordinate 0 of the first condensed chain vector (every
+    row of block 1 once lifted) set to change(old value)."""
+    chain = dec.condensed_chains[0]
     vectors = chain.vectors.copy()
-    vectors[0, 0] += 1e-6
-    chains = (dataclasses.replace(chain, vectors=vectors),) + dec.expanded_chains[1:]
-    return dataclasses.replace(dec, expanded_chains=chains)
+    vectors[0, 0] = change(vectors[0, 0])
+    chains = (dataclasses.replace(chain, vectors=vectors),) + dec.condensed_chains[1:]
+    return dataclasses.replace(dec, condensed_chains=chains)
+
+
+def perturb_chain_vector(dec):
+    return replace_first_chain_entry(dec, lambda x: x + 1e-6)
 
 
 def test_swapped_fourier_eigenvalues_fail_verification(monkeypatch, capsys):
@@ -144,11 +150,7 @@ def test_perturbed_chain_vector_fails_verification(monkeypatch, capsys):
 
 
 def nan_in_chain_vector(dec):
-    chain = dec.expanded_chains[0]
-    vectors = chain.vectors.copy()
-    vectors[0, 2] = np.nan
-    chains = (dataclasses.replace(chain, vectors=vectors),) + dec.expanded_chains[1:]
-    return dataclasses.replace(dec, expanded_chains=chains)
+    return replace_first_chain_entry(dec, lambda x: np.nan)
 
 
 def nan_fourier_eigenvalue(dec):
