@@ -28,7 +28,6 @@ from .errors import (
 )
 from .join import (
     DENSE_CAP,
-    CirculantEigenpair,
     JoinSpec,
     JordanChain,
     SpectralDecomposition,
@@ -69,7 +68,6 @@ __all__ = [
     "fourier_vector",
     "root_of_unity_powers",
     "JoinSpec",
-    "CirculantEigenpair",
     "JordanChain",
     "SpectralDecomposition",
     "block_eigenpairs",

@@ -16,8 +16,6 @@ import argparse
 import json
 import math
 import sys
-from itertools import groupby
-from operator import attrgetter
 
 import numpy as np
 
@@ -45,7 +43,7 @@ from .kuramoto import (
     default_equilibrium_tol,
     integrate,
 )
-from .smalleig import _cluster
+from .smalleig import _finite_clusters
 
 REPORT_CLUSTER_SCALE = 1e-9
 VERIFY_CHUNK = 1 << 16  # matrix entries per batch of Fourier modes in --verify
@@ -168,17 +166,19 @@ def _provenance_rank(p):
 def _report_rows(decomposition):
     """Cluster equal eigenvalues within each provenance group, at a
     distance of 1e-9 * max |eigenvalue|."""
-    groups = {}
-    for p in decomposition.circulant_pairs:
-        groups.setdefault(p.block, []).append(p.eigenvalue)
-    for chain in decomposition.condensed_chains:
-        groups.setdefault("condensed", []).extend([chain.eigenvalue] * len(chain))
-    biggest = max((abs(v) for vals in groups.values() for v in vals), default=0.0)
-    delta = REPORT_CLUSTER_SCALE * biggest
+    chains = decomposition.condensed_chains
+    condensed = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
+    groups = [*enumerate(decomposition.block_eigenvalues, 1), ("condensed", condensed)]
+    # hypot, as abs() of a complex scalar computes it
+    biggest = max(
+        (np.hypot(vals.real, vals.imag).max() for _, vals in groups if len(vals)),
+        default=0.0,
+    )
+    delta = REPORT_CLUSTER_SCALE * float(biggest)
     rows = [
         (mean, mult, prov)
-        for prov, vals in groups.items()
-        for mean, mult, _ in _cluster(np.array(vals), delta)
+        for prov, vals in groups
+        for mean, mult, _ in _finite_clusters(vals, delta)
     ]
     rows.sort(key=lambda r: (r[0].real, r[0].imag, _provenance_rank(r[2])))
     return rows
@@ -201,22 +201,10 @@ def decomposition_residual(join, decomposition, cap=DENSE_CAP):
         raise SizeCapError(f"verification of size {join.n} exceeds cap {cap}")
     worst = -1.0
     tag = "none"
-    by_block = {}
-    for p in decomposition.circulant_pairs:
-        by_block.setdefault(p.block, []).append((p.fourier_index, p.eigenvalue))
-    leak = np.abs(join.couplings).max(axis=0)  # max_i |a_ib|; the diagonal is 0
-    for b, items in by_block.items():
-        block = join.blocks[b - 1]
-        js, lams = (np.array(t) for t in zip(*items))
-        step = max(1, VERIFY_CHUNK // block.k)
-        for s in range(0, len(js), step):
-            modes = fourier_modes(block.k, js[s : s + step])
-            r = np.abs(block.matvec(modes) - modes * lams[s : s + step]).max(axis=0)
-            r = np.maximum(r, leak[b - 1] * np.abs(modes.sum(axis=0)))
-            r[np.isnan(r)] = np.inf
-            i = int(np.argmax(r))
-            if r[i] > worst:
-                worst, tag = float(r[i]), f"block {b}, fourier index {js[s + i]}"
+    for b, lams in enumerate(decomposition.block_eigenvalues, 1):
+        r, where = _fourier_residual(join, b, np.arange(1, len(lams) + 1), lams)
+        if r > worst:
+            worst, tag = r, where
     chains = decomposition.condensed_chains
     if chains:
         stack = np.concatenate([ch.vectors for ch in chains])
@@ -234,6 +222,25 @@ def decomposition_residual(join, decomposition, cap=DENSE_CAP):
             worst = float(r[i])
             tag = f"condensed chain {ci}, depth {i - starts[ci] + 1}"
     return max(worst, 0.0), tag
+
+
+def _fourier_residual(join, b, js, lams):
+    """Largest residual, and its tag, of the pairs (zero-padded Fourier
+    mode js[r], lams[r]) of block b (1-based), or (-1.0, "none") when
+    there are none; see `decomposition_residual`."""
+    block = join.blocks[b - 1]
+    leak = np.abs(join.couplings[:, b - 1]).max()  # max_i |a_ib|; a_bb is 0
+    worst, tag = -1.0, "none"
+    step = max(1, VERIFY_CHUNK // block.k)
+    for s in range(0, len(js), step):
+        modes = fourier_modes(block.k, js[s : s + step])
+        r = np.abs(block.matvec(modes) - modes * lams[s : s + step]).max(axis=0)
+        r = np.maximum(r, leak * np.abs(modes.sum(axis=0)))
+        r[np.isnan(r)] = np.inf
+        i = int(np.argmax(r))
+        if r[i] > worst:
+            worst, tag = float(r[i]), f"block {b}, fourier index {js[s + i]}"
+    return worst, tag
 
 
 def _pair_lists(table, index):
@@ -261,24 +268,25 @@ def _eigenvectors(decomposition, pair_lists):
     array into the r written vectors.
     """
     n, d = decomposition.n, decomposition.d
+    sizes = decomposition.block_sizes
     circulant = []
-    for _, run in groupby(decomposition.circulant_pairs, attrgetter("block")):
-        run = list(run)
-        k, offset = run[0].k, run[0].offset
+    offset = 0
+    for b, (k, lams) in enumerate(zip(sizes, decomposition.block_eigenvalues), 1):
         table = np.append(root_of_unity_powers(k), 0.0)  # entry k is the zero
-        index = np.full((len(run), n), k)
-        js = [p.fourier_index for p in run]
-        index[:, offset : offset + k] = np.outer(js, np.arange(k)) % k
+        index = np.full((k - 1, n), k)
+        index[:, offset : offset + k] = np.outer(np.arange(1, k), np.arange(k)) % k
+        vectors = pair_lists(table, index)
         circulant += [
             {
-                "block": p.block,
-                "fourier_index": p.fourier_index,
-                "eigenvalue": [p.eigenvalue.real, p.eigenvalue.imag],
+                "block": b,
+                "fourier_index": j,
+                "eigenvalue": [z.real, z.imag],
                 "vector": vector,
             }
-            for p, vector in zip(run, pair_lists(table, index))
+            for j, z, vector in zip(range(1, k), lams.tolist(), vectors)
         ]
-    lift = tensor_expand(np.arange(d), decomposition.block_sizes)
+        offset += k
+    lift = tensor_expand(np.arange(d), sizes)
     condensed = [
         {
             "eigenvalue": [ch.eigenvalue.real, ch.eigenvalue.imag],
@@ -293,10 +301,25 @@ def _eigenvectors(decomposition, pair_lists):
 
 def _spectrum(join, args, pair_lists):
     """The report dict; `pair_lists` writes the --eigenvectors vectors
-    (see `_eigenvectors`)."""
+    (see `_eigenvectors`), and None leaves them out."""
     decomposition = full_spectrum(
         join, cluster_delta=args.cluster_delta, sigma_tol=args.sigma_tol
     )
+    if args.verify:
+        # before anything is derived from the decomposition, so that a
+        # corrupt one is reported with its offending pair
+        residual, offender = decomposition_residual(join, decomposition, cap=args.cap)
+        tol = args.verify_tol
+        if tol is None:
+            tol = 1e-8 * join.inf_norm()
+            if not math.isfinite(tol):
+                raise NumericalError(
+                    "the default --verify tolerance 1e-8 * inf-norm overflows"
+                )
+        if residual > tol:
+            raise VerificationError(
+                f"residual {residual:.3e} exceeds tolerance {tol:.3e} at {offender}"
+            )
     rows = _report_rows(decomposition)
     report = {
         "n": join.n,
@@ -314,17 +337,9 @@ def _spectrum(join, args, pair_lists):
             [float(c.real), float(c.imag)] for c in reduced_char_poly(join)
         ],
     }
-    if args.eigenvectors:
+    if args.eigenvectors and pair_lists is not None:
         report["eigenvectors"] = _eigenvectors(decomposition, pair_lists)
     if args.verify:
-        residual, offender = decomposition_residual(join, decomposition, cap=args.cap)
-        tol = args.verify_tol
-        if tol is None:
-            tol = 1e-8 * join.inf_norm()
-        if residual > tol:
-            raise VerificationError(
-                f"residual {residual:.3e} exceeds tolerance {tol:.3e} at {offender}"
-            )
         report["max_residual"] = residual
     return report
 
@@ -336,10 +351,10 @@ def spectrum_report(join, args):
 
 
 def _print_report(join, args):
-    report = _spectrum(join, args, _pair_texts)
     if args.output == "json":
-        print(jsontext.dumps(report))
+        print(jsontext.dumps(_spectrum(join, args, _pair_texts)))
         return
+    report = _spectrum(join, args, None)  # the CSV table prints no vectors
     lines = ["eigenvalue,multiplicity,provenance"]
     for row in report["eigenvalues"]:
         z = complex(row["re"], row["im"])
@@ -396,6 +411,14 @@ def _read_state(path):
 # graph part specs
 # ---------------------------------------------------------------------------
 
+# part kind -> (number of integer arguments, graph constructor)
+_PART_KINDS = {
+    "complete": (1, complete_graph),
+    "cycle": (1, directed_cycle),
+    "ring": (2, ring_graph),
+}
+
+
 def _parse_part(spec):
     head, _, rest = spec.partition(":")
     if head == "complement":
@@ -403,47 +426,45 @@ def _parse_part(spec):
             raise ParseError(f"complement part needs a target: {spec!r}")
         return _parse_part(rest).complement()
     args = rest.split(":") if rest else []
+    arity, build = _PART_KINDS.get(head, (None, None))
+    if len(args) != arity:
+        raise ParseError(
+            f"unknown part spec {spec!r}; use complete:N, cycle:K, ring:K:M "
+            "or complement:<part>"
+        )
     try:
-        if head == "complete" and len(args) == 1:
-            return complete_graph(int(args[0]))
-        if head == "cycle" and len(args) == 1:
-            return directed_cycle(int(args[0]))
-        if head == "ring" and len(args) == 2:
-            return ring_graph(int(args[0]), int(args[1]))
+        sizes = [int(a) for a in args]
     except ValueError as exc:
         raise ParseError(f"invalid part spec {spec!r}") from exc
-    raise ParseError(
-        f"unknown part spec {spec!r}; use complete:N, cycle:K, ring:K:M "
-        "or complement:<part>"
-    )
+    return build(*sizes)  # sizes out of range are a PreconditionError
 
 
 def _build_graph(args):
+    """(join, labels) of a graph command; the complete, cycle, ring and
+    complement kinds are the join of the one part spec they name."""
     kind = args.kind
     if kind == "complete":
         if args.n is None:
             raise PreconditionError("complete needs --n")
-        g = complete_graph(args.n)
-        return join_graphs(g), [f"complete:{args.n}"]
-    if kind == "cycle":
+        label = f"complete:{args.n}"
+    elif kind == "cycle":
         if args.k is None:
             raise PreconditionError("cycle needs --k")
-        return join_graphs(directed_cycle(args.k)), [f"cycle:{args.k}"]
-    if kind == "ring":
+        label = f"cycle:{args.k}"
+    elif kind == "ring":
         if args.k is None or args.m is None:
             raise PreconditionError("ring needs --k and --m")
-        return join_graphs(ring_graph(args.k, args.m)), [f"ring:{args.k}:{args.m}"]
-    if kind == "complement":
+        label = f"ring:{args.k}:{args.m}"
+    elif kind == "complement":
         if len(args.parts) != 1:
             raise PreconditionError("complement takes exactly one part spec")
-        g = _parse_part(args.parts[0]).complement()
-        return join_graphs(g), [f"complement:{args.parts[0]}"]
-    if kind == "join":
+        label = f"complement:{args.parts[0]}"
+    elif kind == "join":
         if not args.parts:
             raise PreconditionError("join needs at least one part spec")
         parts = [_parse_part(p) for p in args.parts]
         return join_graphs(*parts), list(args.parts)
-    if kind == "remove-cycle":
+    elif kind == "remove-cycle":
         if args.n is None or args.k is None:
             raise PreconditionError("remove-cycle needs --n and --k")
         spec = remove_cycle_from_complete(args.n, args.k, args.directed)
@@ -453,7 +474,9 @@ def _build_graph(args):
             f"complete:{args.n - args.k}",
         ]
         return spec, labels
-    raise PreconditionError(f"unknown graph kind {kind!r}")
+    else:
+        raise PreconditionError(f"unknown graph kind {kind!r}")
+    return join_graphs(_parse_part(label)), [label]
 
 
 # ---------------------------------------------------------------------------

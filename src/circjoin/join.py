@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import CirculantMatrix, fourier_vector
+from .circulant import CirculantMatrix, fourier_modes
 from .errors import NumericalError, PreconditionError, SizeCapError
 from . import smalleig
 
@@ -184,33 +184,6 @@ class JoinSpec:
         return f"JoinSpec(d={self.d}, sizes={self.block_sizes})"
 
 
-@dataclass(frozen=True, slots=True)
-class CirculantEigenpair:
-    """Eigenpair of the join inherited from one circulant block.
-
-    `block` is 1-based; `fourier_index` j runs over 1..k-1, where k is
-    the block size.  The eigenvector has the Fourier mode v_{k, j} in
-    the block's coordinate range [offset, offset + k) of the n-vector
-    and zeros elsewhere; it is built on each access of `vector`, so a
-    pair holds only scalars.
-    """
-
-    block: int
-    fourier_index: int
-    eigenvalue: complex
-    k: int
-    offset: int
-    n: int
-
-    @property
-    def vector(self):
-        w = np.zeros(self.n, dtype=np.complex128)
-        w[self.offset : self.offset + self.k] = fourier_vector(
-            self.k, self.fourier_index
-        )
-        return w
-
-
 @dataclass(frozen=True)
 class JordanChain:
     """Rows of `vectors` are u_1, ..., u_m with (M - lambda*I) u_1 ~ 0
@@ -227,15 +200,17 @@ class JordanChain:
 class SpectralDecomposition:
     """Complete generalized eigendecomposition of a join, in O(n + d^2).
 
-    `circulant_pairs` hold the per-block eigenpairs (O(1) storage each,
-    vectors built on demand); `condensed_chains` the Jordan chains of
-    the condensed matrix, with vectors in C^d.  The join's chains are
-    their tensor expansions, `tensor_expand(chain.vectors, block_sizes)`,
+    `block_eigenvalues[i][j - 1]` is the eigenvalue of block i + 1 at
+    Fourier index j = 1..k-1 (see `block_eigenpairs`); its eigenvector
+    is the Fourier mode v_{k,j} zero-padded to the block's rows, so it
+    is never stored.  `condensed_chains` are the Jordan chains of the
+    condensed matrix, with vectors in C^d.  The join's chains are their
+    tensor expansions, `tensor_expand(chain.vectors, block_sizes)`,
     built by whoever needs them.
     """
 
     block_sizes: tuple
-    circulant_pairs: tuple
+    block_eigenvalues: tuple
     condensed_chains: tuple
     diagonalizable: bool
 
@@ -250,7 +225,11 @@ class SpectralDecomposition:
     def eigenvalues(self):
         """All n eigenvalues as (value, provenance) pairs sorted by
         (Re, Im); provenance is a 1-based block index or 'condensed'."""
-        out = [(p.eigenvalue, p.block) for p in self.circulant_pairs]
+        out = [
+            (v, b)
+            for b, lam in enumerate(self.block_eigenvalues, 1)
+            for v in lam.tolist()
+        ]
         for chain in self.condensed_chains:
             out.extend([(chain.eigenvalue, "condensed")] * len(chain))
         out.sort(key=lambda t: (t[0].real, t[0].imag))
@@ -267,36 +246,24 @@ class SpectralDecomposition:
 
 
 def block_eigenpairs(join):
-    """The sum(k_i) - d eigenpairs of the join inherited from its blocks.
+    """The eigenvalues of the sum(k_i) - d eigenpairs of the join
+    inherited from its blocks: one array per block, entry j - 1 for
+    Fourier index j = 1..k_i-1.
 
     For block i and 1 <= j <= k_i - 1 the zero-padded Fourier mode is an
     eigenvector of the whole join because its entries sum to zero, so
-    the constant off-diagonal blocks annihilate it.
+    the constant off-diagonal blocks annihilate it.  Each array is a
+    read-only view of the block's cached FFT, so nothing is copied.
 
     Raises NumericalError when one of these eigenvalues overflows: a
     finite defining vector can still have an infinite Fourier transform.
     (The j = 0 eigenvalue is the row sum, which `JoinSpec.condensed`
     checks.)
     """
-    n = join.n
-    pairs = []
-    for i, (block, offset) in enumerate(zip(join.blocks, join.offsets())):
-        lam = block.eigenvalues()
-        if not np.all(np.isfinite(lam[1:])):
-            raise NumericalError("a block eigenvalue overflows")
-        lam = lam.tolist()
-        pairs.extend(
-            CirculantEigenpair(
-                block=i + 1,
-                fourier_index=j,
-                eigenvalue=lam[j],
-                k=block.k,
-                offset=offset,
-                n=n,
-            )
-            for j in range(1, block.k)
-        )
-    return tuple(pairs)
+    lams = tuple(block.eigenvalues()[1:] for block in join.blocks)
+    if not all(np.isfinite(lam).all() for lam in lams):
+        raise NumericalError("a block eigenvalue overflows")
+    return lams
 
 
 def tensor_expand(v, sizes):
@@ -327,7 +294,7 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
     repeated or uncertified eigenvalues.  Tolerance keywords are
     forwarded to it.
     """
-    pairs = block_eigenpairs(join)
+    block_eigenvalues = block_eigenpairs(join)
     spec = smalleig.eigensystem(
         join.condensed(), cluster_delta=cluster_delta, sigma_tol=sigma_tol
     )
@@ -338,7 +305,7 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
     )
     return SpectralDecomposition(
         block_sizes=join.block_sizes,
-        circulant_pairs=pairs,
+        block_eigenvalues=block_eigenvalues,
         condensed_chains=condensed_chains,
         diagonalizable=all(len(ch) == 1 for ch in condensed_chains),
     )
@@ -385,14 +352,10 @@ def eigenbasis_matrix(decomposition):
         raise PreconditionError(
             "decomposition is incomplete: expected d condensed vectors"
         )
-    by_block = {}
-    for p in decomposition.circulant_pairs:
-        by_block.setdefault(p.block, []).append(p.vector)
-    cols = []
-    for i in range(d):
-        cols.append(tensor_expand(x[:, i], sizes))
-        cols.extend(by_block.get(i + 1, []))
-    m = np.array(cols).T
-    if m.shape != (n, n):
-        raise PreconditionError("decomposition is incomplete: expected n vectors")
+    m = np.zeros((n, n), dtype=np.complex128)
+    start = 0
+    for i, k in enumerate(sizes):
+        m[:, start] = tensor_expand(x[:, i], sizes)
+        m[start : start + k, start + 1 : start + k] = fourier_modes(k, range(1, k))
+        start += k
     return m

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError, PreconditionError
+from .errors import DivergenceError, NumericalError, PreconditionError
 from .join import JoinSpec
 
 TWO_PI = 2.0 * np.pi
@@ -104,8 +104,16 @@ def rhs(system, theta):
 
 
 def default_equilibrium_tol(system):
+    """1e-8 * (1 + |epsilon| * ||A||_inf); raises NumericalError when it
+    overflows, since no residual could exceed an infinite tolerance."""
     anorm = system.network.inf_norm()
-    return 1e-8 * (1.0 + abs(system.epsilon) * anorm)
+    tol = 1e-8 * (1.0 + abs(system.epsilon) * anorm)
+    if not np.isfinite(tol):
+        raise NumericalError(
+            "the default equilibrium tolerance 1e-8 * (1 + |epsilon| * inf-norm) "
+            "overflows"
+        )
+    return tol
 
 
 def check_equilibrium(system, theta, tol=None):

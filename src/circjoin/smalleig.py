@@ -7,8 +7,7 @@ and a simple eigenvalue keeps LAPACK's eigenvector when a residual and
 separation certificate proves that the SVD rank test would find one
 chain of length 1.  Repeated or uncertified eigenvalues get their
 Jordan chains from SVD null spaces of powers of (M - lambda*I)
-(`jordan_chains`).  `eigenvalues` is the values-only entry
-(np.linalg.eigvals).  Default tolerances are relative to the matrix's
+(`jordan_chains`).  Default tolerances are relative to the matrix's
 inf-norm, so scaling the input scales the results.
 """
 
@@ -95,46 +94,22 @@ def _cluster(values, delta):
     return out
 
 
-def _lapack(solver, a):
-    """solver(a), with LAPACK's non-convergence as ConvergenceError."""
-    try:
-        return solver(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK eigenvalue solver: {exc}") from exc
-
-
 def _finite_clusters(values, delta):
     """_cluster, with an overflowing cluster mean as NumericalError."""
     clusters = _cluster(values, delta)
     if not all(np.isfinite(mean) for mean, _, _ in clusters):
-        raise NumericalError("an eigenvalue of the condensed matrix overflows")
+        raise NumericalError("an eigenvalue cluster mean overflows")
     return clusters
-
-
-def eigenvalues(matrix, *, cluster_delta=None):
-    """All eigenvalues of a square complex matrix, with multiplicities.
-
-    Returns a list of (eigenvalue, multiplicity) pairs sorted by
-    (Re, Im), multiplicities summing to the matrix size.  The raw
-    eigenvalues come from LAPACK's shifted QR (np.linalg.eigvals); any
-    two within cluster_delta (default 1e-7 * inf-norm) are merged to
-    their mean.  Raises ConvergenceError when LAPACK does not converge
-    and NumericalError when an eigenvalue overflows.
-    """
-    a = _as_square(matrix)
-    if cluster_delta is None:
-        cluster_delta = 1e-7 * _inf_norm(a)
-    raw = _lapack(np.linalg.eigvals, a)
-    return [(mean, mult) for mean, mult, _ in _finite_clusters(raw, cluster_delta)]
 
 
 def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
     """Eigenvalues, multiplicities and Jordan chains of a square matrix.
 
-    Returns (eigenvalue, multiplicity, chains) triples, clustered and
-    sorted as by `eigenvalues`; `chains` is what `jordan_chains` returns
-    for that cluster, with the same defaults (cluster_delta 1e-7 and
-    sigma_tol 1e-8 times the inf-norm).
+    Returns (eigenvalue, multiplicity, chains) triples sorted by
+    (Re, Im), multiplicities summing to the matrix size; `chains` is what
+    `jordan_chains` returns for that cluster.  Eigenvalues within
+    cluster_delta (default 1e-7 * inf-norm) are merged to their mean,
+    and sigma_tol defaults to 1e-8 * inf-norm as in `jordan_chains`.
 
     One np.linalg.eig gives every eigenvalue and eigenvector.  A simple
     eigenvalue whose eigenpair is certified (see `_certified`) to pass
@@ -142,7 +117,8 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
     largest component real) as its one chain; every other cluster, of
     multiplicity > 1 or uncertified, goes to `jordan_chains`.  The cost
     is O(d^3), plus O(d^3) or more per cluster that falls back.  Raises
-    as `eigenvalues` and `jordan_chains` do.
+    ConvergenceError when LAPACK does not converge, NumericalError when
+    an eigenvalue overflows, and as `jordan_chains` does.
     """
     a = _as_square(matrix)
     norm = _inf_norm(a)
@@ -150,7 +126,10 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
         cluster_delta = 1e-7 * norm
     if sigma_tol is None:
         sigma_tol = 1e-8 * norm
-    w, x = _lapack(np.linalg.eig, a)
+    try:
+        w, x = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigenvalue solver: {exc}") from exc
     clusters = _finite_clusters(w, cluster_delta)
     certified = _certified(a, w, x, norm, sigma_tol)
     out = []

@@ -52,12 +52,31 @@ def lifted_chains(decomposition):
     ]
 
 
+def padded_fourier_mode(n, start, k, j):
+    """The n-vector holding exp(2 pi i m j / k) at row start + m, m < k,
+    and zeros elsewhere."""
+    v = np.zeros(n, dtype=np.complex128)
+    v[start : start + k] = np.exp(2j * np.pi * ((j * np.arange(k)) % k) / k)
+    return v
+
+
+def fourier_pairs(decomposition):
+    """(eigenvalue, eigenvector) of every block eigenpair of a
+    decomposition, the vector built here from the block sizes alone."""
+    n = decomposition.n
+    start = 0
+    for k, lams in zip(decomposition.block_sizes, decomposition.block_eigenvalues):
+        for j, lam in enumerate(lams.tolist(), 1):
+            yield lam, padded_fourier_mode(n, start, k, j)
+        start += k
+
+
 def dense_decomposition_residual(a, decomposition):
     """Oracle residual: checks every eigenpair and chain link densely."""
     n = a.shape[0]
     worst = 0.0
-    for p in decomposition.circulant_pairs:
-        worst = max(worst, np.abs(a @ p.vector - p.eigenvalue * p.vector).max())
+    for lam, v in fourier_pairs(decomposition):
+        worst = max(worst, np.abs(a @ v - lam * v).max())
     for chain in lifted_chains(decomposition):
         shifted = a - chain.eigenvalue * np.eye(n)
         prev = np.zeros(n, dtype=np.complex128)

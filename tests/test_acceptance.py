@@ -28,6 +28,7 @@ from circjoin.cli import main as cli_main
 
 from corpus import (
     defective_joins,
+    fourier_pairs,
     inf_norm,
     lifted_chains,
     multiset_match,
@@ -53,8 +54,8 @@ def corpus500():
 def _max_residual(a, decomposition):
     n = a.shape[0]
     worst = 0.0
-    for p in decomposition.circulant_pairs:
-        worst = max(worst, float(np.abs(a @ p.vector - p.eigenvalue * p.vector).max()))
+    for lam, v in fourier_pairs(decomposition):
+        worst = max(worst, float(np.abs(a @ v - lam * v).max()))
     for chain in lifted_chains(decomposition):
         shifted = a - chain.eigenvalue * np.eye(n)
         prev = np.zeros(n, dtype=np.complex128)

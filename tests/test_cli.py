@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from circjoin import cli
 from circjoin.cli import _csv_rows, emit_join_document, main, parse_join_document
 from circjoin import JoinSpec, join, remove_cycle_from_complete, ring_graph
 from circjoin.join import DENSE_CAP
@@ -93,6 +94,25 @@ def test_spectrum_csv_output(tmp_path, capsys):
         assert prov in {"1", "2", "condensed"}
 
 
+def test_csv_output_builds_no_eigenvectors(tmp_path, capsys, monkeypatch):
+    path = write(tmp_path, "k8.json", K8_DOC)
+    argv = ["spectrum", path, "--output", "csv"]
+    plain = run(argv, capsys)
+    assert plain[0] == 0
+    # the report dict keeps the section; only the CSV printer skips it
+    args = cli.build_parser().parse_args(argv + ["--eigenvectors"])
+    assert "eigenvectors" in cli.spectrum_report(parse_join_document(K8_DOC)[0], args)
+
+    def no_vectors(decomposition, pair_lists):
+        raise AssertionError("eigenvector section built for CSV output")
+
+    monkeypatch.setattr(cli, "_eigenvectors", no_vectors)
+    assert run(argv + ["--eigenvectors"], capsys) == plain
+    assert run(argv + ["--eigenvectors", "--verify"], capsys) == run(
+        argv + ["--verify"], capsys
+    )
+
+
 def test_parse_errors_exit_2(tmp_path, capsys):
     bad = write(tmp_path, "bad.json", "garbage{")
     code, _, err = run(["spectrum", bad], capsys)
@@ -166,8 +186,7 @@ def test_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    for solver in ("eig", "eigvals"):
-        monkeypatch.setattr(np.linalg, solver, no_convergence)
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
     path = write(tmp_path, "k8.json", K8_DOC)
     code, out, err = run(["spectrum", path], capsys)
     assert (code, out) == (4, "")
@@ -243,6 +262,23 @@ def test_graph_errors(capsys):
     assert run(["graph", "join", "pentagon:5"], capsys)[0] == 2  # bad part
     assert run(["graph", "remove-cycle", "--n", "3", "--k", "3"], capsys)[0] == 3
     assert run(["graph", "banana"], capsys)[0] == 2  # argparse rejects
+
+
+@pytest.mark.parametrize(
+    "flags, part",
+    [
+        (["complete", "--n", "0"], "complete:0"),
+        (["cycle", "--k", "1"], "cycle:1"),
+        (["ring", "--k", "0", "--m", "1"], "ring:0:1"),
+    ],
+)
+def test_out_of_range_part_is_a_precondition_error_on_every_route(flags, part, capsys):
+    # a size out of range is well-formed text, so it exits 3 with the
+    # constructor's message whether it comes from flags or a part spec
+    expected = run(["graph", *flags], capsys)
+    assert expected[0] == 3 and expected[2].startswith("circjoin: precondition error")
+    assert run(["graph", "join", part], capsys) == expected
+    assert run(["graph", "complement", part], capsys) == expected
 
 
 def ring_doc():
@@ -462,16 +498,29 @@ NONFINITE_CASES = {
         ["spectrum", "DOC"], None, None, 2,
         "circjoin: parse error: blocks[0][1]: int too large to convert to float",
     ),
-    # finite input, but a value bound for stdout overflows: the mean of a
-    # merged report row, and the default tolerance 1e-8 * (1 + |eps| * norm)
+    # finite input, but a derived value overflows: the mean of a merged
+    # report row, and the default tolerances 1e-8 * ||A||_inf of --verify
+    # and 1e-8 * (1 + |eps| * ||A||_inf) of the Kuramoto checks, which an
+    # infinite value would pass vacuously
     "report-row-mean-overflow": (
+        ["spectrum", "DOC"], {"blocks": [[1e308, -0.5e308, -0.5e308]]}, None, 4,
+        "circjoin: numerical error: an eigenvalue cluster mean overflows",
+    ),
+    "verify-default-tol-overflow": (
         ["spectrum", "DOC", "--verify"], {"blocks": [[1e308, -0.5e308, -0.5e308]]}, None, 4,
-        "circjoin: numerical error: a non-finite number cannot be written as JSON",
+        "circjoin: numerical error: the default --verify tolerance 1e-8 * inf-norm overflows",
     ),
     "check-default-tol-overflow": (
         ["kuramoto", "check", "RING", "--state", "STATE", "--epsilon", "1e308"], None,
         "[0, 0, 0, 0, 0, 0]", 4,
-        "circjoin: numerical error: a non-finite number cannot be written as JSON",
+        "circjoin: numerical error: the default equilibrium tolerance "
+        "1e-8 * (1 + |epsilon| * inf-norm) overflows",
+    ),
+    "equilibrium-default-tol-overflow": (
+        ["kuramoto", "equilibrium", "DOC", "--j", "1", "--epsilon", "1e308"],
+        {"blocks": [[0, 1, 0, 0, 0, 1]] * 2, "couplings": [[0, 1], [1, 0]]}, None, 4,
+        "circjoin: numerical error: the default equilibrium tolerance "
+        "1e-8 * (1 + |epsilon| * inf-norm) overflows",
     ),
 }
 

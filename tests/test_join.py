@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 
+import circjoin
 from circjoin import (
     CirculantMatrix,
     JoinSpec,
@@ -28,6 +29,7 @@ from circjoin.graphs import (
 from corpus import (
     defective_joins,
     dense_decomposition_residual,
+    fourier_pairs,
     inf_norm,
     lifted_chains,
     mpmath_eigenvalues,
@@ -134,22 +136,21 @@ def test_condensed_complete_blocks():
 
 def test_block_eigenpairs_empty_for_singleton_blocks():
     spec = JoinSpec([CirculantMatrix([1.0])] * 3, unit_disk(np.random.default_rng(0), (3, 3)))
-    assert block_eigenpairs(spec) == ()
+    assert [lam.shape for lam in block_eigenpairs(spec)] == [(0,)] * 3
 
 
 def test_block_eigenpairs_k8_example():
     spec = k8_minus_directed_triangle()
-    pairs = block_eigenpairs(spec)
-    assert len(pairs) == 2 + 4
+    first, second = block_eigenpairs(spec)
     w = np.exp(2j * np.pi / 3)
-    first = [p.eigenvalue for p in pairs if p.block == 1]
-    multiset_match(first, [w, w**2], 1e-12)
-    second = [p.eigenvalue for p in pairs if p.block == 2]
-    multiset_match(second, [-1.0] * 4, 1e-12)
+    np.testing.assert_allclose(first, [w**-1, w**-2], atol=1e-12)  # c_1 w^(-j)
+    np.testing.assert_allclose(second, [-1.0] * 4, atol=1e-12)
     a = spec.dense()
     tol = 1e-9 * (1.0 + inf_norm(a))
-    for p in pairs:
-        assert np.abs(a @ p.vector - p.eigenvalue * p.vector).max() <= tol
+    pairs = list(fourier_pairs(full_spectrum(spec)))
+    assert len(pairs) == 2 + 4
+    for lam, v in pairs:
+        assert np.abs(a @ v - lam * v).max() <= tol
 
 
 def test_block_eigenpairs_complete_blocks():
@@ -157,20 +158,33 @@ def test_block_eigenpairs_complete_blocks():
         [CirculantMatrix([0, 1, 1]), CirculantMatrix([0, 1, 1, 1, 1])],
         np.ones((2, 2)),
     )
-    pairs = block_eigenpairs(spec)
-    multiset_match([p.eigenvalue for p in pairs], [-1.0] * 6, 1e-12)
+    multiset_match(np.concatenate(block_eigenpairs(spec)), [-1.0] * 6, 1e-12)
+
+
+def test_block_eigenpairs_are_read_only_views_of_the_block_fft():
+    spec = k8_minus_directed_triangle()
+    for block, lam in zip(spec.blocks, block_eigenpairs(spec)):
+        assert lam.base is block.eigenvalues()
+        assert np.array_equal(lam, block.eigenvalues()[1:])
+        assert not lam.flags.writeable
 
 
 def test_block_eigenpair_support():
+    # in the eigenbasis, block b's Fourier columns are nonzero exactly on
+    # block b's rows
     spec = JoinSpec(
         [CirculantMatrix([0, 1]), CirculantMatrix([0, 1, 1])], np.ones((2, 2))
     )
-    for p in block_eigenpairs(spec):
-        start = 0 if p.block == 1 else 2
-        size = 2 if p.block == 1 else 3
-        outside = np.delete(p.vector, np.arange(start, start + size))
-        assert np.all(outside == 0.0)
-        assert np.all(np.abs(p.vector[start : start + size]) > 0.0)
+    m = eigenbasis_matrix(full_spectrum(spec))
+    for start, size in ((0, 2), (2, 3)):
+        cols = m[:, start + 1 : start + size]
+        assert np.all(np.delete(cols, np.arange(start, start + size), axis=0) == 0.0)
+        assert np.all(np.abs(cols[start : start + size]) > 0.0)
+
+
+def test_every_exported_name_resolves():
+    for name in circjoin.__all__:
+        assert hasattr(circjoin, name), name
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +442,7 @@ def test_residuals_and_counts_random(seed):
     dec = full_spectrum(spec)
     n = spec.n
     assert len(dec.eigenvalue_multiset()) == n
-    assert len(dec.circulant_pairs) == n - spec.d
+    assert sum(len(lam) for lam in dec.block_eigenvalues) == n - spec.d
     assert sum(len(ch) for ch in dec.condensed_chains) == spec.d
     a = spec.dense()
     tau = 1e-8 * (1.0 + inf_norm(a))

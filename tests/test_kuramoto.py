@@ -16,7 +16,7 @@ from circjoin import (
     rhs,
     ring_graph,
 )
-from circjoin.errors import DivergenceError, PreconditionError
+from circjoin.errors import DivergenceError, NumericalError, PreconditionError
 
 from corpus import inf_norm
 
@@ -193,6 +193,15 @@ def test_random_state_is_not_an_equilibrium():
     ok, residual = check_equilibrium(system, rng.uniform(-np.pi, np.pi, system.n))
     assert not ok
     assert residual > 1e-3
+
+
+def test_overflowing_default_tolerance_is_a_numerical_error():
+    # 1e-8 * (1 + 1e308 * 8) is infinite, and every residual would pass it
+    system = identical_ring_system(2, 6, eps=1e308)
+    theta = build_twisted_equilibrium(system, 1, [0.0, 0.0]).theta
+    with pytest.raises(NumericalError, match="default equilibrium tolerance"):
+        check_equilibrium(system, theta)
+    assert check_equilibrium(system, theta, tol=1.0)[1] < np.inf
 
 
 def test_twisted_grid_all_indices_and_offsets():
