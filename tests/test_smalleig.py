@@ -467,6 +467,24 @@ def test_certificate_skips_non_finite_eigenvectors(monkeypatch, bad):
         assert_same_as_svd_path(m)
 
 
+def test_eigensystem_lapack_failure_is_a_convergence_error(monkeypatch):
+    # complex input, and the LAPACK error stays attached as the cause
+    def no_convergence(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eig", no_convergence)
+    with pytest.raises(ConvergenceError, match="did not converge") as info:
+        smalleig.eigensystem(np.eye(3) * (1.0 + 2.0j))
+    assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+
+def test_eigensystem_overflowing_cluster_mean_is_a_numerical_error():
+    # two distinct finite eigenvalues merged by an explicit cluster_delta
+    m = np.diag([1e308, 1.5e308])
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="cluster mean overflows"):
+        smalleig.eigensystem(m, cluster_delta=1e308)
+
+
 def test_rejects_non_square():
     with pytest.raises(PreconditionError):
         eigenvalues(np.ones((2, 3)))
