@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from .graphs import (
     remove_cycle_from_complete,
     ring_graph,
 )
-from .join import DENSE_CAP, JoinSpec, full_spectrum, reduced_char_poly, tensor_expand
+from .join import DENSE_CAP, JoinSpec, full_spectrum, tensor_expand
 from .kuramoto import (
     KuramotoSystem,
     build_twisted_equilibrium,
@@ -70,6 +71,38 @@ def _entry_to_complex(entry, where):
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
 
 
+_REAL = (int, float)  # the JSON number types; bool is its own type
+
+
+def _number_array(raw, where):
+    """The entries of one document list (a block or a coupling row) as a
+    complex128 array.  The entry types are checked in one pass; a list
+    of reals is converted by one np.array, and one with [re, im] pairs
+    by one np.fromiter.  A list that fails the check or the conversion
+    is walked again by `_entry_to_complex`, which raises that entry's
+    error."""
+    try:
+        if all(type(e) in _REAL for e in raw):
+            return np.array(raw, dtype=np.float64).astype(np.complex128)
+        if all(
+            type(e) in _REAL
+            or (
+                type(e) is list
+                and len(e) == 2
+                and type(e[0]) in _REAL
+                and type(e[1]) in _REAL
+            )
+            for e in raw
+        ):
+            pairs = chain.from_iterable(e if type(e) is list else (e, 0.0) for e in raw)
+            return np.fromiter(pairs, np.float64, 2 * len(raw)).view(np.complex128)
+    except OverflowError:  # an integer literal beyond the float range
+        pass
+    return np.array(
+        [_entry_to_complex(e, f"{where}[{i}]") for i, e in enumerate(raw)]
+    )
+
+
 def _complex_to_entry(z):
     z = complex(z)
     if z.imag == 0.0:
@@ -99,9 +132,7 @@ def parse_join_document(text):
     for bi, raw in enumerate(raw_blocks):
         if not isinstance(raw, list) or not raw:
             raise ParseError(f"blocks[{bi}] must be a nonempty list")
-        blocks.append(
-            [_entry_to_complex(e, f"blocks[{bi}][{ei}]") for ei, e in enumerate(raw)]
-        )
+        blocks.append(_number_array(raw, f"blocks[{bi}]"))
     d = len(blocks)
     raw_couplings = doc.get("couplings")
     if raw_couplings is None:
@@ -118,8 +149,7 @@ def parse_join_document(text):
                     f"couplings[{i}] has {len(row) if isinstance(row, list) else '?'}"
                     f" entries, expected {d} (ragged table)"
                 )
-            for j, e in enumerate(row):
-                couplings[i, j] = _entry_to_complex(e, f"couplings[{i}][{j}]")
+            couplings[i] = _number_array(row, f"couplings[{i}]")
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(
@@ -334,7 +364,7 @@ def _spectrum(join, args, pair_lists):
             for v, mult, prov in rows
         ],
         "reduced_char_poly": [
-            [float(c.real), float(c.imag)] for c in reduced_char_poly(join)
+            [float(c.real), float(c.imag)] for c in decomposition.reduced_char_poly()
         ],
     }
     if args.eigenvectors and pair_lists is not None:

@@ -206,13 +206,18 @@ class SpectralDecomposition:
     is never stored.  `condensed_chains` are the Jordan chains of the
     condensed matrix, with vectors in C^d.  The join's chains are their
     tensor expansions, `tensor_expand(chain.vectors, block_sizes)`,
-    built by whoever needs them.
+    built by whoever needs them.  `char_poly` holds the coefficients of
+    the condensed matrix's characteristic polynomial and
+    `char_poly_bound` a certified bound on the error of each, both from
+    the same eig (see `smalleig.char_poly`).
     """
 
     block_sizes: tuple
     block_eigenvalues: tuple
     condensed_chains: tuple
     diagonalizable: bool
+    char_poly: np.ndarray = field(repr=False)
+    char_poly_bound: np.ndarray = field(repr=False)
 
     @property
     def n(self):
@@ -237,6 +242,11 @@ class SpectralDecomposition:
 
     def eigenvalue_multiset(self):
         return [v for v, _ in self.eigenvalues()]
+
+    def reduced_char_poly(self):
+        """`char_poly`; raises NumericalError when a coefficient
+        overflows."""
+        return _finite_char_poly(self.char_poly)
 
     def condensed_vector_matrix(self):
         """The d x d matrix X of condensed chain vectors as columns,
@@ -291,7 +301,8 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
 
     The condensed solve is one `smalleig.eigensystem` call: one LAPACK
     `eig` of the d x d matrix, O(d^3), with SVD null spaces only for
-    repeated or uncertified eigenvalues.  Tolerance keywords are
+    repeated or uncertified eigenvalues.  The reduced characteristic
+    polynomial comes from the same eig.  Tolerance keywords are
     forwarded to it.
     """
     block_eigenvalues = block_eigenpairs(join)
@@ -300,7 +311,7 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
     )
     condensed_chains = tuple(
         JordanChain(eigenvalue=lam, vectors=vecs)
-        for lam, _, chains in spec
+        for lam, _, chains in spec.clusters
         for vecs in chains
     )
     return SpectralDecomposition(
@@ -308,29 +319,31 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
         block_eigenvalues=block_eigenvalues,
         condensed_chains=condensed_chains,
         diagonalizable=all(len(ch) == 1 for ch in condensed_chains),
+        char_poly=spec.char_poly,
+        char_poly_bound=spec.char_poly_bound,
     )
 
 
 def reduced_char_poly(join):
     """Monic degree-d polynomial whose roots are the non-block
-    eigenvalues of the join; equals the characteristic polynomial of the
+    eigenvalues of the join: the characteristic polynomial of the
     condensed matrix.  Coefficients are returned highest degree first.
 
-    Computed by Leverrier's trace recursion c_k = -tr(A B_k) / k,
-    B_{k+1} = A B_k + c_k I, which is exact on integer condensed matrices
-    while the intermediate values stay below 2^53.  Raises NumericalError
-    when a coefficient overflows.
+    One `smalleig.char_poly` call: np.poly of the eigenvalues of one
+    `eig`, O(d^3), and O(d^2) after it, with no Jordan chains.  A real
+    join gets real coefficients.  When the condensed matrix has
+    Gaussian-integer entries, as for graph joins, a coefficient is
+    exact wherever its certified error bound is below 1/2; the others
+    are accurate to that bound.  `full_spectrum` keeps the same
+    coefficients and their bounds from its own eig.  Raises
+    NumericalError when a coefficient overflows, and ConvergenceError
+    when LAPACK does not converge.
     """
-    a = join.condensed()
-    d = a.shape[0]
-    coeffs = np.empty(d + 1, dtype=np.complex128)
-    coeffs[0] = 1.0
-    b = np.eye(d, dtype=np.complex128)
-    for k in range(1, d + 1):
-        ab = a @ b
-        c = -np.trace(ab) / k
-        coeffs[k] = c
-        b = ab + c * np.eye(d, dtype=np.complex128)
+    coeffs, _ = smalleig.char_poly(join.condensed())
+    return _finite_char_poly(coeffs)
+
+
+def _finite_char_poly(coeffs):
     if not np.all(np.isfinite(coeffs)):
         raise NumericalError("a reduced_char_poly coefficient overflows")
     return coeffs

@@ -7,11 +7,14 @@ and a simple eigenvalue keeps LAPACK's eigenvector when a residual and
 separation certificate proves that the SVD rank test would find one
 chain of length 1.  Repeated or uncertified eigenvalues get their
 Jordan chains from SVD null spaces of powers of (M - lambda*I)
-(`jordan_chains`).  Default tolerances are relative to the matrix's
+(`jordan_chains`).  The same eig gives the characteristic polynomial
+with a certified error bound per coefficient (`char_poly`), in O(d^2)
+after the solve.  Default tolerances are relative to the matrix's
 inf-norm, so scaling the input scales the results.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -102,23 +105,37 @@ def _finite_clusters(values, delta):
     return clusters
 
 
-def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
-    """Eigenvalues, multiplicities and Jordan chains of a square matrix.
+class Eigensystem(NamedTuple):
+    """What `eigensystem` returns.  `clusters` holds (eigenvalue,
+    multiplicity, chains) triples; `char_poly` and `char_poly_bound` are
+    what `char_poly` returns, from the same eig."""
 
-    Returns (eigenvalue, multiplicity, chains) triples sorted by
-    (Re, Im), multiplicities summing to the matrix size; `chains` is what
-    `jordan_chains` returns for that cluster.  Eigenvalues within
-    cluster_delta (default 1e-7 * inf-norm) are merged to their mean,
-    and sigma_tol defaults to 1e-8 * inf-norm as in `jordan_chains`.
+    clusters: list
+    char_poly: np.ndarray
+    char_poly_bound: np.ndarray
+
+
+def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
+    """Eigenvalues, multiplicities, Jordan chains and characteristic
+    polynomial of a square matrix.
+
+    Returns an `Eigensystem`.  Its clusters are (eigenvalue,
+    multiplicity, chains) triples sorted by (Re, Im), multiplicities
+    summing to the matrix size; `chains` is what `jordan_chains` returns
+    for that cluster.  Eigenvalues within cluster_delta (default
+    1e-7 * inf-norm) are merged to their mean, and sigma_tol defaults to
+    1e-8 * inf-norm as in `jordan_chains`.
 
     One np.linalg.eig gives every eigenvalue and eigenvector.  A simple
     eigenvalue whose eigenpair is certified (see `_certified`) to pass
     jordan_chains' nullity test keeps its LAPACK eigenvector (unit norm,
     largest component real) as its one chain; every other cluster, of
-    multiplicity > 1 or uncertified, goes to `jordan_chains`.  The cost
-    is O(d^3), plus O(d^3) or more per cluster that falls back.  Raises
-    ConvergenceError when LAPACK does not converge, NumericalError when
-    an eigenvalue overflows, and as `jordan_chains` does.
+    multiplicity > 1 or uncertified, goes to `jordan_chains`.  The
+    characteristic polynomial comes from the same eigenpairs, as in
+    `char_poly`.  The cost is O(d^3), plus O(d^3) or more per cluster
+    that falls back.  Raises ConvergenceError when LAPACK does not
+    converge, NumericalError when an eigenvalue overflows, and as
+    `jordan_chains` does.
     """
     a = _as_square(matrix)
     norm = _inf_norm(a)
@@ -126,12 +143,10 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
         cluster_delta = 1e-7 * norm
     if sigma_tol is None:
         sigma_tol = 1e-8 * norm
-    try:
-        w, x = np.linalg.eig(a)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"LAPACK eigenvalue solver: {exc}") from exc
+    w, x = _eig(a)
     clusters = _finite_clusters(w, cluster_delta)
-    certified = _certified(a, w, x, norm, sigma_tol)
+    fit = _fit(a, w, x, norm)
+    certified = _certified(w, fit, sigma_tol)
     out = []
     for lam, mult, members in clusters:
         if mult == 1 and certified[members[0]]:
@@ -139,12 +154,78 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
         else:
             chains = jordan_chains(a, lam, mult, sigma_tol=sigma_tol)
         out.append((lam, mult, chains))
-    return out
+    return Eigensystem(out, *_char_poly(a, w, x, fit))
 
 
-def _certified(a, w, x, norm, sigma_tol):
-    """Boolean mask over the eigenpairs (w_i, x_i) of `a`, unit-norm x_i:
-    True where sigma_d(M - w_i I) <= sigma_tol < sigma_(d-1)(M - w_i I)
+def char_poly(matrix):
+    """Coefficients of det(x I - M), highest degree first, and a bound on
+    the error of each; one np.linalg.eig, O(d^3), and O(d^2) after it.
+
+    The coefficients are np.poly of the eigenvalues w, with the
+    eigenvectors X, R = M X - X W (W = diag(w)) and the singular values
+    of X as the certificate:
+
+    * M is within R X^-1 of X W X^-1, so by Bauer-Fike every eigenvalue
+      of M lies in a disc of radius rho = ||R|| sigma_max / sigma_min^2
+      about some w_j.  ||R|| is the computed Frobenius norm plus the
+      rounding error of forming R, and sigma_min is lowered by a margin
+      for the SVD's own error.
+    * A connected group of m such discs holds exactly m eigenvalues of M,
+      so the eigenvalues of M pair off with the w_j within 2 m rho
+      <= 2 d rho.  This holds for repeated eigenvalues too.
+    * Moving each root by at most r moves e_i, the i-th elementary
+      symmetric function, by at most e_i(|w| + r) - e_i(|w|); np.poly's
+      own rounding adds at most gamma_4d * e_i(|w|).  The bound is twice
+      their sum, which covers the rounding of the bound itself.
+
+    A bound is inf when X is not finite, its SVD fails or X is
+    numerically singular.  A real M gets real coefficients.  When every
+    entry of M is a Gaussian integer, so is every coefficient, and each
+    one whose bound is below 1/2 is rounded to it and is then exact;
+    the others stay unrounded.  A coefficient that overflows is returned
+    as inf or nan.  Raises ConvergenceError when LAPACK does not
+    converge and NumericalError when the inf-norm of M overflows.
+    """
+    a = _as_square(matrix)
+    norm = _inf_norm(a)
+    w, x = _eig(a)
+    return _char_poly(a, w, x, _fit(a, w, x, norm))
+
+
+def _eig(a):
+    try:
+        return np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"LAPACK eigenvalue solver: {exc}") from exc
+
+
+def _gamma(k):
+    """gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
+    u = 2.0**-53
+    return k * u / (1.0 - k * u)
+
+
+def _fit(a, w, x, norm):
+    """(t, r, sv) for the eigenpairs (w_i, x_i) of `a`: 2^t is the power
+    of two just above `norm`, r = (M X - X W) / 2^t and sv the singular
+    values of X, largest first.  Working on M / 2^t keeps r from
+    overflowing or underflowing with the scale of M.  r and sv are None
+    when X is not finite or its SVD fails."""
+    t = _scale_exponent(norm)
+    if not np.all(np.isfinite(x)):
+        return t, None, None
+    try:
+        sv = np.linalg.svd(x, compute_uv=False)
+    except np.linalg.LinAlgError:
+        return t, None, None
+    scale = math.ldexp(1.0, -t)
+    return t, (a * scale) @ x - x * (w * scale), sv
+
+
+def _certified(w, fit, sigma_tol):
+    """Boolean mask over the eigenpairs (w_i, x_i) of M, unit-norm x_i,
+    from their `_fit`: True where
+    sigma_d(M - w_i I) <= sigma_tol < sigma_(d-1)(M - w_i I)
     is proven with a factor-2 margin on each side, so that jordan_chains
     at w_i would find nullity 1, that is, one chain of length 1.
 
@@ -157,25 +238,58 @@ def _certified(a, w, x, norm, sigma_tol):
     sigma_k(D) / kappa(X), and Weyl's inequality for R X^-1; the
     Frobenius norm bounds ||R||_2).  (b) is tested multiplied through
     by sigma_min(X), so a singular X fails it without a division.  The
-    quantities are computed on M / 2^t, as in jordan_chains, so they
+    quantities are those of M / 2^t, as in jordan_chains, so they
     neither overflow nor underflow with the scale of M.  Nothing is
     certified when X is not finite or its SVD fails.
     """
-    uncertified = np.zeros(len(w), dtype=bool)
-    if not np.all(np.isfinite(x)):
-        return uncertified
-    try:
-        sv = np.linalg.svd(x, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return uncertified
-    scale = math.ldexp(1.0, -_scale_exponent(norm))
+    t, r, sv = fit
+    if r is None:
+        return np.zeros(len(w), dtype=bool)
+    scale = math.ldexp(1.0, -t)
     tol = sigma_tol * scale
     ws = w * scale
-    r = (a * scale) @ x - x * ws
     dist = np.abs(ws[:, None] - ws[None, :])
     np.fill_diagonal(dist, np.inf)
     bound = dist.min(axis=1) * sv[-1] ** 2 / sv[0] - np.linalg.norm(r)
     return (np.linalg.norm(r, axis=0) <= tol / 2) & (bound > 2 * tol * sv[-1])
+
+
+def _char_poly(a, w, x, fit):
+    """`char_poly` of `a` from its eigenpairs (w, X) and their `_fit`.
+
+    Both the coefficients and the bound are formed for M / 2^t and
+    coefficient i is then scaled by 2^(t i), so a coefficient overflows
+    to inf only when its value is out of range."""
+    d = len(w)
+    t, r, sv = fit
+    scale = math.ldexp(1.0, -t)
+    ws = w * scale
+    mags = np.abs(ws)
+    radius = np.inf
+    if r is not None:
+        # sigma_min is lowered by the SVD's own error, and ||R|| raised by
+        # the rounding of each entry: a complex dot product of length d,
+        # a product and a difference
+        s_min = sv[-1] - _gamma(4 * d) * sv[0]
+        r_norm = np.linalg.norm(r) + 2.0 * _gamma(d + 4) * np.linalg.norm(x) * (
+            np.linalg.norm(a * scale) + mags.max()
+        )
+        if s_min > 0.0:
+            radius = 2.0 * d * r_norm * sv[0] / s_min**2
+    e = np.poly(-mags)  # e_i(|w|), the coefficients of prod (x + |w_j|)
+    bound = 2.0 * (np.poly(-(mags + radius)) - e + _gamma(4 * d) * e)
+    poly = np.poly(ws)
+    k = t * np.arange(d + 1)
+    coeffs = np.empty(d + 1, dtype=np.complex128)
+    with np.errstate(over="ignore"):
+        coeffs.real = np.ldexp(poly.real, k)
+        # a real matrix has a real characteristic polynomial
+        coeffs.imag = np.ldexp(poly.imag, k) if a.imag.any() else 0.0
+        bound = np.ldexp(bound, k)
+    if np.array_equal(a, np.round(a)):
+        exact = bound < 0.5
+        coeffs[exact] = np.round(coeffs[exact]) + 0.0  # + 0.0 makes -0.0 0.0
+    return coeffs, bound
 
 
 def _nullspace(a, tol):

@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import math
@@ -5,10 +6,12 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from circjoin import cli
 from circjoin.cli import _csv_rows, emit_join_document, main, parse_join_document
-from circjoin import JoinSpec, join, remove_cycle_from_complete, ring_graph
+from circjoin import JoinSpec, ParseError, PreconditionError, join
+from circjoin import remove_cycle_from_complete, ring_graph
 from circjoin.join import DENSE_CAP
 
 
@@ -133,6 +136,235 @@ def test_parse_errors_exit_2(tmp_path, capsys):
     )
     assert run(["spectrum", unknown], capsys)[0] == 2
     assert run(["spectrum", str(tmp_path / "absent.json")], capsys)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# document parsing against the per-entry parser
+# ---------------------------------------------------------------------------
+
+def per_entry_entry(entry, where):
+    try:
+        if isinstance(entry, (int, float)) and not isinstance(entry, bool):
+            return complex(entry)
+        if (
+            isinstance(entry, (list, tuple))
+            and len(entry) == 2
+            and all(
+                isinstance(p, (int, float)) and not isinstance(p, bool) for p in entry
+            )
+        ):
+            return complex(entry[0], entry[1])
+    except OverflowError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+    raise ParseError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
+
+
+def per_entry_parse(text):
+    """The parser that converted one entry at a time, kept as the oracle
+    of `parse_join_document`."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(
+            f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+    if not isinstance(doc, dict):
+        raise ParseError("document must be a JSON object")
+    unknown = set(doc) - {"blocks", "couplings", "labels"}
+    if unknown:
+        raise ParseError(f"unknown document keys: {sorted(unknown)}")
+    if "blocks" not in doc:
+        raise ParseError("document is missing 'blocks'")
+    raw_blocks = doc["blocks"]
+    if not isinstance(raw_blocks, list) or not raw_blocks:
+        raise ParseError("'blocks' must be a nonempty list of defining vectors")
+    blocks = []
+    for bi, raw in enumerate(raw_blocks):
+        if not isinstance(raw, list) or not raw:
+            raise ParseError(f"blocks[{bi}] must be a nonempty list")
+        blocks.append(
+            [per_entry_entry(e, f"blocks[{bi}][{ei}]") for ei, e in enumerate(raw)]
+        )
+    d = len(blocks)
+    raw_couplings = doc.get("couplings")
+    if raw_couplings is None:
+        if d > 1:
+            raise ParseError("document is missing 'couplings'")
+        couplings = np.zeros((1, 1), dtype=np.complex128)
+    else:
+        if not isinstance(raw_couplings, list) or len(raw_couplings) != d:
+            raise ParseError(f"'couplings' must be a {d}x{d} table")
+        couplings = np.zeros((d, d), dtype=np.complex128)
+        for i, row in enumerate(raw_couplings):
+            if not isinstance(row, list) or len(row) != d:
+                raise ParseError(
+                    f"couplings[{i}] has {len(row) if isinstance(row, list) else '?'}"
+                    f" entries, expected {d} (ragged table)"
+                )
+            for j, e in enumerate(row):
+                couplings[i, j] = per_entry_entry(e, f"couplings[{i}][{j}]")
+    labels = doc.get("labels")
+    if labels is not None:
+        if not isinstance(labels, list) or not all(
+            isinstance(s, str) for s in labels
+        ):
+            raise ParseError("'labels' must be a list of strings")
+    try:
+        spec = JoinSpec(blocks, couplings)
+    except PreconditionError as exc:
+        raise ParseError(str(exc)) from exc
+    return spec, labels
+
+
+def parse_outcome(parse, text):
+    """The parse error message, or the parsed arrays' bytes (so that the
+    sign of a zero counts) and the labels.  Any other exception fails."""
+    try:
+        spec, labels = parse(text)
+    except ParseError as exc:
+        return "error", str(exc)
+    vectors = [b.vector.tobytes() for b in spec.blocks]
+    return "ok", vectors, spec.couplings.tobytes(), labels
+
+
+REAL_ENTRIES = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 2**53 + 1, 10**308, -(2**1023)]),
+)
+ENTRIES = st.one_of(REAL_ENTRIES, st.lists(REAL_ENTRIES, min_size=2, max_size=2))
+BAD_ENTRIES = st.one_of(
+    st.sampled_from(
+        [
+            True,
+            False,
+            None,
+            "1.0",
+            "",
+            {},
+            {"re": 1.0, "im": 0.0},
+            [],
+            [1.0],
+            [1.0, 2.0, 3.0],
+            [[1.0, 2.0]],
+            [[1.0, 2.0], [3.0, 4.0]],
+            [1.0, [2.0]],
+            [True, 1.0],
+            [1.0, False],
+            [1.0, None],
+            ["1", 2.0],
+            10**400,
+            -(10**400),
+            [10**400, 0.0],
+            [0.0, -(10**400)],
+            [10**400, 10**400],
+            float("nan"),
+            float("inf"),
+            [1.0, float("-inf")],
+        ]
+    ),
+    st.lists(REAL_ENTRIES, min_size=3, max_size=4),
+).map(copy.deepcopy)  # the document is mutated in place after the draw
+BAD_LISTS = st.sampled_from([None, 1.0, True, "row", {}, [], [[]], [[[1.0]]]]).map(
+    copy.deepcopy
+)
+BAD_LABELS = st.sampled_from(["k8", 1, {}, [1], ["a", None], [["a"]], [True]])
+
+
+def document_list(doc, key, i):
+    """doc[key][i] when that is a list, else None (an earlier mutation
+    may have replaced it)."""
+    table = doc.get(key)
+    if isinstance(table, list) and i < len(table) and isinstance(table[i], list):
+        return table[i]
+    return None
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid join document with up to three slots replaced by a bad
+    entry, a bad or ragged list, or bad labels."""
+    d = draw(st.integers(1, 3))
+    doc = {
+        "blocks": [
+            draw(st.lists(ENTRIES, min_size=1, max_size=4)) for _ in range(d)
+        ],
+        "couplings": [
+            draw(st.lists(ENTRIES, min_size=d, max_size=d)) for _ in range(d)
+        ],
+    }
+    if draw(st.booleans()):
+        doc["labels"] = draw(st.lists(st.text("ab", max_size=3), max_size=d))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(
+            st.sampled_from(
+                ["entry", "extra entry", "list", "ragged", "table", "labels"]
+            )
+        )
+        key = draw(st.sampled_from(["blocks", "couplings"]))
+        i = draw(st.integers(0, d - 1))
+        row = document_list(doc, key, i)
+        if kind == "entry" and row:
+            row[draw(st.integers(0, len(row) - 1))] = draw(BAD_ENTRIES)
+        elif kind == "extra entry" and row is not None:
+            row.insert(draw(st.integers(0, len(row))), draw(BAD_ENTRIES))
+        elif kind == "list" and row is not None:
+            doc[key][i] = draw(BAD_LISTS)
+        elif kind == "ragged" and row is not None:
+            doc[key][i] = row[:-1] if draw(st.booleans()) else row + [0]
+        elif kind == "table":
+            table = doc[key]
+            shorter = table[:-1] if isinstance(table, list) else []
+            doc[key] = draw(st.one_of(BAD_LISTS, st.just(shorter)))
+        elif kind == "labels":
+            doc["labels"] = draw(BAD_LABELS)
+    return json.dumps(doc)
+
+
+@settings(max_examples=500)
+@given(mutated_documents())
+def test_parse_matches_the_per_entry_parser(text):
+    assert parse_outcome(parse_join_document, text) == parse_outcome(
+        per_entry_parse, text
+    )
+
+
+@pytest.mark.parametrize(
+    "blocks, message",
+    [
+        ([[1.0, 10**400]], "blocks[0][1]: int too large to convert to float"),
+        ([[[0.0, 10**400]]], "blocks[0][0]: int too large to convert to float"),
+        ([[[10**400, 1]]], "blocks[0][0]: int too large to convert to float"),
+        ([[1.0, True]], "blocks[0][1]: expected a number or [re, im] pair, got True"),
+        ([[[1.0, 2.0, 3.0]]], "blocks[0][0]: expected a number or [re, im] pair, "
+         "got [1.0, 2.0, 3.0]"),
+    ],
+)
+def test_parse_error_messages_name_the_entry(blocks, message):
+    with pytest.raises(ParseError) as info:
+        parse_join_document(json.dumps({"blocks": blocks}))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "argv, d",
+    [
+        (["spectrum", "-"], 2),
+        (["spectrum", "-", "--verify", "--eigenvectors"], 2),
+        (["spectrum", "-", "--output", "csv"], 2),
+        (["graph", "join", "complete:3", "ring:6:1", "--emit", "spectrum"], 2),
+    ],
+)
+def test_spectrum_commands_run_one_eig(argv, d, monkeypatch, capsys):
+    # the report's reduced_char_poly comes from full_spectrum's eig
+    shapes = []
+    lapack_eig = np.linalg.eig
+    monkeypatch.setattr(
+        np.linalg, "eig", lambda a: shapes.append(a.shape) or lapack_eig(a)
+    )
+    monkeypatch.setattr(sys, "stdin", io.StringIO(K8_DOC))
+    assert run(argv, capsys)[0] == 0
+    assert shapes == [(d, d)]
 
 
 def test_verify_failure_exits_4(tmp_path, capsys):

@@ -397,6 +397,114 @@ def test_reduced_char_poly_is_exact_on_graph_joins(index):
     assert reduced_char_poly(spec).tolist() == [complex(int(c)) for c in expected]
 
 
+def gaussian_poly(roots):
+    """prod (x - r), highest degree first, in exact Gaussian-integer
+    arithmetic; roots and coefficients are (re, im) pairs of ints."""
+    coeffs = [(1, 0)]
+    for a, b in roots:
+        shifted = coeffs + [(0, 0)]
+        for i, (re, im) in enumerate(coeffs, 1):
+            x, y = shifted[i]
+            shifted[i] = (x - (a * re - b * im), y - (a * im + b * re))
+        coeffs = shifted
+    return coeffs
+
+
+def assert_char_poly(spec, exact, magnitudes, rel):
+    """reduced_char_poly(spec) against the exact coefficients (complex
+    numbers or (re, im) int pairs): within rel * e_i(|lambda|), where
+    e_i(|lambda|) is coefficient i of prod (x + |lambda_j|); within the
+    certified bound that full_spectrum keeps with the same coefficients;
+    and, for a Gaussian-integer condensed matrix, equal wherever that
+    bound is below 1/2."""
+    coeffs = reduced_char_poly(spec)
+    exact = np.array([complex(*c) if isinstance(c, tuple) else c for c in exact])
+    error = np.abs(coeffs - exact)
+    assert np.all(error <= rel * np.poly(-np.asarray(magnitudes))), np.max(error)
+    dec = full_spectrum(spec)
+    assert np.array_equal(dec.char_poly, coeffs)
+    assert np.all(error <= dec.char_poly_bound)
+    a = spec.condensed()
+    if np.array_equal(a, np.round(a)):
+        rounded = dec.char_poly_bound < 0.5
+        assert np.array_equal(coeffs[rounded], exact[rounded])
+
+
+def test_reduced_char_poly_of_the_64_ring_join():
+    # the benchmark's degenerate job: condensed matrix 6 J - 4 I, whose
+    # char poly is (x + 4)^63 (x - 380); Leverrier is off by 2e92 e_i
+    spec = join_graphs(*[ring_graph(6, 1)] * 64)
+    roots = [-4] * 63 + [380]
+    exact = gaussian_poly([(r, 0) for r in roots])
+    assert_char_poly(spec, exact, np.abs(roots), 1e-13)
+
+
+def test_reduced_char_poly_runs_one_eig_and_no_jordan_chains(monkeypatch):
+    # the -1 of a complete join is repeated, so full_spectrum takes its
+    # chains from jordan_chains; the char poly needs none
+    spec = join_graphs(*[complete_graph(k) for k in (3, 5, 4, 2)])
+    eig_calls = []
+    lapack_eig = np.linalg.eig
+    monkeypatch.setattr(
+        np.linalg, "eig", lambda a: eig_calls.append(a) or lapack_eig(a)
+    )
+    chain_calls = []
+    jordan_chains = smalleig.jordan_chains
+    monkeypatch.setattr(
+        smalleig,
+        "jordan_chains",
+        lambda *args, **kw: chain_calls.append(args) or jordan_chains(*args, **kw),
+    )
+    # (x - 13)(x + 1)^3, for K_14
+    assert reduced_char_poly(spec).tolist() == [1, -10, -36, -38, -13]
+    assert (len(eig_calls), len(chain_calls)) == (1, 0)
+    full_spectrum(spec)
+    assert (len(eig_calls), len(chain_calls)) == (2, 1)
+
+
+def unimodular(rng, d):
+    """A random integer matrix of determinant +-1 (a permuted product of
+    unit bidiagonal factors), with an integer inverse."""
+    lower = np.eye(d, dtype=np.int64) + np.diag(rng.integers(-1, 2, d - 1), -1)
+    upper = np.eye(d, dtype=np.int64) + np.diag(rng.integers(-1, 2, d - 1), 1)
+    return np.eye(d, dtype=np.int64)[rng.permutation(d)] @ lower @ upper
+
+
+def test_reduced_char_poly_of_a_similarity_at_d_128():
+    # 1 x 1 blocks make the condensed matrix any matrix: here S diag(lam)
+    # S^-1 with unimodular S and nonzero Gaussian-integer lam, so its
+    # entries are Gaussian integers and its char poly is exact
+    rng = np.random.default_rng(128)
+    d = 128
+    s = unimodular(rng, d)
+    s_inv = np.rint(np.linalg.inv(s)).astype(np.int64)
+    assert np.array_equal(s @ s_inv, np.eye(d))
+    lam = rng.integers(-3, 4, (2, d))
+    lam[0, (lam == 0).all(axis=0)] = 1
+    a = (s * lam[0]) @ s_inv + 1j * ((s * lam[1]) @ s_inv)
+    spec = JoinSpec([CirculantMatrix([a[i, i]]) for i in range(d)], a)
+    assert np.array_equal(spec.condensed(), a)
+    roots = list(zip(lam[0].tolist(), lam[1].tolist()))
+    assert_char_poly(spec, gaussian_poly(roots), np.hypot(*lam), 1e-12)
+
+
+@pytest.mark.parametrize("d", [16, 24])
+def test_reduced_char_poly_matches_mpmath_relative_to_each_coefficient(d):
+    rng = np.random.default_rng(1100 + d)
+    blocks = [
+        CirculantMatrix(unit_disk(rng, int(rng.integers(1, 6)))) for _ in range(d)
+    ]
+    spec = JoinSpec(blocks, unit_disk(rng, (d, d)))
+    with mpmath.workdps(60):
+        roots = mpmath_eigenvalues(spec.condensed(), 60)
+        oracle = [mpmath.mpf(1)]
+        for r in roots:  # prod (X - r), highest degree first
+            oracle = [x - r * y for x, y in zip(oracle + [0], [0] + oracle)]
+        oracle = [complex(c) for c in oracle]
+        magnitudes = [float(abs(r)) for r in roots]
+    assert_char_poly(spec, oracle, magnitudes, 1e-13)
+
+
 # ---------------------------------------------------------------------------
 # eigenbasis matrix
 # ---------------------------------------------------------------------------

@@ -246,7 +246,7 @@ PINNED = [
     (["spectrum", "-", "--eigenvectors", "--verify"], K8_DOC,
      "8e8f2e7a08a497806c1c238f7c0925c8041e18423802e4ea5229357e8623de08"),
     (["spectrum", "-", "--eigenvectors", "--verify"], real_join_doc(),
-     "3cfd001d622be1fb4adcbdc1c57f34997cb635178bef00ff36e8dbf0d6290106"),
+     "eca3d4c17ce6d0db65d0e17cf179f995a391ad53d4ea63e4d9262932190a0f73"),
     (["kuramoto", "equilibrium", "-", "--j", "1", "--phi=0.3,-1.2"], kuramoto_doc(),
      "033237e5f45a2fdd7d57de9bf55004b07502c0f00e3d374d31ad12e01657fb9b"),
     (["graph", "join", "ring:5:1", "complement:cycle:4", "--emit", "spec"], "",
