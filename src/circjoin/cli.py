@@ -13,6 +13,7 @@ error, 3 precondition error, 4 numerical error.
 """
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -402,7 +403,7 @@ def _read_input(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -535,9 +536,19 @@ def _kuramoto_system(args):
 
 def _csv_rows(times, values):
     """One line per time, "t,v_1,...,v_n", every number as _fmt17 writes
-    it: one %-template per row instead of a format call per value."""
-    template = ",".join(["%.17g"] * (values.shape[1] + 1))
-    return [template % (t, *row) for t, row in zip(times.tolist(), values.tolist())]
+    it: one %-template per row instead of a format call per value.  A
+    row whose float bits equal the previous row's (a trajectory resting
+    on an equilibrium) reuses that row's text; comparing bits keeps a
+    -0.0 apart from a 0.0."""
+    template = ",%.17g" * values.shape[1]
+    bits = values.view(np.int64)
+    fresh = [True, *(bits[1:] != bits[:-1]).any(axis=1).tolist()]
+    lines, text = [], ""
+    for t, row, new in zip(times.tolist(), values, fresh):
+        if new:
+            text = template % tuple(row.tolist())
+        lines.append("%.17g" % t + text)
+    return lines
 
 
 def cmd_kuramoto_simulate(args):
@@ -633,6 +644,11 @@ def _add_spectrum_flags(p):
 
 
 def build_parser():
+    """A new parser of the circjoin command line.  Each subcommand sets
+    `func` to the name of its command function, which `main` looks up
+    when it runs the command: a parser outlives many calls (`_parser`),
+    and a wrapper installed on a command after it was built, such as a
+    tracer's, must still be the one that runs."""
     parser = argparse.ArgumentParser(
         prog="circjoin",
         description="Spectra of joins of circulant matrices, graph joins, "
@@ -644,7 +660,7 @@ def build_parser():
     p_spec.add_argument("input", nargs="?", default="-",
                         help="join document path, or - for stdin")
     _add_spectrum_flags(p_spec)
-    p_spec.set_defaults(func=cmd_spectrum)
+    p_spec.set_defaults(func="cmd_spectrum")
 
     p_graph = sub.add_parser("graph", help="build a graph join")
     p_graph.add_argument(
@@ -659,15 +675,11 @@ def build_parser():
     p_graph.add_argument("--directed", action="store_true")
     p_graph.add_argument("--emit", choices=("spec", "spectrum"), default="spec")
     _add_spectrum_flags(p_graph)
-    p_graph.set_defaults(func=cmd_graph)
+    p_graph.set_defaults(func="cmd_graph")
 
     p_kur = sub.add_parser("kuramoto", help="Kuramoto dynamics on a join")
     kur_sub = p_kur.add_subparsers(dest="subcommand", required=True)
-    for name, func in (
-        ("simulate", cmd_kuramoto_simulate),
-        ("equilibrium", cmd_kuramoto_equilibrium),
-        ("check", cmd_kuramoto_check),
-    ):
+    for name in ("simulate", "equilibrium", "check"):
         q = kur_sub.add_parser(name)
         q.add_argument("input", nargs="?", default="-",
                        help="join document path, or - for stdin")
@@ -687,15 +699,22 @@ def build_parser():
             q.add_argument("--steps", type=int, default=1000)
             q.add_argument("--drift", action="store_true",
                            help="append a max-drift comment line")
-        q.set_defaults(func=func)
+        q.set_defaults(func=f"cmd_kuramoto_{name}")
 
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of the process, built on first use: parse_args
+    leaves a parser as it was, so every later `main` call parses against
+    it instead of building some fifty arguments again."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if code is not None else 0
@@ -703,7 +722,7 @@ def main(argv=None):
         # overflow is caught by explicit finiteness checks and reported
         # as one error line, so numpy's own warnings stay off stderr
         with np.errstate(all="ignore"):
-            return args.func(args) or 0
+            return globals()[args.func](args) or 0
     except ParseError as exc:
         print(f"circjoin: parse error: {exc}", file=sys.stderr)
         return 2

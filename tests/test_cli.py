@@ -1,3 +1,5 @@
+import argparse
+import contextlib
 import copy
 import io
 import json
@@ -9,7 +11,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from circjoin import cli
-from circjoin.cli import _csv_rows, emit_join_document, main, parse_join_document
+from circjoin.cli import (
+    _csv_rows,
+    build_parser,
+    emit_join_document,
+    main,
+    parse_join_document,
+)
 from circjoin import JoinSpec, ParseError, PreconditionError, join
 from circjoin import remove_cycle_from_complete, ring_graph
 from circjoin.join import DENSE_CAP
@@ -609,12 +617,17 @@ def test_kuramoto_equilibrium_has_no_size_cap(tmp_path, capsys):
 
 
 def test_simulate_rows_match_per_value_formatting():
-    times = np.array([0.0, 0.1, 1e-300, 2.0])
+    times = np.array([0.0, 0.1, 0.1, 0.2, 1e-300, 2.0, 3.0, 3.0, 4.0])
     values = np.array(
         [
             [0.0, -0.0, np.pi],
+            [0.0, -0.0, np.pi],  # repeats the row above, whose text it reuses
+            [-0.0, -0.0, np.pi],  # equal to the row above, but not bit for bit
+            [-0.0, -0.0, np.pi],
             [1e-300, -1e-300, -np.pi],
             [np.nextafter(np.pi, 4.0), 1.0 / 3.0, 2.5e-310],
+            [np.nan, 1.0 / 3.0, 2.5e-310],
+            [np.nan, 1.0 / 3.0, 2.5e-310],
             [-0.0, 0.0, 123456789.125],
         ]
     )
@@ -665,6 +678,27 @@ def test_kuramoto_errors(tmp_path, capsys):
     assert run(["kuramoto", "check", path, "--state", short], capsys)[0] == 3
     bad_state = write(tmp_path, "bad_state.json", "[1, 2")
     assert run(["kuramoto", "check", path, "--state", bad_state], capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "BAD"],
+        ["kuramoto", "check", "RING", "--state", "BAD"],
+        ["kuramoto", "simulate", "RING", "--state", "BAD", "--steps", "1"],
+    ],
+)
+def test_non_utf8_file_is_a_parse_error(argv, tmp_path, capsys):
+    # a UTF-16 file with its byte-order mark, as some editors save JSON
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe" + K8_DOC.encode("utf-16-le"))
+    paths = {"BAD": str(bad), "RING": write(tmp_path, "ring.json", ring_doc())}
+    code, out, err = run([paths.get(a, a) for a in argv], capsys)
+    assert (code, out) == (2, "")
+    assert err == (
+        f"circjoin: parse error: cannot read {bad}: 'utf-8' codec can't decode "
+        "byte 0xff in position 0: invalid start byte\n"
+    )
 
 
 # Non-finite input: every case below once printed NaN or Infinity, or
@@ -783,4 +817,123 @@ def test_invalid_float_flag_message_is_unchanged(tmp_path, capsys):
     assert (code, out) == (2, "")
     assert err.splitlines()[-1] == (
         "circjoin spectrum: error: argument --verify-tol: invalid float value: 'abc'"
+    )
+
+
+# ---------------------------------------------------------------------------
+# the one parser per process: `main` parses every argv against the parser
+# it built on its first call, so one call must leave nothing behind for
+# the next
+# ---------------------------------------------------------------------------
+
+
+def captured(call, *args, stdin=""):
+    """(result or ("exit", code), stdout, stderr) of call(*args), with
+    `stdin` as standard input."""
+    out, err = io.StringIO(), io.StringIO()
+    saved = sys.stdin
+    sys.stdin = io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                result = call(*args)
+            except SystemExit as exc:
+                result = ("exit", exc.code)
+    finally:
+        sys.stdin = saved
+    return result, out.getvalue(), err.getvalue()
+
+
+def test_later_calls_build_no_parser_and_see_nothing_of_earlier_ones(monkeypatch):
+    first = captured(main, ["graph", "ring", "--k", "5", "--m", "1"])  # builds the parser
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(
+        argparse.ArgumentParser,
+        "__init__",
+        lambda self, *a, **kw: built.append(a) or init(self, *a, **kw),
+    )
+    seen = []  # the namespace of every command that ran
+    for name in ("cmd_graph", "cmd_spectrum"):
+        command = getattr(cli, name)
+        monkeypatch.setattr(
+            cli, name, lambda args, command=command: seen.append(vars(args)) or command(args)
+        )
+    calls = [
+        (["graph", "join", "ring:5:1", "ring:6:1", "--emit", "spectrum"], 0),
+        (["graph", "complete", "--n", "4"], 0),
+        (["spectrum", "-", "--verify"], 0),
+        (["spectrum", "-"], 0),
+        (["spectrum", "-", "--output", "xml"], 2),
+        (["graph", "ring", "--k", "5", "--m", "1"], 0),
+        (["--help"], 0),
+    ]
+    results = [captured(main, argv, stdin=K8_DOC) for argv, _ in calls]
+    assert built == []
+    monkeypatch.undo()
+
+    assert [code for code, _, _ in results] == [code for _, code in calls]
+    ran = [argv for argv, _ in calls[:4]] + [calls[5][0]]
+    assert seen == [vars(build_parser().parse_args(argv)) for argv in ran]
+    assert seen[1]["parts"] == []
+    assert seen[3]["verify"] is False
+    assert "max_residual" in results[2][1] and "max_residual" not in results[3][1]
+    usage = results[4][2].splitlines()
+    assert usage[-1].startswith("circjoin spectrum: error: argument --output")
+    assert results[5] == first
+    assert results[6] == (0, build_parser().format_help(), "")
+
+
+# Tokens of a fuzzed command line: the subcommands and their flags, small
+# integers, non-finite and overflowing floats, good and bad part specs, a
+# missing path and --help.  Sizes stay at 8 or less and a simulation at 5
+# steps or less, so that no case allocates much or runs long.
+WORDS = [
+    "spectrum", "graph", "kuramoto", "simulate", "equilibrium", "check",
+    "complete", "cycle", "ring", "complement", "join", "remove-cycle",
+    "json", "csv", "spec", "-", "--help",
+]
+FLAGS = [
+    "--output", "--eigenvectors", "--verify", "--verify-tol", "--cap",
+    "--cluster-delta", "--sigma-tol", "--n", "--k", "--m", "--directed",
+    "--emit", "--epsilon", "--omega", "--j", "--phi", "--state", "--tol",
+    "--dt", "--drift", "--bogus",
+]
+VALUES = [
+    *map(str, range(-1, 9)), "0.5", "1e-3", "1e-300", "nan", "-inf", "inf",
+    "1e400", "abc", "", "0,0.5", "0,nan",
+    "complete:3", "cycle:4", "ring:5:1", "ring:8:3", "complement:ring:6:1",
+    "complement:", "ring:5", "ring:x:1", "complete:0", "ring:0:1", "torus:3",
+    "missing.json",
+]
+HEADS = [
+    ["spectrum"], ["graph"], ["kuramoto", "simulate"], ["kuramoto", "equilibrium"],
+    ["kuramoto", "check"], ["kuramoto"], [],
+]
+
+
+@st.composite
+def command_lines(draw):
+    argv = draw(st.sampled_from(HEADS)) + draw(
+        st.lists(st.sampled_from(WORDS + FLAGS + VALUES), max_size=8)
+    )
+    if argv[:2] == ["kuramoto", "simulate"]:
+        argv += ["--steps", str(draw(st.integers(0, 5)))]
+    return argv
+
+
+def parse_args_outcome(parser, argv):
+    result, out, err = captured(parser.parse_args, argv)
+    if isinstance(result, argparse.Namespace):
+        result = vars(result)
+    return result, out, err
+
+
+@settings(max_examples=300)
+@given(command_lines(), st.sampled_from([K8_DOC, ring_doc(), "{", ""]))
+def test_fuzzed_command_lines_exit_with_a_documented_code(argv, document):
+    code, _, _ = captured(main, argv, stdin=document)  # raises on a traceback
+    assert code in (0, 2, 3, 4)
+    assert parse_args_outcome(cli._parser(), argv) == parse_args_outcome(
+        build_parser(), argv
     )
