@@ -95,14 +95,6 @@ class CirculantMatrix:
             self._eigenvalues = lam
         return self._eigenvalues
 
-    def matvec(self, x):
-        """C @ x by FFT circular convolution, along axis 0 of a (k,) or
-        (k, m) array."""
-        lam = self.eigenvalues()
-        if np.ndim(x) == 2:
-            lam = lam[:, None]
-        return np.fft.ifft(lam * np.fft.fft(x, axis=0), axis=0)
-
     def eigenpairs(self):
         """List of (eigenvalue, Fourier eigenvector) pairs, j = 0..k-1."""
         lam = self.eigenvalues()

@@ -22,12 +22,11 @@ from itertools import chain
 import numpy as np
 
 from . import jsontext
-from .circulant import fourier_modes, root_of_unity_powers
+from .circulant import root_of_unity_powers
 from .errors import (
     NumericalError,
     ParseError,
     PreconditionError,
-    SizeCapError,
     VerificationError,
 )
 from .graphs import (
@@ -37,7 +36,7 @@ from .graphs import (
     remove_cycle_from_complete,
     ring_graph,
 )
-from .join import DENSE_CAP, JoinSpec, full_spectrum, tensor_expand
+from .join import JoinSpec, full_spectrum, tensor_expand
 from .kuramoto import (
     KuramotoSystem,
     build_twisted_equilibrium,
@@ -48,7 +47,6 @@ from .kuramoto import (
 from .smalleig import _finite_clusters
 
 REPORT_CLUSTER_SCALE = 1e-9
-VERIFY_CHUNK = 1 << 16  # matrix entries per batch of Fourier modes in --verify
 
 
 # ---------------------------------------------------------------------------
@@ -215,37 +213,43 @@ def _report_rows(decomposition):
     return rows
 
 
-def decomposition_residual(join, decomposition, cap=DENSE_CAP):
-    """Largest eigen/chain residual (inf-norm), without the dense matrix.
+def decomposition_residual(join, decomposition):
+    """Largest eigen/chain residual (inf-norm), from two identities of
+    the join and no n-sized product.
 
-    A Fourier pair of block b has residual C_b v - lambda v on block
-    b's rows and a_ib * sum(v) on the rows of every other block i; the
-    modes are checked a block at a time, VERIFY_CHUNK matrix entries per
-    FFT call.  The condensed chains are lifted together by one np.repeat
-    (`tensor_expand`) and go through one structured matvec.  Joins with
-    n above `cap` raise SizeCapError.
+    A Fourier mode v_j of block b is an exact eigenvector with |v_j| = 1
+    entrywise, so its pair's residual is |lambda~_j - lambda_j|, with
+    lambda~ from one transform of length 2k: a different plan from the
+    cached one, so the roundings are independent.  Index 0 checks the
+    block's row sum.  A lifted condensed vector satisfies
+    A lift(x) = lift(s*x + a (k*x)) (row sums s, sizes k, couplings a),
+    so a chain link is checked in C^d, from the blocks and couplings
+    rather than from `JoinSpec.condensed`.
 
     Returns (max residual, human-readable tag of the offender); a NaN
     residual counts as inf, so it is never passed over.
     """
-    if join.n > cap:
-        raise SizeCapError(f"verification of size {join.n} exceeds cap {cap}")
-    worst = -1.0
-    tag = "none"
-    for b, lams in enumerate(decomposition.block_eigenvalues, 1):
-        r, where = _fourier_residual(join, b, np.arange(1, len(lams) + 1), lams)
-        if r > worst:
-            worst, tag = r, where
+    worst, tag = -1.0, "none"
+    for b, (block, lams) in enumerate(
+        zip(join.blocks, decomposition.block_eigenvalues), 1
+    ):
+        exact = np.fft.fft(block.vector, 2 * block.k)[::2]
+        r = np.abs(exact - np.concatenate(([block.row_sum()], lams)))
+        r[np.isnan(r)] = np.inf
+        j = int(np.argmax(r))
+        if r[j] > worst:
+            worst, tag = float(r[j]), f"block {b}, fourier index {j}"
     chains = decomposition.condensed_chains
     if chains:
-        stack = np.concatenate([ch.vectors for ch in chains])
-        u = tensor_expand(stack, decomposition.block_sizes).T
-        lam = np.concatenate([np.full(len(ch), ch.eigenvalue) for ch in chains])
+        x = np.concatenate([ch.vectors for ch in chains])
+        lam = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
         starts = np.cumsum([0] + [len(ch) for ch in chains[:-1]])
-        prev = np.zeros_like(u)
-        prev[:, 1:] = u[:, :-1]
-        prev[:, starts] = 0.0  # a chain starts with an eigenvector
-        r = np.abs(join.matvec(u) - u * lam - prev).max(axis=0)
+        prev = np.zeros_like(x)
+        prev[1:] = x[:-1]
+        prev[starts] = 0.0  # a chain starts with an eigenvector
+        sums = np.array([block.row_sum() for block in join.blocks])
+        ax = x * sums + (x * join.block_sizes) @ join.couplings.T
+        r = np.abs(ax - x * lam[:, None] - prev).max(axis=1)
         r[np.isnan(r)] = np.inf
         i = int(np.argmax(r))
         if r[i] > worst:
@@ -253,25 +257,6 @@ def decomposition_residual(join, decomposition, cap=DENSE_CAP):
             worst = float(r[i])
             tag = f"condensed chain {ci}, depth {i - starts[ci] + 1}"
     return max(worst, 0.0), tag
-
-
-def _fourier_residual(join, b, js, lams):
-    """Largest residual, and its tag, of the pairs (zero-padded Fourier
-    mode js[r], lams[r]) of block b (1-based), or (-1.0, "none") when
-    there are none; see `decomposition_residual`."""
-    block = join.blocks[b - 1]
-    leak = np.abs(join.couplings[:, b - 1]).max()  # max_i |a_ib|; a_bb is 0
-    worst, tag = -1.0, "none"
-    step = max(1, VERIFY_CHUNK // block.k)
-    for s in range(0, len(js), step):
-        modes = fourier_modes(block.k, js[s : s + step])
-        r = np.abs(block.matvec(modes) - modes * lams[s : s + step]).max(axis=0)
-        r = np.maximum(r, leak * np.abs(modes.sum(axis=0)))
-        r[np.isnan(r)] = np.inf
-        i = int(np.argmax(r))
-        if r[i] > worst:
-            worst, tag = float(r[i]), f"block {b}, fourier index {js[s + i]}"
-    return worst, tag
 
 
 def _pair_lists(table, index):
@@ -339,7 +324,7 @@ def _spectrum(join, args, pair_lists):
     if args.verify:
         # before anything is derived from the decomposition, so that a
         # corrupt one is reported with its offending pair
-        residual, offender = decomposition_residual(join, decomposition, cap=args.cap)
+        residual, offender = decomposition_residual(join, decomposition)
         tol = args.verify_tol
         if tol is None:
             tol = 1e-8 * join.inf_norm()
@@ -625,20 +610,26 @@ def _finite_float(text):
     return value
 
 
+def _tolerance(text):
+    """argparse type of the tolerance flags: a finite float >= 0."""
+    value = _finite_float(text)
+    if value < 0.0:
+        raise argparse.ArgumentTypeError(f"negative tolerance: {text!r}")
+    return value
+
+
 def _add_spectrum_flags(p):
     p.add_argument("--output", choices=("json", "csv"), default="json")
     p.add_argument("--eigenvectors", action="store_true",
                    help="include the generalized eigenbasis in the report")
     p.add_argument("--verify", action="store_true",
-                   help="check all residuals with the structured (FFT) matvec")
-    p.add_argument("--verify-tol", type=_finite_float, default=None,
+                   help="check every eigenpair and chain residual (no dense matrix)")
+    p.add_argument("--verify-tol", type=_tolerance, default=None,
                    help="residual tolerance (default 1e-8 * inf-norm of the join)")
-    p.add_argument("--cap", type=int, default=DENSE_CAP,
-                   help="largest n that --verify accepts (no dense matrix is built)")
-    p.add_argument("--cluster-delta", type=_finite_float, default=None,
+    p.add_argument("--cluster-delta", type=_tolerance, default=None,
                    help="condensed eigenvalue merge distance "
                    "(default 1e-7 * inf-norm of the condensed matrix)")
-    p.add_argument("--sigma-tol", type=_finite_float, default=None,
+    p.add_argument("--sigma-tol", type=_tolerance, default=None,
                    help="null-space singular value threshold "
                    "(default 1e-8 * inf-norm of the condensed matrix)")
 
@@ -692,7 +683,7 @@ def build_parser():
                        help="comma-separated per-block phase offsets")
         q.add_argument("--state", type=str, default=None,
                        help="JSON array of phases")
-        q.add_argument("--tol", type=_finite_float, default=None,
+        q.add_argument("--tol", type=_tolerance, default=None,
                        help="equilibrium residual tolerance")
         if name == "simulate":
             q.add_argument("--dt", type=_finite_float, default=0.01)

@@ -18,8 +18,7 @@ class PreconditionError(CircjoinError, ValueError):
 
 
 class SizeCapError(PreconditionError):
-    """A join is larger than the configured size cap (dense expansion or
-    --verify)."""
+    """A join is larger than the size cap of its dense expansion."""
 
 
 class NumericalError(CircjoinError):

@@ -66,12 +66,21 @@ class CirculantGraph:
         return CirculantGraph(self.k, flipped, directed=self.directed)
 
 
+def _no_offsets(k):
+    """The all-zero connection vector on k vertices; a k that numpy
+    refuses to index, before it allocates, is a PreconditionError."""
+    try:
+        return np.zeros(k, dtype=np.int64)
+    except ValueError as exc:
+        raise PreconditionError(f"a graph on {k} vertices: {exc}") from exc
+
+
 def complete_graph(n):
     """K_n: every pair of distinct vertices adjacent."""
     if n < 1:
         raise PreconditionError("complete graph needs n >= 1")
-    v = np.ones(n, dtype=np.int64)
-    v[0] = 0
+    v = _no_offsets(n)
+    v[1:] = 1
     return CirculantGraph(n, v, directed=False)
 
 
@@ -79,7 +88,7 @@ def directed_cycle(k):
     """Directed k-cycle: vertex i points to i + 1, the last to the first."""
     if k < 2:
         raise PreconditionError("directed cycle needs k >= 2")
-    v = np.zeros(k, dtype=np.int64)
+    v = _no_offsets(k)
     v[k - 1] = 1  # offset k-1 puts the ones on the superdiagonal
     return CirculantGraph(k, v, directed=True)
 
@@ -91,7 +100,7 @@ def ring_graph(k, m):
         raise PreconditionError("ring graph needs k >= 1 and m >= 1")
     if k <= 2 * m + 1:
         return complete_graph(k)
-    v = np.zeros(k, dtype=np.int64)
+    v = _no_offsets(k)
     v[1 : m + 1] = 1
     v[k - m :] = 1
     return CirculantGraph(k, v, directed=False)
@@ -125,9 +134,8 @@ def remove_cycle_from_complete(n, k, directed):
         raise PreconditionError("cycle removal needs k >= 3")
     if n <= k:
         raise PreconditionError("cycle removal needs n > k")
-    v = np.ones(k, dtype=np.int64)
-    v[0] = 0
-    v[k - 1] = 0
+    v = _no_offsets(k)
+    v[1 : k - 1] = 1
     if not directed:
         v[1] = 0
     g = CirculantGraph(k, v, directed=directed)

@@ -130,9 +130,9 @@ class JoinSpec:
                 lam = lam[:, :, None]
             # The transforms run in place on fresh arrays, which skips
             # np.fft's output allocation.  The product is lam * spec on a
-            # named array, as in CirculantMatrix.matvec: numpy's complex
-            # multiply is not bit-commutative, and on a large temporary
-            # numpy may evaluate it in place as spec *= lam.
+            # named array: numpy's complex multiply is not bit-commutative,
+            # and on a large temporary numpy may evaluate it in place as
+            # spec *= lam.
             spec = x[rows]
             np.fft.fft(spec, axis=1, out=spec)
             conv = lam * spec

@@ -78,7 +78,10 @@ def _rk4_trajectory(theta0, network, omega, eps, dt, steps):
     1-based step at which the state first became non-finite, or -1.
     """
     n = theta0.shape[0]
-    out = np.empty((steps + 1, n))
+    try:
+        out = np.empty((steps + 1, n))
+    except ValueError as exc:  # numpy refuses the size before allocating
+        raise PreconditionError(f"{steps} steps of {n} phases: {exc}") from exc
     out[0] = theta0
     th = theta0.copy()
     # overflow/invalid are expected on divergence and reported via bad_step

@@ -4,6 +4,7 @@ import pytest
 
 from circjoin import (
     CirculantMatrix,
+    JoinSpec,
     dft_matrix,
     fourier_modes,
     fourier_vector,
@@ -94,14 +95,16 @@ def test_fft_eigenvalues_match_mpmath(k):
 
 @pytest.mark.parametrize("k", [1, 2, 5, 64])
 def test_matvec_matches_dense(k):
+    # a one-block join acts as its circulant block
     rng = np.random.default_rng(600 + k)
     c = CirculantMatrix(unit_disk(rng, k))
+    spec = JoinSpec([c])
     a = c.dense()
     tol = 1e-13 * (1.0 + inf_norm(a))
     x = unit_disk(rng, k)
-    assert np.abs(c.matvec(x) - a @ x).max() <= tol
+    assert np.abs(spec.matvec(x) - a @ x).max() <= tol
     xs = unit_disk(rng, (k, 3))
-    assert np.abs(c.matvec(xs) - a @ xs).max() <= tol
+    assert np.abs(spec.matvec(xs) - a @ xs).max() <= tol
 
 
 def test_row_sum_examples():

@@ -438,10 +438,47 @@ def test_sweep_budget_flag_is_gone(tmp_path, capsys):
     assert run(["spectrum", "--sweep-budget", "5", path], capsys)[0] == 2
 
 
-def test_dense_cap_precondition_exits_3(tmp_path, capsys):
+def test_cap_flag_is_gone(tmp_path, capsys):
     path = write(tmp_path, "k8.json", K8_DOC)
-    code, _, err = run(["spectrum", path, "--verify", "--cap", "4"], capsys)
-    assert code == 3
+    assert run(["spectrum", path, "--verify", "--cap", "4"], capsys)[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, size",
+    [
+        (["kuramoto", "simulate", "--j", "1", "--steps", str(2**62)], 2**62),
+        (["kuramoto", "simulate", "--j", "1", "--steps", str(10**20)], 10**20),
+        (["graph", "ring", "--k", str(10**20), "--m", "1"], 10**20),
+        (["graph", "cycle", "--k", str(10**20)], 10**20),
+        (["graph", "join", f"complete:{10**20}"], 10**20),
+    ],
+)
+def test_sizes_numpy_refuses_exit_3(argv, size, monkeypatch, capsys):
+    # numpy refuses these sizes before it allocates anything
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ring_doc()))
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("circjoin: precondition error: ") and str(size) in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "-", "--verify", "--verify-tol"],
+        ["spectrum", "-", "--sigma-tol"],
+        ["spectrum", "-", "--cluster-delta"],
+        ["kuramoto", "equilibrium", "-", "--j", "1", "--tol"],
+    ],
+)
+def test_negative_tolerances_exit_2(argv, monkeypatch, capsys):
+    flag = argv[-1]
+    monkeypatch.setattr(sys, "stdin", io.StringIO(ring_doc()))
+    code, out, err = run(argv + ["-1"], capsys)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1].endswith(f"argument {flag}: negative tolerance: '-1'")
+    dest = flag[2:].replace("-", "_")
+    assert vars(build_parser().parse_args(argv + ["0"]))[dest] == 0.0
 
 
 def test_round_trip_is_byte_identical(capsys):
@@ -887,21 +924,23 @@ def test_later_calls_build_no_parser_and_see_nothing_of_earlier_ones(monkeypatch
 # Tokens of a fuzzed command line: the subcommands and their flags, small
 # integers, non-finite and overflowing floats, good and bad part specs, a
 # missing path and --help.  Sizes stay at 8 or less and a simulation at 5
-# steps or less, so that no case allocates much or runs long.
+# steps or less, so that no case allocates much or runs long; the two
+# larger integers are sizes numpy refuses before it allocates anything.
 WORDS = [
     "spectrum", "graph", "kuramoto", "simulate", "equilibrium", "check",
     "complete", "cycle", "ring", "complement", "join", "remove-cycle",
     "json", "csv", "spec", "-", "--help",
 ]
 FLAGS = [
-    "--output", "--eigenvectors", "--verify", "--verify-tol", "--cap",
-    "--cluster-delta", "--sigma-tol", "--n", "--k", "--m", "--directed",
+    "--output", "--eigenvectors", "--verify", "--verify-tol", "--cluster-delta",
+    "--sigma-tol", "--n", "--k", "--m", "--directed",
     "--emit", "--epsilon", "--omega", "--j", "--phi", "--state", "--tol",
     "--dt", "--drift", "--bogus",
 ]
 VALUES = [
-    *map(str, range(-1, 9)), "0.5", "1e-3", "1e-300", "nan", "-inf", "inf",
-    "1e400", "abc", "", "0,0.5", "0,nan",
+    *map(str, range(-1, 9)), "4611686018427387904", "100000000000000000000",
+    "0.5", "1e-3", "1e-300", "nan", "-inf", "inf", "1e400", "abc", "", "0,0.5",
+    "0,nan",
     "complete:3", "cycle:4", "ring:5:1", "ring:8:3", "complement:ring:6:1",
     "complement:", "ring:5", "ring:x:1", "complete:0", "ring:0:1", "torus:3",
     "missing.json",

@@ -10,14 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from circjoin import JoinSpec, cli, full_spectrum
+from circjoin import CirculantMatrix, JoinSpec, cli, full_spectrum
 from circjoin.cli import decomposition_residual, emit_join_document, main
 from circjoin.errors import PreconditionError
 
 from corpus import (
     dense_decomposition_residual,
     inf_norm,
-    padded_fourier_mode,
     structured_corpus,
     unit_disk,
 )
@@ -73,14 +72,6 @@ def test_residual_matches_dense_oracle(index):
     assert abs(residual - oracle) <= 1e-12 * (1.0 + inf_norm(a))
 
 
-def test_residual_chunks_do_not_change_the_result(monkeypatch):
-    spec = structured_corpus()[-1]
-    dec = full_spectrum(spec)
-    whole = decomposition_residual(spec, dec)
-    monkeypatch.setattr(cli, "VERIFY_CHUNK", 100)
-    assert decomposition_residual(spec, dec) == whole
-
-
 def corrupt_with(monkeypatch, corrupt):
     def corrupted_spectrum(join, **kwargs):
         return corrupt(full_spectrum(join, **kwargs))
@@ -130,21 +121,68 @@ def test_swapped_fourier_eigenvalues_fail_verification(monkeypatch, capsys):
     assert code == 4 and out == "" and "residual" in err
 
 
-def test_row_sum_mode_is_caught_by_the_coupling_leak():
-    # the j = 0 mode satisfies C_b v = lambda v inside its block, but the
-    # couplings do not annihilate it: rows of block i read a_ib * k_b.
-    # A decomposition holds no j = 0 pair, so the per-block check that
-    # decomposition_residual runs is given the index explicitly.
+def faulty_transform(j):
+    """CirculantMatrix.eigenvalues with entry j of every block of more
+    than j entries wrong by +1: consistent everywhere the cached
+    transform is read, so only an independent transform can see it."""
+
+    def eigenvalues(self):
+        lam = np.fft.fft(self.vector)
+        if j < self.k:
+            lam[j] += 1.0
+        lam.setflags(write=False)
+        return lam
+
+    return eigenvalues
+
+
+@pytest.mark.parametrize("j", [1, 0])
+def test_wrong_block_transform_fails_verification(j, monkeypatch, capsys):
+    # block 2 has one entry, so only block 1 has index 1, and at index 0
+    # both blocks read an exact residual of 1 and the first one is named
+    doc = json.dumps({"blocks": [[0, 1, 0], [0]], "couplings": [[0, 1], [1, 0]]})
+    monkeypatch.setattr(CirculantMatrix, "eigenvalues", faulty_transform(j))
+    code, out, err = run_spectrum(doc, ["--verify"], monkeypatch, capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("circjoin: numerical error: residual 1.000e+00")
+    assert err.endswith(f"at block 1, fourier index {j}\n")
+
+
+def test_wrong_condensed_matrix_fails_verification(monkeypatch, capsys):
+    # the chains are checked against the blocks and couplings, not against
+    # the condensed matrix they were computed from
     spec = two_block_join()
-    lam = spec.blocks[0].row_sum()
-    residual, offender = cli._fourier_residual(
-        spec, 1, np.array([1, 0, 2]), spec.blocks[0].eigenvalues()[[1, 0, 2]]
+    condensed = JoinSpec.condensed
+
+    def wrong_condensed(self):
+        m = condensed(self)
+        m[0, 1] *= 1.5
+        return m
+
+    monkeypatch.setattr(JoinSpec, "condensed", wrong_condensed)
+    dec = full_spectrum(spec)
+    residual, offender = decomposition_residual(spec, dec)
+    assert residual == pytest.approx(0.747, abs=1e-3)
+    assert offender.startswith("condensed chain")
+    oracle = dense_decomposition_residual(spec.dense(), dec)
+    assert abs(residual - oracle) <= 1e-12 * (1.0 + spec.inf_norm())
+    code, out, err = run_spectrum(
+        emit_join_document(spec), ["--verify"], monkeypatch, capsys
     )
-    assert residual == pytest.approx(0.25 * 8, rel=1e-12)
-    assert offender == "block 1, fourier index 0"
-    v = padded_fourier_mode(spec.n, 0, 8, 0)
-    oracle = np.abs(spec.dense() @ v - lam * v).max()
-    assert residual == pytest.approx(oracle, rel=1e-12)
+    assert (code, out) == (4, "") and offender in err
+
+
+def test_verify_of_a_large_join_needs_no_cap(monkeypatch, capsys):
+    rng = np.random.default_rng(16000)
+    spec = JoinSpec(
+        [rng.standard_normal(8000), rng.standard_normal(8000)],
+        rng.standard_normal((2, 2)),
+    )
+    code, out, err = run_spectrum(
+        emit_join_document(spec), ["--verify"], monkeypatch, capsys
+    )
+    assert (code, err) == (0, "")
+    assert json.loads(out)["max_residual"] <= 1e-12 * spec.inf_norm()
 
 
 def test_perturbed_chain_vector_fails_verification(monkeypatch, capsys):
