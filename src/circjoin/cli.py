@@ -44,7 +44,7 @@ from .kuramoto import (
     default_equilibrium_tol,
     integrate,
 )
-from .smalleig import _finite_clusters
+from .smalleig import _finite_clusters, _scale_exponent
 
 REPORT_CLUSTER_SCALE = 1e-9
 
@@ -194,16 +194,20 @@ def _provenance_rank(p):
 
 def _report_rows(decomposition):
     """Cluster equal eigenvalues within each provenance group, at a
-    distance of 1e-9 * max |eigenvalue|."""
+    distance of 1e-9 * max |eigenvalue|.
+
+    That maximum is the hypot of the values scaled down by a power of
+    two, which is exact, so it is finite whenever every part is, and the
+    distance is 1e-9 times the plain maximum wherever that is finite.
+    """
     chains = decomposition.condensed_chains
     condensed = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
     groups = [*enumerate(decomposition.block_eigenvalues, 1), ("condensed", condensed)]
-    # hypot, as abs() of a complex scalar computes it
-    biggest = max(
-        (np.hypot(vals.real, vals.imag).max() for _, vals in groups if len(vals)),
-        default=0.0,
-    )
-    delta = REPORT_CLUSTER_SCALE * float(biggest)
+    values = np.concatenate([vals for _, vals in groups])
+    t = max(_scale_exponent(float(np.abs(values.view(np.float64)).max())), 0)
+    scale = math.ldexp(1.0, -t)
+    biggest = float(np.hypot(values.real * scale, values.imag * scale).max())
+    delta = math.ldexp(REPORT_CLUSTER_SCALE * biggest, t)
     rows = [
         (mean, mult, prov)
         for prov, vals in groups

@@ -9,7 +9,9 @@ order (the eigenvalue rows).  Floats go through ``%r``, which is
 ``float.__repr__``, json's own float encoder; ints through ``%r`` or
 ``%d`` (both ``int.__repr__``); strings and keys through json's own
 ``encode_basestring_ascii``.  Anything else is written value by value
-in json's order and layout.
+in json's order and layout.  Every part of the text is appended to one
+list, which is joined once, so a large report is copied once rather
+than once per nesting level.
 
 Every float must be finite.  json would write ``NaN`` or ``Infinity``,
 which is not JSON, so the writer raises NumericalError instead.
@@ -33,7 +35,9 @@ def dumps(obj):
     """The text json's ``dumps(obj, indent=2)`` returns, for str-keyed
     dicts, lists, tuples, str, int, float, bool, None and PairTable
     lists."""
-    return _value(obj, "\n")
+    out = []
+    _write(obj, "\n", out)
+    return "".join(out)
 
 
 class PairTable:
@@ -42,8 +46,8 @@ class PairTable:
     ``table.list(index)`` is a value that ``dumps`` writes as the list
     ``[[z.real, z.imag] for z in (values[i] for i in index)]``.  Each
     entry of the table is formatted once per indent, however many lists
-    and positions repeat it; the lists themselves are joined from those
-    texts.
+    and positions repeat it, and the lists are written as references to
+    those texts.
     """
 
     __slots__ = ("_pairs", "_texts")
@@ -57,17 +61,22 @@ class PairTable:
         ints."""
         return _PairList(self, index)
 
-    def _write(self, index, nl):
+    def _write(self, index, nl, out):
         if not index:
-            return "[]"
+            out.append("[]")
+            return
         inner = nl + _STEP
         texts = self._texts.get(nl)
         if texts is None:
             deeper = inner + _STEP
             pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
-            texts = [_checked(pair % p) for p in self._pairs]
-            self._texts[nl] = texts
-        return "[" + inner + ("," + inner).join(map(texts.__getitem__, index)) + nl + "]"
+            last = [_checked(pair % p) for p in self._pairs]
+            sep = "," + inner
+            texts = self._texts[nl] = ([t + sep for t in last], last)
+        followed, last = texts
+        out.append("[" + inner)
+        out += map(followed.__getitem__, index[:-1])
+        out += (last[index[-1]], nl + "]")
 
 
 class _PairList:
@@ -86,7 +95,20 @@ def _checked(numbers):
     return numbers
 
 
-def _value(obj, nl):
+def _write(obj, nl, out):
+    """Append the text of `obj`, at the indent after newline `nl`, to the
+    list `out`."""
+    if isinstance(obj, (list, tuple)):
+        _list(obj, nl, out)
+    elif isinstance(obj, dict):
+        _dict(obj, nl, out)
+    elif type(obj) is _PairList:
+        obj.table._write(obj.index, nl, out)
+    else:
+        out.append(_scalar(obj))
+
+
+def _scalar(obj):
     # the order of json.encoder's _iterencode: str before int, bool before int
     if isinstance(obj, str):
         return _string(obj)
@@ -100,12 +122,6 @@ def _value(obj, nl):
         return int.__repr__(obj)
     if isinstance(obj, float):
         return _checked(float.__repr__(obj))
-    if isinstance(obj, (list, tuple)):
-        return _list(obj, nl)
-    if isinstance(obj, dict):
-        return _dict(obj, nl)
-    if type(obj) is _PairList:
-        return obj.table._write(obj.index, nl)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
@@ -115,17 +131,23 @@ def _key(key):
     return _string(key)
 
 
-def _dict(obj, nl):
+def _dict(obj, nl, out):
     if not obj:
-        return "{}"
+        out.append("{}")
+        return
     inner = nl + _STEP
-    items = [_key(k) + ": " + _value(v, inner) for k, v in obj.items()]
-    return "{" + inner + ("," + inner).join(items) + nl + "}"
+    sep = "{" + inner
+    for key, value in obj.items():
+        out.append(sep + _key(key) + ": ")
+        _write(value, inner, out)
+        sep = "," + inner
+    out.append(nl + "}")
 
 
-def _list(items, nl):
+def _list(items, nl, out):
     if not items:
-        return "[]"
+        out.append("[]")
+        return
     inner = nl + _STEP
     types = set(map(type, items))
     text = None
@@ -135,9 +157,15 @@ def _list(items, nl):
         text = _number_rows(items, inner)
     elif types == {dict}:
         text = _dict_rows(items, inner)
-    if text is None:
-        text = ("," + inner).join([_value(x, inner) for x in items])
-    return "[" + inner + text + nl + "]"
+    if text is not None:
+        out += ("[" + inner, text, nl + "]")
+        return
+    sep = "[" + inner
+    for x in items:
+        out.append(sep)
+        _write(x, inner, out)
+        sep = "," + inner
+    out.append(nl + "]")
 
 
 def _template(item, inner, count):
@@ -178,7 +206,7 @@ def _dict_rows(rows, inner):
         elif types == {int}:
             formats.append("%d")
         elif types <= _SCALARS:
-            columns[c] = [_value(x, inner) for x in column]
+            columns[c] = list(map(_scalar, column))
             formats.append("%s")
         else:
             return None

@@ -11,9 +11,18 @@ Jordan chains from SVD null spaces of powers of (M - lambda*I)
 with a certified error bound per coefficient (`char_poly`), in O(d^2)
 after the solve.  Default tolerances are relative to the matrix's
 inf-norm, so scaling the input scales the results.
+
+The clustering (`_cluster`, also used for the spectrum report's rows)
+first proves which values stay alone, from a bound on how far a greedy
+cluster can spread, and emits them directly; only the others go through
+the greedy merge loop.
 """
 
+import cmath
 import math
+from itertools import compress
+from math import hypot
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -48,6 +57,14 @@ def _scale_exponent(norm):
     return min(max(math.frexp(norm)[1], -1021), 1023)
 
 
+# the unit roundoff of float64 and half its smallest subnormal
+_U = 2.0**-53
+_ETA = 2.0**-1075
+# how many neighbours on each side, in (Re, Im) order, a value is
+# measured against when `_crowded` looks for values near it
+_NEIGHBOURS = 8
+
+
 def _cluster(values, delta):
     """Greedily merge values within delta of a cluster mean.
 
@@ -55,52 +72,144 @@ def _cluster(values, delta):
     where members is the tuple of indices into `values` merged into the
     cluster; multiplicities sum to len(values).  Deterministic: values
     are visited in (Re, Im) order and ties go to the nearest existing
-    cluster, the oldest among equals.
+    cluster, the oldest among equals; clusters with equal means keep the
+    order in which they were created.
 
-    A cluster's mean moves only when it absorbs a value, so once the
-    visited real part runs more than 2*delta past it (the factor 2
-    covers rounding in the distance) it can never match again.  Such
-    clusters are dropped from the front of the window, and each value is
-    compared with the rest in one vectorized distance computation.
-    Distances use hypot, as abs() of a complex scalar does, so merges
-    are exactly those of a one-by-one scan over all clusters.
+    Values that provably stay alone (see `_crowded`) are emitted directly as
+    (value / 1, 1, (index,)): the loop's mean of a one-member cluster is
+    its sum divided by 1, a complex division that can flip the sign of a
+    zero part, so they take the same division.  Removing them changes no
+    merge and no tie, because no other value ever comes within delta of
+    them.  Only the rest go through the loop.
+
+    In the loop, a cluster's mean moves only when it absorbs a value, so
+    once the visited real part runs more than 2*delta past it (the
+    factor 2 covers rounding in the distance) it can never match again.
+    Such clusters are dropped from the front of the window, and each
+    value is compared with the rest in one vectorized distance
+    computation.  Distances use hypot, as abs() of a complex scalar
+    does, so merges are exactly those of a one-by-one scan over all
+    clusters.
     """
     values = np.asarray(values, dtype=np.complex128)
-    order = np.lexsort((values.imag, values.real))
+    order = values.argsort(kind="stable")  # by (Re, Im), NaNs last
+    ordered = values[order]
+    index = order.tolist()
+    z = ordered.tolist()
+    rest = _crowded(ordered, delta) if len(z) > 1 else []
+    if not rest:
+        # the sort's order is the (Re, Im) order of the means
+        return [(w / 1, 1, (i,)) for w, i in zip(z, index)]
     sums = []
     members = []
-    means = np.empty(len(values), dtype=np.complex128)
+    means = np.empty(len(rest), dtype=np.complex128)
     lo = 0
-    for idx, v in zip(order.tolist(), values[order]):
+    for p, v in zip(rest, ordered[rest]):
         while lo < len(sums) and v.real - means[lo].real > 2.0 * delta:
             lo += 1
         best = -1
         if lo < len(sums):
             window = means[lo : len(sums)]
             dist = np.hypot(v.real - window.real, v.imag - window.imag)
-            nearest = int(np.argmin(dist))
+            nearest = int(dist.argmin())
             if dist[nearest] <= delta:
                 best = lo + nearest
         if best < 0:
             sums.append(v)
-            members.append([idx])
+            members.append([p])
             best = len(sums) - 1
         else:
             sums[best] += v
-            members[best].append(idx)
+            members[best].append(p)
         means[best] = sums[best] / len(members[best])
-    out = [
-        (complex(means[i]), len(members[i]), tuple(members[i]))
-        for i in range(len(sums))
+    # every cluster keyed by its first member's position, which is the
+    # order of creation, then sorted stably by mean
+    keyed = [
+        (group[0], (mean, len(group), tuple([index[p] for p in group])))
+        for mean, group in zip(means.tolist(), members)
     ]
+    if len(rest) < len(z):
+        lone = set(range(len(z))).difference(rest)
+        keyed += [(p, (z[p] / 1, 1, (index[p],))) for p in lone]
+        keyed.sort()
+    out = [cluster for _, cluster in keyed]
     out.sort(key=lambda c: (c[0].real, c[0].imag))
     return out
+
+
+def _crowded(ordered, delta):
+    """Positions in `ordered`, values sorted by (Re, Im), of the values
+    that `_cluster` cannot prove to stay alone, in increasing order; all
+    the others are singletons of the greedy loop.
+
+    A value is proved alone when every other value lies further than R
+    from it, with
+        R = 2 (delta (1 + ln N) + 3 N (u M + eta)),
+    N values, M their largest |Re| or |Im|, u the unit roundoff and eta
+    half the smallest subnormal.  Suppose a cluster's members join in
+    the order x_1, x_2, ..., x_p.  Member x_(m+1) joins when its
+    computed distance to the computed mean of the first m is within
+    delta, so its true distance is within d = delta (1 + 4u) + 2 eta.
+    The computed mean of m members is within e_m = sqrt(2) ((m + 1) u M
+    + eta) of their exact average a_m (m - 1 additions and a product by
+    the rounded 1/m), and a_(m+1) - a_m = (x_(m+1) - a_m) / (m + 1).
+    Summing, |x_(m+1) - x_1| <= d H_m + e_m + sum_(j<m) e_j / (j + 1),
+    H_m the harmonic number, which is at most delta (1 + 4u) (1 + ln N)
+    + 3 N u M + 3 N eta.  So every member of a cluster of two or more
+    has another value (x_1, or x_2 for x_1) within (1 + 4u) R / 2.  R
+    keeps a factor-2 margin on the drift and on the rounding, which
+    covers that factor and the rounding of R and of the distances
+    measured here.
+
+    A real block has lambda_(k-j) = conj(lambda_j), so real parts alone
+    prove nothing and distances are complex.  Only pairs whose real
+    parts lie within R can be near.  Those at most _NEIGHBOURS apart in
+    sorted order are measured with hypot.  A pair further apart, with
+    real parts within R, has both of its values among the ends of some
+    pair exactly _NEIGHBOURS + 1 apart with real parts within R, and
+    those ends go to the loop unmeasured.  Every test is "further than
+    R", so a NaN proves nothing, and values that are not finite, or so
+    large that the sum of their parts overflows, all go to the loop.
+    """
+    n = len(ordered)
+    flat = ordered.view(np.float64).tolist()
+    if not math.isfinite(sum(flat)):
+        return list(range(n))
+    re = flat[0::2]
+    im = flat[1::2]
+    radius = _isolation_radius(n, delta, max(-re[0], re[-1], max(im), -min(im)))
+    # pairs (i, i + step), from step 1 on, whose real parts lie within R
+    near = [i for i, gap in enumerate(map(sub, re[1:], re)) if not gap > radius]
+    if not near:
+        return []
+    crowded = [False] * n
+    ends = near + [i + 1 for i in near]  # every value of such a pair
+    step = 1
+    while near and not all(map(crowded.__getitem__, ends)):
+        if step > _NEIGHBOURS:
+            for i in near:  # too far apart in sorted order to be measured
+                crowded[i] = crowded[i + step] = True
+            break
+        for i in near:
+            j = i + step
+            if crowded[i] and crowded[j]:
+                continue
+            if not hypot(re[j] - re[i], im[j] - im[i]) > radius:
+                crowded[i] = crowded[j] = True
+        step += 1
+        near = [i for i in near if i + step < n and not re[i + step] - re[i] > radius]
+    return list(compress(range(n), crowded))
+
+
+def _isolation_radius(n, delta, top):
+    """R of `_crowded` for n values whose largest |Re| or |Im| is top."""
+    return 2.0 * (delta * (1.0 + math.log(n)) + 3.0 * n * (_U * top + _ETA))
 
 
 def _finite_clusters(values, delta):
     """_cluster, with an overflowing cluster mean as NumericalError."""
     clusters = _cluster(values, delta)
-    if not all(np.isfinite(mean) for mean, _, _ in clusters):
+    if not all(map(cmath.isfinite, map(itemgetter(0), clusters))):
         raise NumericalError("an eigenvalue cluster mean overflows")
     return clusters
 
@@ -201,8 +310,7 @@ def _eig(a):
 
 def _gamma(k):
     """gamma_k = k u / (1 - k u), u the unit roundoff of float64."""
-    u = 2.0**-53
-    return k * u / (1.0 - k * u)
+    return k * _U / (1.0 - k * _U)
 
 
 def _fit(a, w, x, norm):

@@ -422,6 +422,28 @@ def test_overflowing_condensed_matrix_exits_4(tmp_path, capsys, doc, message, fl
     assert err.splitlines() == [f"circjoin: numerical error: {message}"]
 
 
+def test_eigenvalues_beyond_the_float_range_in_modulus_stay_apart(tmp_path, capsys):
+    # every part is finite, but |1.5e308 + 1.5e308i| is not: the merge
+    # distance 1e-9 * max |eigenvalue| once overflowed to inf and printed
+    # the block's two eigenvalues as one row of multiplicity 2
+    c = 3.0 * np.fft.ifft(np.array([0.0, 1.5e308 + 1.5e308j, -1e307]) / 3.0)
+    doc = {"blocks": [[[z.real, z.imag] for z in c]]}
+    path = write(tmp_path, "big.json", json.dumps(doc))
+    code, out, err = run(["spectrum", path], capsys)
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["eigenvalues"]
+    assert [(r["multiplicity"], r["provenance"]) for r in rows] == [
+        (1, 1), (1, "condensed"), (1, 1)
+    ]
+    assert rows[0]["re"] == pytest.approx(-1e307)
+    assert (rows[2]["re"], rows[2]["im"]) == pytest.approx((1.5e308, 1.5e308))
+    code, out, err = run(["spectrum", path, "--output", "csv"], capsys)
+    assert (code, err) == (0, "")
+    assert [line.split(",")[1:] for line in out.splitlines()[1:]] == [
+        ["1", "1"], ["1", "condensed"], ["1", "1"]
+    ]
+
+
 def test_lapack_failure_exits_4(tmp_path, capsys, monkeypatch):
     def no_convergence(a):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")

@@ -108,6 +108,22 @@ def test_pair_table_lists_match_nested_lists():
             assert dumps(wrap(table.list(index))) == oracle(wrap(nested))
 
 
+def test_deep_nesting_and_pair_tables_at_three_indents():
+    values = [1 + 2j, -0.0 + 5e-324j, complex(1e308, -1e-300), 0j]
+    table = PairTable(values)
+
+    def report(vector):
+        # pair lists at nesting depths 1, 5 and 10, one table for all
+        return {
+            "top": vector([0, 1]),
+            "a": [{"b": {"c": [vector([2, 2, 3]), {"d": [[{"e": {"f": vector([3, 0])}}]]}]}}],
+            "n": 7,
+        }
+
+    nested = report(lambda index: [[values[i].real, values[i].imag] for i in index])
+    assert dumps(report(table.list)) == oracle(nested)
+
+
 def test_pair_table_rejects_non_finite_entries():
     # the table is formatted, and checked, as a whole on first write
     for bad in (complex(0.0, math.nan), complex(math.inf, 0.0)):
@@ -182,6 +198,22 @@ def test_spectrum_report_provenance_kinds():
     kinds = {type(row["provenance"]) for row in report["eigenvalues"]}
     assert kinds == {int, str}
     assert dumps(report) == oracle(report)
+
+
+def test_a_non_finite_last_vector_prints_no_partial_report(monkeypatch, capsys):
+    eigenvectors = cli._eigenvectors
+
+    def last_vector_nan(decomposition, pair_lists):
+        section = eigenvectors(decomposition, pair_lists)
+        section["condensed"][-1]["chain"][-1] = PairTable([complex(math.nan, 0.0)]).list([0])
+        return section
+
+    monkeypatch.setattr(cli, "_eigenvectors", last_vector_nan)
+    code, out, err = run(["spectrum", "-", "--eigenvectors"], K8_DOC, monkeypatch, capsys)
+    assert (code, out) == (4, "")
+    assert err.splitlines() == [
+        "circjoin: numerical error: a non-finite number cannot be written as JSON"
+    ]
 
 
 def kuramoto_doc(d=2, k=12):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circjoin import smalleig
+from circjoin import CirculantMatrix, JoinSpec, cli, full_spectrum, smalleig
 from circjoin.errors import (
     ConvergenceError,
     IllConditionedError,
@@ -214,6 +214,120 @@ def test_cluster_matches_reference_scan_on_ring_block():
     v[[1, 2, 3, -3, -2, -1]] = 1.0
     lam = np.fft.fft(v)[1:]
     assert_cluster_matches_reference(lam, 1e-9 * (1.0 + np.abs(lam).max()))
+
+
+def adversarial_cluster_cases():
+    """(values, delta) cases at the edges of the singleton proof."""
+    rng = np.random.default_rng(33)
+    spread = 4.0 + unit_disk(rng, 40)  # isolated values beside every case
+    # at delta 0, five copies of x and their rounded mean m form one
+    # cluster: m is one ulp from x, so the proof must allow for rounding
+    x = 0.31183145201048545 + 0.42332644897257565j
+    m = 0.31183145201048545 + 0.4233264489725757j
+    # three copies of y and their rounded mean ym: two clusters whose
+    # means are equal, which keep the order in which they were created
+    y = 0.8277025938204418 + 0.4091991363691613j
+    ym = 0.8277025938204418 + 0.4091991363691612j
+    cases = []
+    for values in ([x] * 5 + [m], [y] * 3 + [ym]):
+        cases += [(values, 0.0), (np.concatenate([values, spread]), 0.0)]
+    # exact duplicates at delta 0
+    dup = unit_disk(rng, 30)
+    cases.append((np.concatenate([dup, dup[:10], dup[:3], spread]), 0.0))
+    # delta near one ulp of the values, and subnormal
+    for delta in (1e-300, 2.0**-52, 5e-324, 1e-310):
+        v = unit_disk(rng, 40)
+        near = np.concatenate([v[:5] + delta, v[5:10] * (1 + 2.0**-52)])
+        cases.append((np.concatenate([v, near]), delta))
+    # signed zeros: a one-member mean is value / 1, which can flip them
+    parts = (0.0, -0.0, 1.0, -1.0)
+    zeros = [complex(a, 2.0 * b) for a in parts for b in parts]
+    cases += [(zeros, 0.0), (zeros, 0.5), (np.concatenate([zeros, spread]), 1e-3)]
+    # near the top of the float range, where R or a sum of parts overflows
+    big = 1e308 * unit_disk(rng, 12)
+    pair = np.array([1.5e308 + 1.5e308j, -1e307])
+    cases += [(big, 1e299), (big, 1e308), (pair, 2e299), (pair, 1e308)]
+    # more than _NEIGHBOURS + 1 equal real parts: a complete block (k - 1
+    # eigenvalues -1), a ring block and spread imaginary parts
+    for v in ([0.0] + [1.0] * 15, [0.0, 1.0, 1.0, 1.0] + [0.0] * 33 + [1.0, 1.0, 1.0]):
+        lam = np.fft.fft(v)[1:]
+        cases.append((lam, 1e-9 * np.abs(lam).max()))
+    cases.append((np.concatenate([0.5 + 1j * rng.normal(size=30), spread]), 1e-6))
+    return cases
+
+
+def test_cluster_matches_reference_scan_on_adversarial_cases():
+    with np.errstate(over="ignore", invalid="ignore"):  # the 1e308 cases
+        for values, delta in adversarial_cluster_cases():
+            assert_cluster_matches_reference(values, delta)
+
+
+def crowded(values, delta):
+    """_crowded's positions, as the sorted values they stand for."""
+    ordered = np.sort(np.asarray(values, dtype=np.complex128), kind="stable")
+    return [complex(ordered[p]) for p in smalleig._crowded(ordered, delta)]
+
+
+def test_singleton_proof_takes_what_it_can_prove_and_nothing_else():
+    # conjugate pairs whose distance 2b lies just inside and just outside R
+    rng = np.random.default_rng(34)
+    re = np.linspace(-1.0, 1.0, 20)
+    delta = 1e-6
+    radius = smalleig._isolation_radius(40, delta, 1.0)
+    b = radius / 2 * np.where(np.arange(20) % 2, 1 + 1e-6, 1 - 1e-6)
+    values = np.concatenate([re + 1j * b, re - 1j * b])
+    inside = [z for z in values if abs(2 * z.imag) <= radius]
+    assert sorted(crowded(values, delta), key=lambda z: (z.real, z.imag)) == sorted(
+        inside, key=lambda z: (z.real, z.imag)
+    )
+    assert len(inside) == 20
+    assert_cluster_matches_reference(values, delta)
+    # a NaN, an infinity or a sum of parts that overflows proves nothing
+    for bad in (np.nan, np.inf, 1e308 + 1e308j):
+        values = np.append(unit_disk(rng, 5), bad)
+        assert len(crowded(values, 1e-9)) == 6
+    # the rounded-mean case needs the rounding term even at delta 0
+    x = 0.31183145201048545 + 0.42332644897257565j
+    m = 0.31183145201048545 + 0.4233264489725757j
+    assert crowded([x, m, 3.0], 0.0) == [x, m]
+
+
+def count_loop_values(monkeypatch):
+    """Record how many values each _cluster call sends to the greedy loop."""
+    counts = []
+    crowded_positions = smalleig._crowded
+
+    def counted(ordered, delta):
+        rest = crowded_positions(ordered, delta)
+        counts.append(len(rest))
+        return rest
+
+    monkeypatch.setattr(smalleig, "_crowded", counted)
+    return counts
+
+
+def test_report_clustering_loops_only_over_values_with_a_near_neighbour(monkeypatch):
+    counts = count_loop_values(monkeypatch)
+    rng = np.random.default_rng(2048)
+    block = CirculantMatrix(rng.uniform(-1.0, 1.0, 2048))
+    rows = cli._report_rows(full_spectrum(JoinSpec([block], [[0.5]])))
+    assert len(rows) == 2048
+    assert counts == [0]  # 2047 block values, all proved singletons
+    # a symmetric ring has every eigenvalue twice (j and k - j), so the
+    # loop visits every value with another within R, and only those
+    counts.clear()
+    v = np.zeros(2048)
+    v[[1, 2, 3, -3, -2, -1]] = 1.0
+    lam = np.fft.fft(v)[1:]
+    delta = 1e-9 * (1.0 + np.abs(lam).max())
+    smalleig._cluster(lam, delta)
+    radius = smalleig._isolation_radius(2047, delta, np.abs(lam.view(np.float64)).max())
+    with_near = 0
+    for start in range(0, 2047, 256):  # 256 rows of distances at a time
+        dist = np.abs(lam[start : start + 256, None] - lam[None, :])
+        dist[np.arange(len(dist)), np.arange(start, start + len(dist))] = np.inf
+        with_near += int(np.count_nonzero(dist.min(axis=1) <= radius))
+    assert counts == [with_near]
 
 
 def chain_relations_hold(m, lam, chains, tol):
