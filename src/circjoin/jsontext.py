@@ -189,7 +189,8 @@ def _dict_rows(rows, inner):
     """Text of dicts with one key order and scalar values, or None.
 
     A column of floats is written with %r, of ints with %d, and any
-    other column of scalars with %s from per-value texts.
+    other column of scalars with %s from per-value texts, made once per
+    distinct value where equal values cannot have different texts.
     """
     keys = tuple(rows[0])
     if not keys or not all(map(keys.__eq__, map(tuple, rows))):
@@ -206,7 +207,12 @@ def _dict_rows(rows, inner):
         elif types == {int}:
             formats.append("%d")
         elif types <= _SCALARS:
-            columns[c] = list(map(_scalar, column))
+            if float in types or {bool, int} <= types:
+                # True == 1 == 1.0 and 0.0 == -0.0, but their texts differ
+                columns[c] = list(map(_scalar, column))
+            else:  # equal values have equal texts: format each once
+                texts = {x: _scalar(x) for x in set(column)}
+                columns[c] = list(map(texts.__getitem__, column))
             formats.append("%s")
         else:
             return None

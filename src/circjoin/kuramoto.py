@@ -13,6 +13,7 @@ with a real eigenvalue and entries of one common modulus gives an
 equilibrium through its entrywise argument.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,6 +77,11 @@ def _rk4_trajectory(theta0, network, omega, eps, dt, steps):
 
     trajectory has steps+1 rows of unreduced phases; bad_step is the
     1-based step at which the state first became non-finite, or -1.
+
+    A step is a function of the bits of its input alone, so once a step
+    returns its input bit for bit every later step does too: the
+    remaining rows are filled with that state and the loop stops.  The
+    comparison is of bytes, not values, so -0.0 is never taken for 0.0.
     """
     n = theta0.shape[0]
     try:
@@ -91,10 +97,13 @@ def _rk4_trajectory(theta0, network, omega, eps, dt, steps):
             k2 = _kuramoto_rhs(th + 0.5 * dt * k1, network, omega, eps)
             k3 = _kuramoto_rhs(th + 0.5 * dt * k2, network, omega, eps)
             k4 = _kuramoto_rhs(th + dt * k3, network, omega, eps)
-            th = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not np.isfinite(th).all():
+            nxt = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(nxt).all():
                 return out, s + 1
-            out[s + 1] = th
+            if nxt.tobytes() == th.tobytes():
+                out[s + 1:] = th
+                break
+            out[s + 1] = th = nxt
     return out, -1
 
 
@@ -175,14 +184,23 @@ def build_twisted_equilibrium(system, j, phis):
 def eigenvector_equilibrium(system, v, eigenvalue):
     """Phase state read off an eigenvector, when the hypotheses hold.
 
-    Requires (A v ~ eigenvalue * v) up to 1e-8 * (1 + norm(A)); returns
-    None unless the eigenvalue is real (|Im| <= 1e-10) and all entries
-    of v share one positive modulus to within 1e-8, in which case the
-    entrywise argument of v is an equilibrium.
+    v is first scaled by the power of two that brings its largest real
+    or imaginary part into [1, 2); that changes no argument, so the
+    result does not depend on the scale of v.  Requires (A v ~
+    eigenvalue * v) up to 1e-8 * (1 + norm(A)); returns None unless the
+    eigenvalue is real (|Im| <= 1e-10) and all entries of v share one
+    positive modulus to within 1e-8, in which case the entrywise
+    argument of v is an equilibrium.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (system.n,):
         raise PreconditionError(f"vector must have length {system.n}")
+    # the largest part, unlike the largest modulus, cannot overflow; ldexp
+    # stays exact where a factor 2.0**-e would overflow (subnormal v)
+    parts = np.ascontiguousarray(v).view(np.float64)
+    top = float(np.abs(parts).max())
+    if 0.0 < top < math.inf:
+        v = np.ldexp(parts, 1 - math.frexp(top)[1]).view(np.complex128)
     network = system.network
     anorm = network.inf_norm()
     residual = float(np.abs(network.matvec(v) - eigenvalue * v).max())
@@ -217,8 +235,11 @@ class Trajectory:
 def integrate(system, theta0, dt, steps):
     """Fixed-step classical RK4 from theta0; samples every step.
 
-    Raises DivergenceError (carrying the step index) if the state stops
-    being finite.
+    Every row is the one a full-length RK4 loop gives, bit for bit.  Once
+    a step returns its input unchanged (a state resting on an
+    equilibrium), the later rows are copies of it and no rate is
+    evaluated for them.  Raises DivergenceError (carrying the step
+    index) if the state stops being finite.
     """
     if dt <= 0.0:
         raise PreconditionError("dt must be positive")

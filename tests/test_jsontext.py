@@ -62,6 +62,9 @@ def run(argv, stdin, monkeypatch, capsys):
         [{"a": 1.0}, {"b": 1.0}],
         [{"a": [1.0]}, {"a": [2.0]}],
         [{"a": 1, "b": 2.0}, {"a": 2.0, "b": 3}],
+        [{"p": v} for v in [1, "c", 1, None, 0, "c", None, 1]],
+        [{"p": v} for v in [True, 1, "c", 1, True, False, 0, None, "c", 1]],
+        [{"p": v} for v in [1, 1.0, True, -0.0, 0.0, 0, "c", -0.0]],
         (1.0, (2.0, 3.0), [True]),
         {"%d": ["%s", "%r%%"], "k%": [{"%": 1.0}, {"%": 2.0}]},
         ["quote \" backslash \\ tab \t newline \n bell \x07", "ünïcødé ✓ 😀", ""],
@@ -89,6 +92,7 @@ def test_dumps_is_json_dumps(obj):
         [[1.0, math.inf], [0.0, 0.0]],
         [{"re": math.nan, "im": 0.0}],
         [{"re": 1, "x": math.inf}, {"re": 2, "x": 3}],
+        [{"p": "condensed"}, {"p": 1}, {"p": math.nan}],
         {"residual": math.nan, "tol": 1e-8},
         [np.float64("nan")],
     ],

@@ -16,6 +16,7 @@ from circjoin import (
     rhs,
     ring_graph,
 )
+from circjoin import kuramoto
 from circjoin.errors import DivergenceError, NumericalError, PreconditionError
 
 from corpus import inf_norm
@@ -261,6 +262,24 @@ def test_eigenvector_equilibrium_matches_twisted_state():
     assert circular_gap(theta, expected).max() <= 1e-8
 
 
+def test_eigenvector_equilibrium_does_not_depend_on_scale():
+    system = identical_ring_system(2, 6, eps=1.0)
+    c = system.network.blocks[0]
+    mode = fourier_vector(6, 1)
+    v = np.concatenate([np.exp(0.3j) * mode, np.exp(-1.2j) * mode])
+    lam = c.eigenvalues()[1].real
+    theta = eigenvector_equilibrium(system, v, lam)
+    assert theta is not None
+    for scale in (2.0**300, 2.0**-300, 1e9, 1e-9):
+        scaled = eigenvector_equilibrium(system, v * scale, lam)
+        assert scaled is not None, scale
+        if scale in (2.0**300, 2.0**-300):
+            assert scaled.tobytes() == theta.tobytes()
+        else:
+            assert circular_gap(scaled, theta).max() <= 1e-12
+    assert eigenvector_equilibrium(system, np.zeros(system.n, dtype=complex), lam) is None
+
+
 def test_eigenvector_equilibrium_rejects_non_eigenpair():
     system = identical_ring_system(1, 5)
     with pytest.raises(PreconditionError):
@@ -312,13 +331,126 @@ def test_rk4_fourth_order_convergence():
     assert 12.0 <= ratio <= 20.0, ratio
 
 
+def reference_rk4(system, theta0, dt, steps):
+    """Every step of classical RK4, in integrate's expression order;
+    returns (trajectory, first non-finite step or -1)."""
+    out = np.empty((steps + 1, system.n))
+    out[0] = th = np.asarray(theta0, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(steps):
+            k1 = rhs(system, th)
+            k2 = rhs(system, th + 0.5 * dt * k1)
+            k3 = rhs(system, th + 0.5 * dt * k2)
+            k4 = rhs(system, th + dt * k3)
+            th = th + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not np.isfinite(th).all():
+                return out, s + 1
+            out[s + 1] = th
+    return out, -1
+
+
+def count_rate_calls(monkeypatch):
+    calls = []
+    rate = kuramoto._kuramoto_rhs
+
+    def counted(*args):
+        calls.append(None)
+        return rate(*args)
+
+    monkeypatch.setattr(kuramoto, "_kuramoto_rhs", counted)
+    return calls
+
+
+def random_symmetric_block(rng, k):
+    c = np.zeros(k)
+    for off in range(1, k // 2 + 1):
+        c[off] = c[k - off] = rng.uniform(0.2, 1.0)
+    return CirculantMatrix(c)
+
+
+def test_integrate_is_the_full_length_loop_on_stable_twisted_states(monkeypatch):
+    # criterion 7's configurations: most reach a step that returns its
+    # input, and every row after it must still be the reference loop's
+    rng = np.random.default_rng(77)
+    cases = []
+    for _ in range(6):
+        d, k = int(rng.integers(1, 5)), int(rng.integers(3, 9))
+        spec = JoinSpec([random_symmetric_block(rng, k)] * d, rng.uniform(0.0, 0.2, (d, d)))
+        system = KuramotoSystem(spec, epsilon=0.05)
+        state = build_twisted_equilibrium(
+            system, int(rng.integers(1, k)), rng.uniform(-np.pi, np.pi, d)
+        )
+        expected, bad = reference_rk4(system, state.theta, 1e-2, 1000)
+        assert bad == -1
+        cases.append((system, state.theta, expected))
+    calls = count_rate_calls(monkeypatch)
+    for system, theta0, expected in cases:
+        thetas = integrate(system, theta0, 1e-2, 1000).thetas
+        assert thetas.tobytes() == expected.tobytes()
+    assert len(calls) < 6 * 4 * 1000
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_integrate_is_the_full_length_loop_when_settling_late(seed, monkeypatch):
+    # a perturbed in-phase state converges and returns its input bit for
+    # bit only after about a hundred steps
+    rng = np.random.default_rng(seed)
+    system = identical_ring_system(2, 5, eps=1.0)
+    theta0 = 0.3 + rng.uniform(-0.1, 0.1, system.n)
+    expected, bad = reference_rk4(system, theta0, 0.05, 1000)
+    assert bad == -1
+    calls = count_rate_calls(monkeypatch)
+    thetas = integrate(system, theta0, 0.05, 1000).thetas
+    assert thetas.tobytes() == expected.tobytes()
+    assert 4 * 50 < len(calls) < 4 * 500
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integrate_is_the_full_length_loop_off_equilibrium(seed):
+    rng = np.random.default_rng(seed)
+    network = JoinSpec(
+        [CirculantMatrix(rng.uniform(-1.0, 1.0, k)) for k in RHS_SIZES[seed]],
+        rng.uniform(-1.0, 1.0, (len(RHS_SIZES[seed]),) * 2),
+    )
+    omega = rng.normal(size=network.n) if seed % 2 else None
+    for eps, scale in ((0.6, np.pi), (0.0, np.pi), (1.3, 20.0)):
+        system = KuramotoSystem(network, epsilon=eps, omega=omega)
+        theta0 = rng.uniform(-scale, scale, network.n)
+        expected, bad = reference_rk4(system, theta0, 0.02, 150)
+        assert bad == -1
+        thetas = integrate(system, theta0, 0.02, 150).thetas
+        assert thetas.tobytes() == expected.tobytes()
+        if eps == 0.0 and omega is None:
+            assert thetas.tobytes() == np.tile(theta0, (151, 1)).tobytes()
+
+
+def test_a_fixed_point_from_step_0_takes_one_step(monkeypatch):
+    system = identical_ring_system(2, 5, eps=0.3)
+    calls = count_rate_calls(monkeypatch)
+    thetas = integrate(system, np.full(system.n, 0.37), 1e-2, 1000).thetas
+    assert len(calls) == 4
+    assert thetas.tobytes() == np.full((1001, system.n), 0.37).tobytes()
+
+
+def test_negative_zero_is_not_taken_for_a_fixed_point(monkeypatch):
+    # -0.0 == 0.0, but -0.0 + 0.0 is +0.0: step 1 changes the bits
+    system = identical_ring_system(2, 4, eps=0.3)
+    calls = count_rate_calls(monkeypatch)
+    thetas = integrate(system, np.full(8, -0.0), 1e-2, 100).thetas
+    assert len(calls) == 8
+    assert np.signbit(thetas[0]).all()
+    assert thetas[1:].tobytes() == np.zeros((100, 8)).tobytes()
+
+
 def test_integrate_divergence_reports_step():
     system = KuramotoSystem(
         JoinSpec([CirculantMatrix([0.0, 1.0])]), epsilon=1.0, omega=1e308
     )
+    _, bad = reference_rk4(system, np.zeros(2), 10.0, 5)
+    assert bad >= 1
     with pytest.raises(DivergenceError) as err:
         integrate(system, np.zeros(2), 10.0, 5)
-    assert err.value.step >= 1
+    assert err.value.step == bad
 
 
 def test_integrate_preconditions():
