@@ -8,13 +8,7 @@ coordinate repetition.  On top of this the package builds graph-join
 spectra and equilibrium states of Kuramoto oscillator networks.
 """
 
-from .circulant import (
-    CirculantMatrix,
-    dft_matrix,
-    fourier_modes,
-    fourier_vector,
-    root_of_unity_powers,
-)
+from .circulant import CirculantMatrix, root_of_unity_powers
 from .errors import (
     CircjoinError,
     ConvergenceError,
@@ -23,16 +17,13 @@ from .errors import (
     NumericalError,
     ParseError,
     PreconditionError,
-    SizeCapError,
     VerificationError,
 )
 from .join import (
-    DENSE_CAP,
     JoinSpec,
     JordanChain,
     SpectralDecomposition,
     block_eigenpairs,
-    eigenbasis_matrix,
     full_spectrum,
     reduced_char_poly,
     tensor_expand,
@@ -59,13 +50,10 @@ from .kuramoto import (
 )
 from . import smalleig
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "CirculantMatrix",
-    "dft_matrix",
-    "fourier_modes",
-    "fourier_vector",
     "root_of_unity_powers",
     "JoinSpec",
     "JordanChain",
@@ -74,8 +62,6 @@ __all__ = [
     "tensor_expand",
     "full_spectrum",
     "reduced_char_poly",
-    "eigenbasis_matrix",
-    "DENSE_CAP",
     "CirculantGraph",
     "complete_graph",
     "directed_cycle",
@@ -96,7 +82,6 @@ __all__ = [
     "CircjoinError",
     "ParseError",
     "PreconditionError",
-    "SizeCapError",
     "NumericalError",
     "ConvergenceError",
     "IllConditionedError",

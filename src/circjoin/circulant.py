@@ -25,32 +25,6 @@ def root_of_unity_powers(k):
     return np.exp(2j * np.pi * np.arange(k) / k)
 
 
-def fourier_vector(k, j):
-    """The Fourier mode v_{k,j}, entries w^{m*j} for m = 0..k-1."""
-    if not 0 <= j < k:
-        raise PreconditionError(f"fourier index {j} out of range [0, {k - 1}]")
-    return fourier_modes(k, [j])[:, 0]
-
-
-def fourier_modes(k, js):
-    """The k x len(js) matrix whose columns are the Fourier modes v_{k,j}.
-
-    Entry (m, j) is root_of_unity_powers(k)[(m*j) % k]: a gather from one
-    table of k exponentials, not an exp per entry.
-    """
-    js = np.asarray(js, dtype=np.intp)
-    return root_of_unity_powers(k)[np.outer(np.arange(k), js) % k]
-
-
-def dft_matrix(k):
-    """The k x k matrix with entry (m, j) = w^{m*j}; columns are v_{k,j}.
-
-    Nonsingular (Vandermonde in the k-th roots of unity), with
-    |det| = k^{k/2}.
-    """
-    return fourier_modes(k, np.arange(k))
-
-
 class CirculantMatrix:
     """A circulant matrix stored by its defining vector (first column)."""
 
@@ -76,12 +50,6 @@ class CirculantMatrix:
         the two are bit-identical."""
         return complex(self.eigenvalues()[0])
 
-    def dense(self):
-        """Dense expansion; entry (r, s) = c_{(r-s) mod k}."""
-        k = self.k
-        idx = (np.arange(k)[:, None] - np.arange(k)[None, :]) % k
-        return self.vector[idx]
-
     def eigenvalues(self):
         """All k eigenvalues, ordered by Fourier index j = 0..k-1.
 
@@ -95,19 +63,14 @@ class CirculantMatrix:
             self._eigenvalues = lam
         return self._eigenvalues
 
-    def eigenpairs(self):
-        """List of (eigenvalue, Fourier eigenvector) pairs, j = 0..k-1."""
-        lam = self.eigenvalues()
-        e = dft_matrix(self.k)
-        return [(complex(lam[j]), e[:, j]) for j in range(self.k)]
-
     def __eq__(self, other):
         if not isinstance(other, CirculantMatrix):
             return NotImplemented
         return self.k == other.k and bool(np.array_equal(self.vector, other.vector))
 
     def __hash__(self):
-        return hash(self.vector.tobytes())
+        # + 0.0 turns each -0.0 part into +0.0, which __eq__ counts equal
+        return hash((self.vector + 0.0).tobytes())
 
     def __repr__(self):
         entries = ", ".join(repr(complex(c)) for c in self.vector)

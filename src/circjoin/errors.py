@@ -17,10 +17,6 @@ class PreconditionError(CircjoinError, ValueError):
     """An operation was called with inputs outside its contract."""
 
 
-class SizeCapError(PreconditionError):
-    """A join is larger than the size cap of its dense expansion."""
-
-
 class NumericalError(CircjoinError):
     """A numerical procedure failed to deliver a trustworthy result."""
 

@@ -56,9 +56,6 @@ class CirculantGraph:
     def adjacency(self):
         return CirculantMatrix(self.connection_vector.astype(np.float64))
 
-    def dense(self):
-        return self.adjacency().dense()
-
     def complement(self):
         """Complement graph: flip every off-diagonal offset."""
         flipped = 1 - self.connection_vector

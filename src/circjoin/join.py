@@ -19,11 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import CirculantMatrix, fourier_modes
-from .errors import NumericalError, PreconditionError, SizeCapError
+from .circulant import CirculantMatrix
+from .errors import NumericalError, PreconditionError
 from . import smalleig
-
-DENSE_CAP = 4096
 
 
 class JoinSpec:
@@ -69,30 +67,6 @@ class JoinSpec:
     @property
     def n(self):
         return sum(self.block_sizes)
-
-    def offsets(self):
-        """Start index of each block in the joined matrix."""
-        out = [0]
-        for b in self.blocks[:-1]:
-            out.append(out[-1] + b.k)
-        return tuple(out)
-
-    def dense(self, cap=DENSE_CAP):
-        """Dense n x n expansion; guarded by a size cap (default 4096)."""
-        n = self.n
-        if n > cap:
-            raise SizeCapError(f"dense expansion of size {n} exceeds cap {cap}")
-        a = np.empty((n, n), dtype=np.complex128)
-        offs = self.offsets()
-        for i, bi in enumerate(self.blocks):
-            ri = slice(offs[i], offs[i] + bi.k)
-            for j, bj in enumerate(self.blocks):
-                cj = slice(offs[j], offs[j] + bj.k)
-                if i == j:
-                    a[ri, cj] = bi.dense()
-                else:
-                    a[ri, cj] = self.couplings[i, j]
-        return a
 
     def condensed(self):
         """The d x d matrix of block row sums and scaled couplings.
@@ -248,12 +222,6 @@ class SpectralDecomposition:
         overflows."""
         return _finite_char_poly(self.char_poly)
 
-    def condensed_vector_matrix(self):
-        """The d x d matrix X of condensed chain vectors as columns,
-        chains concatenated in order, each from u_1 up."""
-        cols = [vec for chain in self.condensed_chains for vec in chain.vectors]
-        return np.array(cols).T
-
 
 def block_eigenpairs(join):
     """The eigenvalues of the sum(k_i) - d eigenpairs of the join
@@ -347,28 +315,3 @@ def _finite_char_poly(coeffs):
     if not np.all(np.isfinite(coeffs)):
         raise NumericalError("a reduced_char_poly coefficient overflows")
     return coeffs
-
-
-def eigenbasis_matrix(decomposition):
-    """Assemble the generalized eigenvectors as matrix columns.
-
-    Column group i is the tensor expansion of the i-th condensed chain
-    vector followed by block i's Fourier eigenvectors; with this
-    arrangement |det| factors as prod_i |det E_{k_i}| * |det X| where X
-    collects the condensed chain vectors.
-    """
-    sizes = decomposition.block_sizes
-    d = decomposition.d
-    n = decomposition.n
-    x = decomposition.condensed_vector_matrix()
-    if x.shape != (d, d):
-        raise PreconditionError(
-            "decomposition is incomplete: expected d condensed vectors"
-        )
-    m = np.zeros((n, n), dtype=np.complex128)
-    start = 0
-    for i, k in enumerate(sizes):
-        m[:, start] = tensor_expand(x[:, i], sizes)
-        m[start : start + k, start + 1 : start + k] = fourier_modes(k, range(1, k))
-        start += k
-    return m

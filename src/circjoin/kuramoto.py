@@ -184,9 +184,10 @@ def build_twisted_equilibrium(system, j, phis):
 def eigenvector_equilibrium(system, v, eigenvalue):
     """Phase state read off an eigenvector, when the hypotheses hold.
 
-    v is first scaled by the power of two that brings its largest real
-    or imaginary part into [1, 2); that changes no argument, so the
-    result does not depend on the scale of v.  Requires (A v ~
+    v must be finite.  It is first scaled by the power of two that
+    brings its largest real or imaginary part into [1, 2); that changes
+    no argument, so the result does not depend on the scale of v, and
+    every modulus is then finite.  Requires (A v ~
     eigenvalue * v) up to 1e-8 * (1 + norm(A)); returns None unless the
     eigenvalue is real (|Im| <= 1e-10) and all entries of v share one
     positive modulus to within 1e-8, in which case the entrywise
@@ -195,16 +196,18 @@ def eigenvector_equilibrium(system, v, eigenvalue):
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (system.n,):
         raise PreconditionError(f"vector must have length {system.n}")
+    if not np.isfinite(v).all():
+        raise PreconditionError("vector entries must be finite")
     # the largest part, unlike the largest modulus, cannot overflow; ldexp
     # stays exact where a factor 2.0**-e would overflow (subnormal v)
     parts = np.ascontiguousarray(v).view(np.float64)
     top = float(np.abs(parts).max())
-    if 0.0 < top < math.inf:
+    if top > 0.0:
         v = np.ldexp(parts, 1 - math.frexp(top)[1]).view(np.complex128)
     network = system.network
     anorm = network.inf_norm()
     residual = float(np.abs(network.matvec(v) - eigenvalue * v).max())
-    if residual > 1e-8 * (1.0 + anorm):
+    if not residual <= 1e-8 * (1.0 + anorm):  # a NaN residual fails too
         raise PreconditionError(
             f"not an eigenpair: residual {residual:.3e} exceeds tolerance"
         )

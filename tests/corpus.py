@@ -60,6 +60,55 @@ def padded_fourier_mode(n, start, k, j):
     return v
 
 
+def fourier_matrix(k):
+    """The k x k matrix whose column j is the Fourier mode
+    exp(2 pi i ((m j) mod k) / k), m = 0..k-1."""
+    m = np.arange(k)
+    return np.exp(2j * np.pi * (np.outer(m, m) % k) / k)
+
+
+def dense_circulant(c):
+    """The k x k circulant with first column c: entry (r, s) is
+    c_{(r - s) mod k}."""
+    c = np.asarray(c)
+    k = c.shape[0]
+    return c[(np.arange(k)[:, None] - np.arange(k)) % k]
+
+
+def dense_join(spec):
+    """The n x n matrix of a join: block i's circulant on the diagonal
+    and the constant a_ij filling off-diagonal block (i, j)."""
+    sizes = spec.block_sizes
+    a = np.repeat(np.repeat(spec.couplings, sizes, axis=0), sizes, axis=1)
+    start = 0
+    for block, k in zip(spec.blocks, sizes):
+        a[start : start + k, start : start + k] = dense_circulant(block.vector)
+        start += k
+    return a
+
+
+def condensed_vectors(decomposition):
+    """The matrix X whose columns are the condensed chain vectors,
+    chains in order, each from u_1 up."""
+    return np.array([u for ch in decomposition.condensed_chains for u in ch.vectors]).T
+
+
+def eigenbasis(decomposition):
+    """The join's generalized eigenvectors as columns, block by block:
+    the lifted condensed vector i, then block i's Fourier modes
+    j = 1..k_i - 1 on its rows.  In this order |det| factors as
+    prod_i |det E_{k_i}| * |det X|, with X from `condensed_vectors`."""
+    n = decomposition.n
+    lifted = [u for ch in lifted_chains(decomposition) for u in ch.vectors]
+    cols = []
+    start = 0
+    for u, k in zip(lifted, decomposition.block_sizes):
+        cols.append(u)
+        cols.extend(padded_fourier_mode(n, start, k, j) for j in range(1, k))
+        start += k
+    return np.array(cols).T
+
+
 def fourier_pairs(decomposition):
     """(eigenvalue, eigenvector) of every block eigenpair of a
     decomposition, the vector built here from the block sizes alone."""

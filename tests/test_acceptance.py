@@ -17,7 +17,6 @@ from circjoin import (
     KuramotoSystem,
     build_twisted_equilibrium,
     check_equilibrium,
-    eigenbasis_matrix,
     full_spectrum,
     integrate,
     join,
@@ -27,7 +26,10 @@ from circjoin import (
 from circjoin.cli import main as cli_main
 
 from corpus import (
+    condensed_vectors,
     defective_joins,
+    dense_join,
+    eigenbasis,
     fourier_pairs,
     inf_norm,
     lifted_chains,
@@ -75,9 +77,9 @@ def test_criterion_1_main_theorem_oracle_suite():
         for spec in specs:
             dec = full_spectrum(spec)
             assert len(dec.eigenvalue_multiset()) == spec.n
-            a = spec.dense()
+            a = dense_join(spec)
             assert _max_residual(a, dec) <= 1e-8 * (1.0 + inf_norm(a))
-            m = eigenbasis_matrix(dec)
+            m = eigenbasis(dec)
             m = m / np.linalg.norm(m, axis=0)
             assert np.linalg.svd(m, compute_uv=False)[-1] >= 1e-6
         elapsed = time.perf_counter() - start
@@ -91,7 +93,7 @@ def test_criterion_2_trace_identities(corpus500):
     ok = False
     try:
         for spec, dec in corpus500:
-            a = spec.dense()
+            a = dense_join(spec)
             tol = 1e-8 * (1.0 + inf_norm(a) ** 2)
             vals = np.array(dec.eigenvalue_multiset())
             assert abs(vals.sum() - np.trace(a)) <= tol
@@ -176,7 +178,7 @@ def test_criterion_6_diagonalizability_and_chain_lifting():
             dec = full_spectrum(spec)
             abar = spec.condensed()
             assert dec.diagonalizable == _independent_diagonalizable(abar)
-            a = spec.dense()
+            a = dense_join(spec)
             for chain in lifted_chains(dec):
                 m = len(chain)
                 shifted = a - chain.eigenvalue * np.eye(spec.n)
@@ -258,9 +260,9 @@ def test_criterion_8_determinant_factorization():
             if spec.n > 32:
                 continue
             dec = full_spectrum(spec)
-            m = eigenbasis_matrix(dec)
+            m = eigenbasis(dec)
             lhs = abs(np.linalg.det(m))
-            rhs = abs(np.linalg.det(dec.condensed_vector_matrix()))
+            rhs = abs(np.linalg.det(condensed_vectors(dec)))
             for k in spec.block_sizes:
                 rhs *= k ** (k / 2.0)
             assert abs(lhs - rhs) <= 1e-6 * max(lhs, rhs)

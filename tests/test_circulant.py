@@ -2,25 +2,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from circjoin import (
-    CirculantMatrix,
-    JoinSpec,
-    dft_matrix,
-    fourier_modes,
-    fourier_vector,
-    root_of_unity_powers,
-)
+from circjoin import CirculantMatrix, JoinSpec, root_of_unity_powers
 from circjoin.errors import PreconditionError
 
-from corpus import inf_norm, multiset_match, unit_disk
+from corpus import dense_circulant, fourier_matrix, inf_norm, multiset_match, unit_disk
 
 
 def test_single_entry_eigenpair():
-    pairs = CirculantMatrix([2.0]).eigenpairs()
-    assert len(pairs) == 1
-    lam, vec = pairs[0]
-    assert lam == 2.0
-    assert np.array_equal(vec, np.array([1.0 + 0.0j]))
+    c = CirculantMatrix([2.0])
+    assert np.array_equal(c.eigenvalues(), np.array([2.0 + 0.0j]))
+    assert np.array_equal(fourier_matrix(1), np.array([[1.0 + 0.0j]]))
+    assert np.array_equal(dense_circulant(c.vector) @ fourier_matrix(1), [[2.0 + 0.0j]])
 
 
 def test_scaled_identity_eigenvalues():
@@ -33,16 +25,16 @@ def test_alternating_four_eigenvalues():
     eig = c.eigenvalues()
     np.testing.assert_allclose(eig, [2.0, 0.0, -2.0, 0.0], atol=1e-12)
     # brute-force oracle: dense expansion and a generic eigensolver
-    multiset_match(eig, np.linalg.eigvals(c.dense()), 1e-10)
+    multiset_match(eig, np.linalg.eigvals(dense_circulant(c.vector)), 1e-10)
 
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_eigenpair_residuals_random(k):
     rng = np.random.default_rng(100 + k)
     c = CirculantMatrix(unit_disk(rng, k))
-    a = c.dense()
+    a = dense_circulant(c.vector)
     tol = 1e-9 * (1.0 + inf_norm(a))
-    for lam, vec in c.eigenpairs():
+    for lam, vec in zip(c.eigenvalues(), fourier_matrix(k).T):
         assert np.abs(a @ vec - lam * vec).max() <= tol
 
 
@@ -50,7 +42,7 @@ def test_eigenpair_residuals_random(k):
 def test_trace_identities_random(k):
     rng = np.random.default_rng(200 + k)
     c = CirculantMatrix(unit_disk(rng, k))
-    a = c.dense()
+    a = dense_circulant(c.vector)
     eig = c.eigenvalues()
     tol = 1e-9 * (1.0 + inf_norm(a) ** 2)
     assert abs(eig.sum() - np.trace(a)) <= tol
@@ -99,7 +91,7 @@ def test_matvec_matches_dense(k):
     rng = np.random.default_rng(600 + k)
     c = CirculantMatrix(unit_disk(rng, k))
     spec = JoinSpec([c])
-    a = c.dense()
+    a = dense_circulant(c.vector)
     tol = 1e-13 * (1.0 + inf_norm(a))
     x = unit_disk(rng, k)
     assert np.abs(spec.matvec(x) - a @ x).max() <= tol
@@ -121,50 +113,26 @@ def test_row_sum_is_zero_mode_exactly(k):
 
 
 def test_dense_examples():
-    assert np.array_equal(CirculantMatrix([2.5]).dense(), np.array([[2.5 + 0j]]))
-    shift = CirculantMatrix([0, 1, 0]).dense().real
+    assert np.array_equal(dense_circulant(CirculantMatrix([2.5]).vector), [[2.5 + 0j]])
+    shift = dense_circulant(CirculantMatrix([0, 1, 0]).vector).real
     assert np.array_equal(shift, np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
-    k3 = CirculantMatrix([0, 1, 1]).dense().real
+    k3 = dense_circulant(CirculantMatrix([0, 1, 1]).vector).real
     assert np.array_equal(k3, np.ones((3, 3)) - np.eye(3))
 
 
 def test_dense_first_column_roundtrip():
     rng = np.random.default_rng(7)
     v = unit_disk(rng, 9)
-    assert np.array_equal(CirculantMatrix(v).dense()[:, 0], v)
+    assert np.array_equal(dense_circulant(CirculantMatrix(v).vector)[:, 0], v)
 
 
-def test_fourier_vector_entries():
+def test_root_of_unity_powers_entries():
     k = 7
     powers = root_of_unity_powers(k)
-    for j in range(k):
-        v = fourier_vector(k, j)
-        np.testing.assert_allclose(np.abs(v), 1.0, rtol=0, atol=1e-14)
-        direct = np.exp(2j * np.pi * np.arange(k) * j / k)
-        np.testing.assert_allclose(v, direct, atol=1e-12)
-        assert v[1] == powers[j % k]
-
-
-def test_fourier_modes_are_fourier_vectors_bit_for_bit():
-    for k in (1, 2, 7, 12, 97):
-        modes = fourier_modes(k, np.arange(k))
-        assert modes.shape == (k, k)
-        for j in range(k):
-            table = root_of_unity_powers(k)[(np.arange(k) * j) % k]
-            assert modes[:, j].tobytes() == table.tobytes()
-            assert fourier_vector(k, j).tobytes() == table.tobytes()
-
-
-@pytest.mark.parametrize("k", range(1, 17))
-def test_dft_matrix_determinant(k):
-    e = dft_matrix(k)
-    det = np.linalg.det(e)
-    assert abs(det) >= 1e-6
-    assert abs(abs(det) - k ** (k / 2.0)) <= 1e-9 * k ** (k / 2.0)
-    # unitary up to scaling: E^H E = k I
-    np.testing.assert_allclose(
-        e.conj().T @ e, k * np.eye(k), atol=1e-9 * (1 + k * k)
-    )
+    np.testing.assert_allclose(np.abs(powers), 1.0, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(powers, np.exp(2j * np.pi * np.arange(k) / k), atol=1e-12)
+    # the table is the first-row step of every Fourier mode
+    assert np.array_equal(fourier_matrix(k)[1], powers)
 
 
 def test_invalid_inputs():
@@ -175,9 +143,15 @@ def test_invalid_inputs():
     with pytest.raises(PreconditionError):
         CirculantMatrix([np.nan])
     with pytest.raises(PreconditionError):
-        fourier_vector(4, 4)
-    with pytest.raises(PreconditionError):
         root_of_unity_powers(0)
+
+
+def test_signed_zeros_hash_equal():
+    for zero in (-0.0, complex(0.0, -0.0)):
+        a, b = CirculantMatrix([1, 0, 0]), CirculantMatrix([1, zero, 0])
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
 
 
 def test_vector_is_read_only():

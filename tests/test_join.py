@@ -1,5 +1,7 @@
 import math
+import re
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -11,14 +13,12 @@ from circjoin import (
     CirculantMatrix,
     JoinSpec,
     block_eigenpairs,
-    dft_matrix,
-    eigenbasis_matrix,
     full_spectrum,
     reduced_char_poly,
     smalleig,
     tensor_expand,
 )
-from circjoin.errors import PreconditionError, SizeCapError
+from circjoin.errors import PreconditionError
 from circjoin.graphs import (
     complete_graph,
     join as join_graphs,
@@ -27,8 +27,12 @@ from circjoin.graphs import (
 )
 
 from corpus import (
+    condensed_vectors,
     defective_joins,
     dense_decomposition_residual,
+    dense_join,
+    eigenbasis,
+    fourier_matrix,
     fourier_pairs,
     inf_norm,
     lifted_chains,
@@ -77,12 +81,12 @@ def independent_diagonalizable(abar):
 
 def test_dense_single_block_is_the_block():
     spec = JoinSpec([CirculantMatrix([0, 1, 0])])
-    assert np.array_equal(spec.dense(), CirculantMatrix([0, 1, 0]).dense())
+    assert np.array_equal(dense_join(spec).real, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 
 def test_dense_two_singletons():
     spec = JoinSpec([CirculantMatrix([0]), CirculantMatrix([0])], np.ones((2, 2)))
-    assert np.array_equal(spec.dense().real, np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert np.array_equal(dense_join(spec).real, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 def test_dense_k8_minus_directed_triangle():
@@ -90,14 +94,7 @@ def test_dense_k8_minus_directed_triangle():
     expected = np.ones((8, 8)) - np.eye(8)
     for a, b in ((0, 1), (1, 2), (2, 0)):
         expected[a, b] = 0.0
-    assert np.array_equal(k8_minus_directed_triangle().dense().real, expected)
-
-
-def test_dense_cap():
-    spec = JoinSpec([CirculantMatrix(np.zeros(5))])
-    with pytest.raises(SizeCapError):
-        spec.dense(cap=4)
-    assert spec.dense(cap=5).shape == (5, 5)
+    assert np.array_equal(dense_join(k8_minus_directed_triangle()).real, expected)
 
 
 def test_couplings_validation():
@@ -145,7 +142,7 @@ def test_block_eigenpairs_k8_example():
     w = np.exp(2j * np.pi / 3)
     np.testing.assert_allclose(first, [w**-1, w**-2], atol=1e-12)  # c_1 w^(-j)
     np.testing.assert_allclose(second, [-1.0] * 4, atol=1e-12)
-    a = spec.dense()
+    a = dense_join(spec)
     tol = 1e-9 * (1.0 + inf_norm(a))
     pairs = list(fourier_pairs(full_spectrum(spec)))
     assert len(pairs) == 2 + 4
@@ -175,7 +172,7 @@ def test_block_eigenpair_support():
     spec = JoinSpec(
         [CirculantMatrix([0, 1]), CirculantMatrix([0, 1, 1])], np.ones((2, 2))
     )
-    m = eigenbasis_matrix(full_spectrum(spec))
+    m = eigenbasis(full_spectrum(spec))
     for start, size in ((0, 2), (2, 3)):
         cols = m[:, start + 1 : start + size]
         assert np.all(np.delete(cols, np.arange(start, start + size), axis=0) == 0.0)
@@ -183,8 +180,26 @@ def test_block_eigenpair_support():
 
 
 def test_every_exported_name_resolves():
+    namespace = {}
+    exec("from circjoin import *", namespace)
     for name in circjoin.__all__:
         assert hasattr(circjoin, name), name
+        assert namespace[name] is getattr(circjoin, name), name
+    for name in ("DENSE_CAP", "SizeCapError", "dft_matrix", "fourier_modes",
+                 "fourier_vector", "eigenbasis_matrix"):
+        assert not hasattr(circjoin, name), name
+    for owner, name in ((circjoin.JoinSpec, "dense"), (circjoin.JoinSpec, "offsets"),
+                        (circjoin.CirculantMatrix, "dense"),
+                        (circjoin.CirculantMatrix, "eigenpairs"),
+                        (circjoin.CirculantGraph, "dense"),
+                        (circjoin.SpectralDecomposition, "condensed_vector_matrix")):
+        assert not hasattr(owner, name), (owner, name)
+
+
+def test_version_matches_pyproject():
+    pyproject = Path(__file__).parents[1] / "pyproject.toml"
+    versions = re.findall(r'^version = "([^"]+)"$', pyproject.read_text(), re.M)
+    assert versions == [circjoin.__version__]
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +229,7 @@ def test_tensor_expand_examples():
 def test_tensor_expand_lifts_condensed_eigenvectors():
     spec = k8_minus_directed_triangle()
     abar = spec.condensed()
-    a = spec.dense()
+    a = dense_join(spec)
     vals, vecs = np.linalg.eig(abar)
     for idx in range(2):
         lifted = tensor_expand(vecs[:, idx], spec.block_sizes)
@@ -512,7 +527,7 @@ def test_reduced_char_poly_matches_mpmath_relative_to_each_coefficient(d):
 def test_eigenbasis_single_block_determinant():
     k = 5
     dec = full_spectrum(JoinSpec([CirculantMatrix(unit_disk(np.random.default_rng(3), k))]))
-    det = np.linalg.det(eigenbasis_matrix(dec))
+    det = np.linalg.det(eigenbasis(dec))
     assert abs(abs(det) - k ** (k / 2.0)) <= 1e-9 * k ** (k / 2.0)
 
 
@@ -522,10 +537,10 @@ def test_eigenbasis_determinant_factorization():
         np.ones((2, 2)),
     )
     dec = full_spectrum(spec)
-    m = eigenbasis_matrix(dec)
+    m = eigenbasis(dec)
     lhs = abs(np.linalg.det(m))
-    x = dec.condensed_vector_matrix()
-    rhs = abs(np.linalg.det(dft_matrix(3))) * abs(np.linalg.det(dft_matrix(5))) * abs(
+    x = condensed_vectors(dec)
+    rhs = abs(np.linalg.det(fourier_matrix(3))) * abs(np.linalg.det(fourier_matrix(5))) * abs(
         np.linalg.det(x)
     )
     assert abs(lhs - rhs) <= 1e-8 * rhs
@@ -535,7 +550,7 @@ def test_eigenbasis_nonsingular_for_defective_case():
     spec = JoinSpec(
         [CirculantMatrix([0.0]), CirculantMatrix([0.0])], [[0.0, 1.0], [0.0, 0.0]]
     )
-    m = eigenbasis_matrix(full_spectrum(spec))
+    m = eigenbasis(full_spectrum(spec))
     assert abs(np.linalg.det(m)) > 1e-12
 
 
@@ -552,7 +567,7 @@ def test_residuals_and_counts_random(seed):
     assert len(dec.eigenvalue_multiset()) == n
     assert sum(len(lam) for lam in dec.block_eigenvalues) == n - spec.d
     assert sum(len(ch) for ch in dec.condensed_chains) == spec.d
-    a = spec.dense()
+    a = dense_join(spec)
     tau = 1e-8 * (1.0 + inf_norm(a))
     assert dense_decomposition_residual(a, dec) <= tau
     tol2 = 1e-8 * (1.0 + inf_norm(a) ** 2)
@@ -593,7 +608,7 @@ def test_diagonalizability_matches_independent_check():
 def test_defective_chain_powers_annihilate():
     for spec in defective_joins():
         dec = full_spectrum(spec)
-        a = spec.dense()
+        a = dense_join(spec)
         norm = inf_norm(a)
         for chain in lifted_chains(dec):
             m = len(chain)
@@ -611,9 +626,9 @@ def test_determinant_factorization_random(seed):
         if spec.n <= 32:
             break
     dec = full_spectrum(spec)
-    m = eigenbasis_matrix(dec)
+    m = eigenbasis(dec)
     lhs = abs(np.linalg.det(m))
-    rhs = abs(np.linalg.det(dec.condensed_vector_matrix()))
+    rhs = abs(np.linalg.det(condensed_vectors(dec)))
     for k in spec.block_sizes:
         rhs *= k ** (k / 2.0)
     assert abs(lhs - rhs) <= 1e-6 * max(lhs, rhs)

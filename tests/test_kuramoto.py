@@ -9,7 +9,6 @@ from circjoin import (
     build_twisted_equilibrium,
     check_equilibrium,
     eigenvector_equilibrium,
-    fourier_vector,
     integrate,
     join,
     reduce_phases,
@@ -19,7 +18,7 @@ from circjoin import (
 from circjoin import kuramoto
 from circjoin.errors import DivergenceError, NumericalError, PreconditionError
 
-from corpus import inf_norm
+from corpus import dense_join, fourier_matrix, inf_norm
 
 TWO_PI = 2.0 * np.pi
 
@@ -65,12 +64,12 @@ def test_rhs_global_shift_equivariance_exact():
 
 def dense_rhs(network, omega, eps, theta):
     """The O(n^2) formula omega_i + eps * sum_l A_il sin(theta_l - theta_i)."""
-    adj = network.dense().real
+    adj = dense_join(network).real
     return omega + eps * (adj * np.sin(theta[None, :] - theta[:, None])).sum(axis=1)
 
 
 def rhs_tolerance(system):
-    return 1e-13 * (1.0 + abs(system.epsilon) * inf_norm(system.network.dense()))
+    return 1e-13 * (1.0 + abs(system.epsilon) * inf_norm(dense_join(system.network)))
 
 
 # mixed, repeated and interleaved block sizes; matvec transforms the
@@ -105,7 +104,7 @@ def test_rhs_matches_mpmath():
     omega = rng.normal(size=network.n)
     system = KuramotoSystem(network, epsilon=0.7, omega=omega)
     theta = rng.uniform(-np.pi, np.pi, network.n)
-    adj = network.dense().real
+    adj = dense_join(network).real
     with mpmath.workdps(50):
         expected = [
             mpmath.mpf(omega[i])
@@ -232,14 +231,14 @@ def test_eigenvector_equilibrium_rejects_zero_support():
     c = system.network.blocks[0]
     lam = c.eigenvalues()[2].real
     w = np.zeros(system.n, dtype=complex)
-    w[:4] = fourier_vector(4, 2)
+    w[:4] = fourier_matrix(4)[:, 2]
     assert eigenvector_equilibrium(system, w, lam) is None
 
 
 def test_eigenvector_equilibrium_complex_eigenvalue():
     g = JoinSpec([CirculantMatrix([0.0, 0.0, 0.0, 1.0])])  # directed 4-cycle
     system = KuramotoSystem(g, epsilon=1.0)
-    v = fourier_vector(4, 1)
+    v = fourier_matrix(4)[:, 1]
     lam = complex(g.blocks[0].eigenvalues()[1])
     assert abs(lam - 1j) < 1e-12
     assert eigenvector_equilibrium(system, v, lam) is None
@@ -251,8 +250,8 @@ def test_eigenvector_equilibrium_matches_twisted_state():
     system = KuramotoSystem(spec, epsilon=0.5)
     j, phis = 2, np.array([0.2, -1.1])
     v = np.zeros(system.n, dtype=complex)
-    v[:4] = np.exp(1j * phis[0]) * fourier_vector(4, j)
-    v[4:] = np.exp(1j * phis[1]) * fourier_vector(4, j)
+    v[:4] = np.exp(1j * phis[0]) * fourier_matrix(4)[:, j]
+    v[4:] = np.exp(1j * phis[1]) * fourier_matrix(4)[:, j]
     lam = c.eigenvalues()[j].real
     theta = eigenvector_equilibrium(system, v, lam)
     assert theta is not None
@@ -265,7 +264,7 @@ def test_eigenvector_equilibrium_matches_twisted_state():
 def test_eigenvector_equilibrium_does_not_depend_on_scale():
     system = identical_ring_system(2, 6, eps=1.0)
     c = system.network.blocks[0]
-    mode = fourier_vector(6, 1)
+    mode = fourier_matrix(6)[:, 1]
     v = np.concatenate([np.exp(0.3j) * mode, np.exp(-1.2j) * mode])
     lam = c.eigenvalues()[1].real
     theta = eigenvector_equilibrium(system, v, lam)
@@ -284,6 +283,17 @@ def test_eigenvector_equilibrium_rejects_non_eigenpair():
     system = identical_ring_system(1, 5)
     with pytest.raises(PreconditionError):
         eigenvector_equilibrium(system, np.arange(1.0, 6.0) + 0j, 2.0)
+
+
+@pytest.mark.parametrize("v, lam", [
+    (np.full(8, np.nan + 0j), 2.0),
+    (np.full(8, np.inf + 0j), 2.0),
+    (np.ones(8, dtype=complex), np.nan),
+])
+def test_eigenvector_equilibrium_rejects_non_finite_input(v, lam):
+    system = KuramotoSystem(join(ring_graph(4, 1), ring_graph(4, 1)), epsilon=1.0)
+    with pytest.raises(PreconditionError):
+        eigenvector_equilibrium(system, v, lam)
 
 
 def test_integrate_fixed_point_drift():
