@@ -199,6 +199,10 @@ def _report_rows(decomposition):
     That maximum is the hypot of the values scaled down by a power of
     two, which is exact, so it is finite whenever every part is, and the
     distance is 1e-9 times the plain maximum wherever that is finite.
+    Clustering depends only on the values' bits and the distance, so
+    each distinct group of values, such as the spectrum shared by equal
+    blocks, is clustered once and its rows are copied to every group
+    with those bits.
     """
     chains = decomposition.condensed_chains
     condensed = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
@@ -208,11 +212,15 @@ def _report_rows(decomposition):
     scale = math.ldexp(1.0, -t)
     biggest = float(np.hypot(values.real * scale, values.imag * scale).max())
     delta = math.ldexp(REPORT_CLUSTER_SCALE * biggest, t)
-    rows = [
-        (mean, mult, prov)
-        for prov, vals in groups
-        for mean, mult, _ in _finite_clusters(vals, delta)
-    ]
+    # groups with equal values are clustered together; the sort puts each
+    # row in its place, since every group has its own provenance
+    alike = {}
+    for prov, vals in groups:
+        alike.setdefault(vals.tobytes(), (vals, []))[1].append(prov)
+    rows = []
+    for vals, provs in alike.values():
+        clusters = _finite_clusters(vals, delta)
+        rows += [(mean, mult, prov) for prov in provs for mean, mult, _ in clusters]
     rows.sort(key=lambda r: (r[0].real, r[0].imag, _provenance_rank(r[2])))
     return rows
 
@@ -223,26 +231,35 @@ def decomposition_residual(join, decomposition):
 
     A Fourier mode v_j of block b is an exact eigenvector with |v_j| = 1
     entrywise, so its pair's residual is |lambda~_j - lambda_j|, with
-    lambda~ from one transform of length 2k: a different plan from the
-    cached one, so the roundings are independent.  Index 0 checks the
-    block's row sum.  A lifted condensed vector satisfies
+    lambda~ from a transform of length 2k: a different plan from the
+    cached one, so the roundings are independent.  That is one FFT per
+    distinct block size, on the size group's stacked defining vectors
+    (`JoinSpec.layout`).  Index 0 checks the block's row sum, the value
+    the condensed matrix holds.  A lifted condensed vector satisfies
     A lift(x) = lift(s*x + a (k*x)) (row sums s, sizes k, couplings a),
     so a chain link is checked in C^d, from the blocks and couplings
     rather than from `JoinSpec.condensed`.
 
     Returns (max residual, human-readable tag of the offender); a NaN
-    residual counts as inf, so it is never passed over.
+    residual counts as inf, so it is never passed over.  Of equal
+    residuals, the tag names the lowest block, then the lowest Fourier
+    index, then a block before a chain.
     """
-    worst, tag = -1.0, "none"
-    for b, (block, lams) in enumerate(
-        zip(join.blocks, decomposition.block_eigenvalues), 1
-    ):
-        exact = np.fft.fft(block.vector, 2 * block.k)[::2]
-        r = np.abs(exact - np.concatenate(([block.row_sum()], lams)))
+    layout = join.layout()
+    lams = decomposition.block_eigenvalues
+    # per size group, (-residual, block, Fourier index) of its first
+    # largest residual in block order, so the least is the offender
+    offenders = []
+    for ids, vectors, eigenvalues in layout.groups:
+        k = vectors.shape[1]
+        claimed = eigenvalues.copy()  # index 0 is the row sum
+        claimed[:, 1:] = [lams[i] for i in ids.tolist()]
+        r = np.abs(np.fft.fft(vectors, 2 * k, axis=1)[:, ::2] - claimed)
         r[np.isnan(r)] = np.inf
-        j = int(np.argmax(r))
-        if r[j] > worst:
-            worst, tag = float(r[j]), f"block {b}, fourier index {j}"
+        p = int(r.argmax())
+        offenders.append((-r.item(p), ids.item(p // k), p % k))
+    least, b, j = min(offenders)
+    worst, tag = -least, f"block {b + 1}, fourier index {j}"
     chains = decomposition.condensed_chains
     if chains:
         x = np.concatenate([ch.vectors for ch in chains])
@@ -251,8 +268,7 @@ def decomposition_residual(join, decomposition):
         prev = np.zeros_like(x)
         prev[1:] = x[:-1]
         prev[starts] = 0.0  # a chain starts with an eigenvector
-        sums = np.array([block.row_sum() for block in join.blocks])
-        ax = x * sums + (x * join.block_sizes) @ join.couplings.T
+        ax = x * layout.row_sums + (x * join.block_sizes) @ join.couplings.T
         r = np.abs(ax - x * lam[:, None] - prev).max(axis=1)
         r[np.isnan(r)] = np.inf
         i = int(np.argmax(r))

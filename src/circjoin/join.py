@@ -13,15 +13,41 @@ into two analytic parts:
   repeating coordinate i k_i times (tensor expansion), preserving
   Jordan chain structure, so the join is diagonalizable exactly when
   the condensed matrix is.
+
+So the block part of a spectrum costs one FFT per distinct block size:
+a join keeps its blocks grouped by size (`JoinSpec.layout`), with the
+stacked defining vectors and eigenvalues of each group, and every
+per-block quantity is read from those stacks.
 """
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .circulant import CirculantMatrix
+from .circulant import CirculantMatrix, stack_eigenvalues
 from .errors import NumericalError, PreconditionError
 from . import smalleig
+
+
+class BlockGroup(NamedTuple):
+    """The g blocks of one size k in a join: their indices `ids` (g,)
+    in block order, and their read-only (g, k) stacked defining
+    `vectors` and `eigenvalues` (Fourier index j = 0..k-1 along each
+    row)."""
+
+    ids: np.ndarray
+    vectors: np.ndarray
+    eigenvalues: np.ndarray
+
+
+class BlockLayout(NamedTuple):
+    """What `JoinSpec.layout` returns: the (d,) block row sums (each
+    block's j = 0 eigenvalue) and one `BlockGroup` per distinct block
+    size, by size."""
+
+    row_sums: np.ndarray
+    groups: tuple
 
 
 class JoinSpec:
@@ -31,7 +57,7 @@ class JoinSpec:
     be given as CirculantMatrix instances or raw defining vectors.
     """
 
-    __slots__ = ("blocks", "couplings", "_layout")
+    __slots__ = ("blocks", "couplings", "_layout", "_matvec")
 
     def __init__(self, blocks, couplings=None):
         blocks = tuple(
@@ -55,6 +81,7 @@ class JoinSpec:
         self.blocks = blocks
         self.couplings = a
         self._layout = None
+        self._matvec = None
 
     @property
     def d(self):
@@ -74,7 +101,7 @@ class JoinSpec:
         Raises NumericalError when an entry overflows: finite blocks
         and couplings can still have an infinite row sum or a_ij * k_j.
         """
-        sums = [b.row_sum() for b in self.blocks]
+        sums = self.layout().row_sums
         if not np.all(np.isfinite(sums)):
             raise NumericalError("a block row sum overflows")
         a = self.couplings * np.array(self.block_sizes)
@@ -115,35 +142,58 @@ class JoinSpec:
             out[rows] = conv
         return out
 
-    def _matvec_layout(self):
-        """(n, block offsets, groups) for matvec, built on first use.
+    def layout(self):
+        """The join's blocks grouped by size, as a `BlockLayout`, built
+        on first use.
 
-        There is one group per distinct block size k: the (g, 1) indices
-        of its g blocks, the (g, k) indices of their rows in the join,
-        and their (g, k) stacked eigenvalues.
+        Each group's eigenvalues are one FFT of its stacked defining
+        vectors (`stack_eigenvalues`), and each block's `eigenvalues()`
+        is its row of that stack, so a join of d blocks of s distinct
+        sizes costs s FFT calls, however large d is.
         """
         if self._layout is None:
-            sizes = np.array(self.block_sizes)
-            offsets = np.concatenate(([0], np.cumsum(sizes[:-1])))
+            by_size = {}
+            for i, block in enumerate(self.blocks):
+                by_size.setdefault(block.k, []).append(i)
+            sums = np.empty(self.d, dtype=np.complex128)
             groups = []
-            # not np.unique, whose first call imports numpy.ma (~10 ms of
-            # a cold start)
-            for k in sorted(set(sizes.tolist())):
-                ids = np.flatnonzero(sizes == k)[:, None]
-                lam = np.array([b.eigenvalues() for b in self.blocks if b.k == k])
-                groups.append((ids, offsets[ids] + np.arange(k), lam))
-            self._layout = (int(sizes.sum()), offsets, tuple(groups))
+            for k in sorted(by_size):
+                vectors, lam = stack_eigenvalues([self.blocks[i] for i in by_size[k]])
+                ids = np.array(by_size[k])
+                sums[ids] = lam[:, 0]
+                groups.append(BlockGroup(ids, vectors, lam))
+            sums.setflags(write=False)
+            self._layout = BlockLayout(sums, tuple(groups))
         return self._layout
+
+    def _matvec_layout(self):
+        """(n, block offsets, groups) for matvec, built on its first call.
+
+        Per size group of `layout`: the (g, 1) indices of its g blocks,
+        the (g, k) indices of their rows in the join, and their (g, k)
+        stacked eigenvalues.
+        """
+        if self._matvec is None:
+            sizes = np.array(self.block_sizes)
+            offsets = sizes.cumsum() - sizes
+            groups = tuple(
+                (ids[:, None], offsets[ids, None] + np.arange(lam.shape[1]), lam)
+                for ids, _, lam in self.layout().groups
+            )
+            self._matvec = (int(sizes.sum()), offsets, groups)
+        return self._matvec
 
     def inf_norm(self):
         """Largest absolute row sum of the dense expansion, read from
         the blocks and couplings."""
-        rows = [np.abs(b.vector).sum() for b in self.blocks]
+        rows = np.empty(self.d)
+        for group in self.layout().groups:
+            rows[group.ids] = np.abs(group.vectors).sum(axis=1)
         return float((rows + np.abs(self.couplings) @ self.block_sizes).max())
 
     def is_real(self):
         return bool(
-            all(np.all(b.vector.imag == 0.0) for b in self.blocks)
+            all(np.all(g.vectors.imag == 0.0) for g in self.layout().groups)
             and np.all(self.couplings.imag == 0.0)
         )
 
@@ -158,7 +208,7 @@ class JoinSpec:
         return f"JoinSpec(d={self.d}, sizes={self.block_sizes})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JordanChain:
     """Rows of `vectors` are u_1, ..., u_m with (M - lambda*I) u_1 ~ 0
     and (M - lambda*I) u_r = u_{r-1}."""
@@ -170,7 +220,7 @@ class JordanChain:
         return self.vectors.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Complete generalized eigendecomposition of a join, in O(n + d^2).
 
@@ -231,17 +281,18 @@ def block_eigenpairs(join):
     For block i and 1 <= j <= k_i - 1 the zero-padded Fourier mode is an
     eigenvector of the whole join because its entries sum to zero, so
     the constant off-diagonal blocks annihilate it.  Each array is a
-    read-only view of the block's cached FFT, so nothing is copied.
+    read-only view of the block's row of its size group's FFT
+    (`JoinSpec.layout`), so nothing is copied.
 
     Raises NumericalError when one of these eigenvalues overflows: a
     finite defining vector can still have an infinite Fourier transform.
     (The j = 0 eigenvalue is the row sum, which `JoinSpec.condensed`
     checks.)
     """
-    lams = tuple(block.eigenvalues()[1:] for block in join.blocks)
-    if not all(np.isfinite(lam).all() for lam in lams):
+    groups = join.layout().groups
+    if not all(np.isfinite(g.eigenvalues[:, 1:]).all() for g in groups):
         raise NumericalError("a block eigenvalue overflows")
-    return lams
+    return tuple(block.eigenvalues()[1:] for block in join.blocks)
 
 
 def tensor_expand(v, sizes):

@@ -136,7 +136,7 @@ def check_equilibrium(system, theta, tol=None):
     return residual <= tol, residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwistedEquilibrium:
     """Twisted equilibrium state: winding index j, per-block offsets,
     and the phase vector (reduced to (-pi, pi])."""
@@ -220,7 +220,7 @@ def eigenvector_equilibrium(system, v, eigenvalue):
     return reduce_phases(np.angle(v))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Sampled trajectory; phases are stored unreduced."""
 

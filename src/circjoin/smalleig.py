@@ -286,6 +286,14 @@ def char_poly(matrix):
       symmetric function, by at most e_i(|w| + r) - e_i(|w|); np.poly's
       own rounding adds at most gamma_4d * e_i(|w|).  The bound is twice
       their sum, which covers the rounding of the bound itself.
+    * e_i(|w|) and e_i(|w| + r) come from one Vieta recurrence over
+      both root vectors (`_elementary`).  Every term is nonnegative, so
+      each is within gamma_2d of its value, relatively, and e_0 = 1 is
+      exact.  For i >= 1 their difference D_i is at least
+      r (d - i + 1) e_(i-1)(|w|) >= r i e_i(|w|) / max|w|, and r is at
+      least 4 d (d + 4) u max|w| from the rounding term of ||R||, so
+      the rounding of the two terms, gamma_2d (2 e_i(|w|) + D_i), is
+      about D_i / (d + 4) or less, which the factor 2 covers too.
 
     A bound is inf when X is not finite, its SVD fails or X is
     numerically singular.  A real M gets real coefficients.  When every
@@ -384,8 +392,8 @@ def _char_poly(a, w, x, fit):
         )
         if s_min > 0.0:
             radius = 2.0 * d * r_norm * sv[0] / s_min**2
-    e = np.poly(-mags)  # e_i(|w|), the coefficients of prod (x + |w_j|)
-    bound = 2.0 * (np.poly(-(mags + radius)) - e + _gamma(4 * d) * e)
+    e, shifted = _elementary(np.array([mags, mags + radius]))
+    bound = 2.0 * (shifted - e + _gamma(4 * d) * e)
     poly = np.poly(ws)
     k = t * np.arange(d + 1)
     coeffs = np.empty(d + 1, dtype=np.complex128)
@@ -398,6 +406,23 @@ def _char_poly(a, w, x, fit):
         exact = bound < 0.5
         coeffs[exact] = np.round(coeffs[exact]) + 0.0  # + 0.0 makes -0.0 0.0
     return coeffs, bound
+
+
+def _elementary(roots):
+    """e_0, ..., e_d of each row of an (m, d) array of roots, as an
+    (m, d + 1) array: row r holds the coefficients of
+    prod_j (x + roots[r, j]), highest degree first.
+
+    One Vieta recurrence for all rows: the coefficients after root j are
+    those before it plus root j times those before it, shifted by one
+    degree, so d array updates in all.
+    """
+    m, d = roots.shape
+    e = np.zeros((m, d + 1))
+    e[:, 0] = 1.0
+    for j in range(d):
+        e[:, 1 : j + 2] += roots[:, j : j + 1] * e[:, : j + 1]
+    return e
 
 
 def _nullspace(a, tol):

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from circjoin import CirculantMatrix, JoinSpec, root_of_unity_powers
+from circjoin.circulant import stack_eigenvalues
 from circjoin.errors import PreconditionError
 
 from corpus import dense_circulant, fourier_matrix, inf_norm, multiset_match, unit_disk
@@ -83,6 +84,34 @@ def test_fft_eigenvalues_match_mpmath(k):
                 cm[m] * mpmath.expjpi(mpmath.mpf(-2 * m * j) / k) for m in range(k)
             )
             assert abs(complex(exact) - got[j]) <= tol
+
+
+@pytest.mark.parametrize("k", [*range(1, 71), 128, 2048])
+def test_stacked_fft_is_the_per_row_fft_bit_for_bit(k):
+    # A join transforms each block size's stacked defining vectors in one
+    # call, and --verify each stack at length 2k; every printed bit rests
+    # on both being exactly the transforms of the rows one at a time.
+    rng = np.random.default_rng(k)
+    for g in (1, 2, 7, 64):
+        v = unit_disk(rng, (g, k))
+        v[g // 2 :] = v[0]  # equal rows as well as distinct ones
+        rows = np.array([np.fft.fft(row) for row in v])
+        assert np.fft.fft(v, axis=1).tobytes() == rows.tobytes()
+        _, lam = stack_eigenvalues([CirculantMatrix(row) for row in v])
+        assert lam.tobytes() == rows.tobytes()
+        rows = np.array([np.fft.fft(row, 2 * k)[::2] for row in v])
+        assert np.fft.fft(v, 2 * k, axis=1)[:, ::2].tobytes() == rows.tobytes()
+
+
+def test_stacked_eigenvalues_become_the_blocks_own():
+    blocks = [CirculantMatrix([1.0, 2.0, 3.0]), CirculantMatrix([0.0, 1.0, 0.0])]
+    vectors, lam = stack_eigenvalues(blocks)
+    assert not vectors.flags.writeable and not lam.flags.writeable
+    for block, v, row in zip(blocks, vectors, lam):
+        assert np.array_equal(v, block.vector)
+        assert block.eigenvalues().base is lam
+        assert np.array_equal(block.eigenvalues(), row)
+        assert block.row_sum() == row[0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 64])

@@ -12,8 +12,12 @@ import circjoin
 from circjoin import (
     CirculantMatrix,
     JoinSpec,
+    JordanChain,
+    KuramotoSystem,
     block_eigenpairs,
+    build_twisted_equilibrium,
     full_spectrum,
+    integrate,
     reduced_char_poly,
     smalleig,
     tensor_expand,
@@ -161,9 +165,47 @@ def test_block_eigenpairs_complete_blocks():
 def test_block_eigenpairs_are_read_only_views_of_the_block_fft():
     spec = k8_minus_directed_triangle()
     for block, lam in zip(spec.blocks, block_eigenpairs(spec)):
-        assert lam.base is block.eigenvalues()
+        # both are views of the block's row of its size group's FFT
+        assert lam.base is block.eigenvalues().base is not None
         assert np.array_equal(lam, block.eigenvalues()[1:])
         assert not lam.flags.writeable
+
+
+def test_layout_groups_blocks_by_size():
+    rng = np.random.default_rng(5)
+    vectors = [unit_disk(rng, k) for k in (3, 5, 3, 1, 5, 3)]
+    spec = JoinSpec(vectors, unit_disk(rng, (6, 6)))
+    layout = spec.layout()
+    assert layout is spec.layout()
+    assert [g.ids.tolist() for g in layout.groups] == [[3], [0, 2, 5], [1, 4]]
+    for group in layout.groups:
+        assert np.array_equal(group.vectors, [vectors[i] for i in group.ids])
+        for i, row in zip(group.ids, group.eigenvalues):
+            assert spec.blocks[i].eigenvalues().base is group.eigenvalues
+            assert np.array_equal(row, np.fft.fft(vectors[i]))
+    assert np.array_equal(layout.row_sums, [np.fft.fft(v)[0] for v in vectors])
+    assert not layout.row_sums.flags.writeable
+
+
+def test_result_records_compare_by_identity():
+    # frozen dataclasses that hold arrays: a generated == would compare
+    # the arrays and raise, and a generated hash would hash them
+    spec = join_graphs(ring_graph(5, 1), ring_graph(6, 1))
+    system = KuramotoSystem(join_graphs(ring_graph(6, 1), ring_graph(6, 1)), 1.0)
+    dec = full_spectrum(spec)
+    chain = dec.condensed_chains[0]
+    twisted = build_twisted_equilibrium(system, 1, [0.0, 0.5])
+    trajectory = integrate(system, twisted.theta, 0.01, 2)
+    pairs = [
+        (dec, full_spectrum(spec)),
+        (chain, JordanChain(chain.eigenvalue, chain.vectors)),
+        (twisted, build_twisted_equilibrium(system, 1, [0.0, 0.5])),
+        (trajectory, integrate(system, twisted.theta, 0.01, 2)),
+    ]
+    for first, second in pairs:
+        assert first == first and first != second
+        assert hash(first) == hash(first)
+        assert len({first, second}) == 2
 
 
 def test_block_eigenpair_support():
@@ -518,6 +560,51 @@ def test_reduced_char_poly_matches_mpmath_relative_to_each_coefficient(d):
         oracle = [complex(c) for c in oracle]
         magnitudes = [float(abs(r)) for r in roots]
     assert_char_poly(spec, oracle, magnitudes, 1e-13)
+
+
+def char_poly_bound_cases():
+    """The joins of the exact and mpmath char-poly tests above."""
+    cases = graph_joins() + [join_graphs(*[ring_graph(6, 1)] * 64)]
+    for d, seed in [*((d, 900 + d) for d in range(1, 7)), (16, 1116), (24, 1124)]:
+        rng = np.random.default_rng(seed)
+        blocks = [
+            CirculantMatrix(unit_disk(rng, int(rng.integers(1, 6)))) for _ in range(d)
+        ]
+        cases.append(JoinSpec(blocks, unit_disk(rng, (d, d))))
+    return cases
+
+
+@pytest.mark.parametrize("index", range(len(char_poly_bound_cases())))
+def test_char_poly_bound_recurrence_matches_np_poly(index, monkeypatch):
+    # The bound's e_i(|w|) and e_i(|w| + r) come from one Vieta recurrence
+    # over both rows.  np.poly of each row is also within gamma_2d of the
+    # exact values, so the two agree within 4 gamma_2d, and so do the
+    # bounds built from them, up to the rounding of the bound formula.
+    seen = []
+    elementary = smalleig._elementary
+
+    def spy(roots):
+        seen.append((roots, elementary(roots)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(smalleig, "_elementary", spy)
+    reduced_char_poly(char_poly_bound_cases()[index])
+    [(roots, e)] = seen
+    d = roots.shape[1]
+    reference = np.array([np.poly(-row) for row in roots])
+    finite = np.isfinite(reference)
+    assert np.array_equal(np.isfinite(e), finite)
+    error = np.abs(e - reference)[finite]
+    assert np.all(error <= 4 * smalleig._gamma(2 * d) * reference[finite])
+
+    def bound(e):
+        return 2.0 * (e[1] - e[0] + smalleig._gamma(4 * d) * e[0])
+
+    new, old = bound(e), bound(reference)
+    finite = np.isfinite(old)
+    assert np.array_equal(np.isfinite(new), finite)
+    scale = (reference[1] + reference[0])[finite]
+    assert np.all(np.abs(new - old)[finite] <= 4 * smalleig._gamma(2 * d + 4) * scale)
 
 
 # ---------------------------------------------------------------------------

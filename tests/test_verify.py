@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from circjoin import CirculantMatrix, JoinSpec, cli, full_spectrum
+from circjoin import JoinSpec, cli, full_spectrum, join, ring_graph
 from circjoin.cli import decomposition_residual, emit_join_document, main
 from circjoin.errors import PreconditionError
 
@@ -123,18 +123,19 @@ def test_swapped_fourier_eigenvalues_fail_verification(monkeypatch, capsys):
 
 
 def faulty_transform(j):
-    """CirculantMatrix.eigenvalues with entry j of every block of more
-    than j entries wrong by +1: consistent everywhere the cached
-    transform is read, so only an independent transform can see it."""
+    """np.fft.fft with entry j of every transform of more than j entries
+    wrong by +1 when it is called without a length: that is the cached
+    transform of every block, consistent everywhere it is read, so only
+    the independent length-2k transform of --verify can see it."""
+    fft = np.fft.fft
 
-    def eigenvalues(self):
-        lam = np.fft.fft(self.vector)
-        if j < self.k:
-            lam[j] += 1.0
-        lam.setflags(write=False)
+    def faulty(a, n=None, axis=-1, **kwargs):
+        lam = fft(a, n, axis, **kwargs)
+        if n is None and j < lam.shape[axis]:
+            np.moveaxis(lam, axis, -1)[..., j] += 1.0
         return lam
 
-    return eigenvalues
+    return faulty
 
 
 @pytest.mark.parametrize("j", [1, 0])
@@ -142,7 +143,7 @@ def test_wrong_block_transform_fails_verification(j, monkeypatch, capsys):
     # block 2 has one entry, so only block 1 has index 1, and at index 0
     # both blocks read an exact residual of 1 and the first one is named
     doc = json.dumps({"blocks": [[0, 1, 0], [0]], "couplings": [[0, 1], [1, 0]]})
-    monkeypatch.setattr(CirculantMatrix, "eigenvalues", faulty_transform(j))
+    monkeypatch.setattr(np.fft, "fft", faulty_transform(j))
     code, out, err = run_spectrum(doc, ["--verify"], monkeypatch, capsys)
     assert (code, out) == (4, "")
     assert err.startswith("circjoin: numerical error: residual 1.000e+00")
@@ -171,6 +172,111 @@ def test_wrong_condensed_matrix_fails_verification(monkeypatch, capsys):
         emit_join_document(spec), ["--verify"], monkeypatch, capsys
     )
     assert (code, out) == (4, "") and offender in err
+
+
+def reference_block_residual(spec, dec):
+    """The Fourier-pair part of decomposition_residual as a loop over
+    the blocks, one transform each: (max residual, tag), NaN as inf."""
+    worst, tag = -1.0, "none"
+    for b, (block, lams) in enumerate(zip(spec.blocks, dec.block_eigenvalues), 1):
+        exact = np.fft.fft(block.vector, 2 * block.k)[::2]
+        r = np.abs(exact - np.concatenate(([block.row_sum()], lams)))
+        r[np.isnan(r)] = np.inf
+        j = int(np.argmax(r))
+        if r[j] > worst:
+            worst, tag = float(r[j]), f"block {b}, fourier index {j}"
+    return worst, tag
+
+
+def exact_spectrum_join():
+    """Blocks of sizes 4, 3, 4, 3, 5 whose eigenvalues every transform
+    gets exactly (each is 2 at every Fourier index), so that residuals
+    of wrong eigenvalues can tie exactly."""
+    blocks = [[2.0] + [0.0] * (k - 1) for k in (4, 3, 4, 3, 5)]
+    return JoinSpec(blocks, np.ones((5, 5)))
+
+
+@pytest.mark.parametrize(
+    "wrong, residual, offender",
+    [
+        # (block, Fourier index, value) changes, all tying at residual 1
+        (
+            {(3, 2): 3.0, (2, 2): 1.0, (2, 1): 3.0, (5, 1): 1.0},
+            1.0,
+            "block 2, fourier index 1",
+        ),
+        ({(3, 1): 3.0, (1, 3): 3.0}, 1.0, "block 1, fourier index 3"),
+        ({(4, 2): 1.0, (5, 4): 3.0, (3, 3): 3.0}, 1.0, "block 3, fourier index 3"),
+        # a NaN counts as inf and wins over every tie
+        (
+            {(1, 1): 3.0, (2, 1): 3.0, (4, 2): np.nan, (5, 4): 3.0},
+            np.inf,
+            "block 4, fourier index 2",
+        ),
+        (
+            {(4, 2): complex(2.0, np.nan), (5, 4): np.nan},
+            np.inf,
+            "block 4, fourier index 2",
+        ),
+    ],
+)
+def test_offender_is_the_lowest_block_then_index_across_size_groups(
+    wrong, residual, offender
+):
+    spec = exact_spectrum_join()
+    dec = full_spectrum(spec)
+    lams = [lam.copy() for lam in dec.block_eigenvalues]
+    assert all(np.all(lam == 2.0) for lam in lams)
+    for (b, j), value in wrong.items():
+        lams[b - 1][j - 1] = value
+    dec = dataclasses.replace(dec, block_eigenvalues=tuple(lams))
+    assert decomposition_residual(spec, dec) == (residual, offender)
+    assert reference_block_residual(spec, dec) == (residual, offender)
+
+
+@pytest.mark.parametrize(
+    "spec, distinct_spectra",
+    [
+        (join(*[ring_graph(6, 1)] * 64), 1),
+        # blocks 1 and 3 are equal, blocks 2 and 4 are not
+        (
+            JoinSpec(
+                [[0, 1, 2], [0, 1, 0, 0, 1], [0, 1, 2], [1, 1, 0, 0, 1], range(8)],
+                np.ones((5, 5)),
+            ),
+            4,
+        ),
+    ],
+)
+def test_spectrum_work_per_distinct_block_size(
+    spec, distinct_spectra, monkeypatch, capsys
+):
+    # one eigenvalue FFT and one --verify FFT per distinct block size, and
+    # report clustering once per distinct block spectrum plus once for the
+    # condensed eigenvalues
+    ffts, clusterings = [], []
+    fft, finite_clusters = np.fft.fft, cli._finite_clusters
+
+    def counted_fft(a, n=None, *args, **kwargs):
+        ffts.append((np.shape(a), n))
+        return fft(a, n, *args, **kwargs)
+
+    def counted_clusters(values, delta):
+        clusterings.append(len(values))
+        return finite_clusters(values, delta)
+
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(cli, "_finite_clusters", counted_clusters)
+    doc = emit_join_document(spec)
+    code, _, err = run_spectrum(doc, ["--verify"], monkeypatch, capsys)
+    assert (code, err) == (0, "")
+    sizes = sorted(set(spec.block_sizes))
+    stacks = [(spec.block_sizes.count(k), k) for k in sizes]
+    assert ffts == [(shape, None) for shape in stacks] + [
+        (shape, 2 * k) for shape, k in zip(stacks, sizes)
+    ]
+    assert len(clusterings) == distinct_spectra + 1
+    assert clusterings[-1] == spec.d
 
 
 def test_verify_of_a_large_join_needs_no_cap(monkeypatch, capsys):
