@@ -55,11 +55,14 @@ class CirculantMatrix:
 
         The eigenvalue sum_m c_m w^{-m*j} is the discrete Fourier
         transform of the defining vector, so this is one FFT, computed
-        on first use (or shared by a join, see `stack_eigenvalues`) and
-        returned read-only afterwards.
+        on first use and returned read-only afterwards.  A join reads
+        its blocks' eigenvalues from its own stacked transform
+        (`JoinSpec.layout`), which holds the same bits.
         """
         if self._eigenvalues is None:
-            stack_eigenvalues([self])
+            lam = np.fft.fft(self.vector)
+            lam.setflags(write=False)
+            self._eigenvalues = lam
         return self._eigenvalues
 
     def __eq__(self, other):
@@ -75,21 +78,3 @@ class CirculantMatrix:
         entries = ", ".join(repr(complex(c)) for c in self.vector)
         return f"CirculantMatrix([{entries}])"
 
-
-def stack_eigenvalues(blocks):
-    """(vectors, eigenvalues) of g circulant blocks of one size k: two
-    read-only (g, k) arrays whose row i belongs to blocks[i].
-
-    The eigenvalues are one FFT along the rows of the stacked defining
-    vectors.  numpy transforms the rows one by one with the plan of a
-    single transform, so each row is bit for bit the FFT of that block
-    alone.  Row i becomes what blocks[i].eigenvalues() returns, so no
-    block is transformed twice.
-    """
-    vectors = np.array([block.vector for block in blocks])
-    lam = np.fft.fft(vectors, axis=1)
-    vectors.setflags(write=False)
-    lam.setflags(write=False)
-    for block, row in zip(blocks, lam):
-        block._eigenvalues = row
-    return vectors, lam

@@ -250,7 +250,7 @@ def decomposition_residual(join, decomposition):
     # per size group, (-residual, block, Fourier index) of its first
     # largest residual in block order, so the least is the offender
     offenders = []
-    for ids, vectors, eigenvalues in layout.groups:
+    for ids, _, vectors, eigenvalues in layout.groups:
         k = vectors.shape[1]
         claimed = eigenvalues.copy()  # index 0 is the row sum
         claimed[:, 1:] = [lams[i] for i in ids.tolist()]

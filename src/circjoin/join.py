@@ -16,8 +16,9 @@ into two analytic parts:
 
 So the block part of a spectrum costs one FFT per distinct block size:
 a join keeps its blocks grouped by size (`JoinSpec.layout`), with the
-stacked defining vectors and eigenvalues of each group, and every
-per-block quantity is read from those stacks.
+stacked defining vectors and eigenvalues of each group and the rows
+its blocks occupy, and every per-block quantity and the join's action
+`JoinSpec.matvec` are read from that one layout.
 """
 
 from dataclasses import dataclass, field
@@ -25,28 +26,30 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .circulant import CirculantMatrix, stack_eigenvalues
+from .circulant import CirculantMatrix
 from .errors import NumericalError, PreconditionError
 from . import smalleig
 
 
 class BlockGroup(NamedTuple):
     """The g blocks of one size k in a join: their indices `ids` (g,)
-    in block order, and their read-only (g, k) stacked defining
-    `vectors` and `eigenvalues` (Fourier index j = 0..k-1 along each
-    row)."""
+    in block order, the (g, k) indices `rows` of their rows in the join,
+    and their read-only (g, k) stacked defining `vectors` and
+    `eigenvalues` (Fourier index j = 0..k-1 along each row)."""
 
     ids: np.ndarray
+    rows: np.ndarray
     vectors: np.ndarray
     eigenvalues: np.ndarray
 
 
 class BlockLayout(NamedTuple):
     """What `JoinSpec.layout` returns: the (d,) block row sums (each
-    block's j = 0 eigenvalue) and one `BlockGroup` per distinct block
-    size, by size."""
+    block's j = 0 eigenvalue), the (d,) first row of each block in the
+    join, and one `BlockGroup` per distinct block size, by size."""
 
     row_sums: np.ndarray
+    offsets: np.ndarray
     groups: tuple
 
 
@@ -57,7 +60,7 @@ class JoinSpec:
     be given as CirculantMatrix instances or raw defining vectors.
     """
 
-    __slots__ = ("blocks", "couplings", "_layout", "_matvec")
+    __slots__ = ("blocks", "couplings", "d", "block_sizes", "n", "_layout")
 
     def __init__(self, blocks, couplings=None):
         blocks = tuple(
@@ -80,20 +83,10 @@ class JoinSpec:
         a.setflags(write=False)
         self.blocks = blocks
         self.couplings = a
+        self.d = d
+        self.block_sizes = tuple(b.k for b in blocks)
+        self.n = sum(self.block_sizes)
         self._layout = None
-        self._matvec = None
-
-    @property
-    def d(self):
-        return len(self.blocks)
-
-    @property
-    def block_sizes(self):
-        return tuple(b.k for b in self.blocks)
-
-    @property
-    def n(self):
-        return sum(self.block_sizes)
 
     def condensed(self):
         """The d x d matrix of block row sums and scaled couplings.
@@ -111,24 +104,20 @@ class JoinSpec:
         return a
 
     def matvec(self, x):
-        """A @ x without the dense A, for x of shape (n,) or (n, m).
+        """A @ x without the dense A, for x of shape (n,).
 
         Each block acts by FFT circular convolution, and the constant
         off-diagonal blocks act through the block sums of x, so this
-        costs O(n log n) per column and no n x n storage.  The blocks of
-        one size share one fft/ifft pair on their stacked slices of x.
+        costs O(n log n) and no n x n storage.  The blocks of one size
+        share one fft/ifft pair on their `rows` of x (`layout`).
         """
-        n, offsets, groups = self._matvec_layout()
         x = np.asarray(x, dtype=np.complex128)
-        if x.ndim not in (1, 2) or x.shape[0] != n:
-            raise PreconditionError(
-                f"expected an array of shape ({n},) or ({n}, m)"
-            )
-        cross = self.couplings @ np.add.reduceat(x, offsets, axis=0)
+        if x.shape != (self.n,):
+            raise PreconditionError(f"expected an array of shape ({self.n},)")
+        layout = self.layout()
+        cross = self.couplings @ np.add.reduceat(x, layout.offsets)
         out = np.empty_like(x)
-        for ids, rows, lam in groups:
-            if x.ndim == 2:
-                lam = lam[:, :, None]
+        for ids, rows, _, lam in layout.groups:
             # The transforms run in place on fresh arrays, which skips
             # np.fft's output allocation.  The product is lam * spec on a
             # named array: numpy's complex multiply is not bit-commutative,
@@ -138,50 +127,40 @@ class JoinSpec:
             np.fft.fft(spec, axis=1, out=spec)
             conv = lam * spec
             np.fft.ifft(conv, axis=1, out=conv)
-            conv += cross[ids]
+            conv += cross[ids][:, None]
             out[rows] = conv
         return out
 
     def layout(self):
         """The join's blocks grouped by size, as a `BlockLayout`, built
-        on first use.
+        on first use and shared by everything that reads the blocks.
 
-        Each group's eigenvalues are one FFT of its stacked defining
-        vectors (`stack_eigenvalues`), and each block's `eigenvalues()`
-        is its row of that stack, so a join of d blocks of s distinct
-        sizes costs s FFT calls, however large d is.
+        Each group's eigenvalues are one FFT along the rows of its
+        stacked defining vectors.  numpy transforms the rows one by one
+        with the plan of a single transform, so each row is bit for bit
+        the block's own `eigenvalues()`, and a join of d blocks of s
+        distinct sizes costs s FFT calls, however large d is.
         """
         if self._layout is None:
             by_size = {}
-            for i, block in enumerate(self.blocks):
-                by_size.setdefault(block.k, []).append(i)
+            for i, k in enumerate(self.block_sizes):
+                by_size.setdefault(k, []).append(i)
+            sizes = np.array(self.block_sizes)
+            offsets = sizes.cumsum() - sizes
             sums = np.empty(self.d, dtype=np.complex128)
             groups = []
             for k in sorted(by_size):
-                vectors, lam = stack_eigenvalues([self.blocks[i] for i in by_size[k]])
                 ids = np.array(by_size[k])
+                vectors = np.array([self.blocks[i].vector for i in by_size[k]])
+                lam = np.fft.fft(vectors, axis=1)
+                vectors.setflags(write=False)
+                lam.setflags(write=False)
                 sums[ids] = lam[:, 0]
-                groups.append(BlockGroup(ids, vectors, lam))
+                rows = offsets[ids, None] + np.arange(k)
+                groups.append(BlockGroup(ids, rows, vectors, lam))
             sums.setflags(write=False)
-            self._layout = BlockLayout(sums, tuple(groups))
+            self._layout = BlockLayout(sums, offsets, tuple(groups))
         return self._layout
-
-    def _matvec_layout(self):
-        """(n, block offsets, groups) for matvec, built on its first call.
-
-        Per size group of `layout`: the (g, 1) indices of its g blocks,
-        the (g, k) indices of their rows in the join, and their (g, k)
-        stacked eigenvalues.
-        """
-        if self._matvec is None:
-            sizes = np.array(self.block_sizes)
-            offsets = sizes.cumsum() - sizes
-            groups = tuple(
-                (ids[:, None], offsets[ids, None] + np.arange(lam.shape[1]), lam)
-                for ids, _, lam in self.layout().groups
-            )
-            self._matvec = (int(sizes.sum()), offsets, groups)
-        return self._matvec
 
     def inf_norm(self):
         """Largest absolute row sum of the dense expansion, read from
@@ -289,10 +268,14 @@ def block_eigenpairs(join):
     (The j = 0 eigenvalue is the row sum, which `JoinSpec.condensed`
     checks.)
     """
-    groups = join.layout().groups
-    if not all(np.isfinite(g.eigenvalues[:, 1:]).all() for g in groups):
-        raise NumericalError("a block eigenvalue overflows")
-    return tuple(block.eigenvalues()[1:] for block in join.blocks)
+    out = [None] * join.d
+    for group in join.layout().groups:
+        lam = group.eigenvalues[:, 1:]
+        if not np.isfinite(lam).all():
+            raise NumericalError("a block eigenvalue overflows")
+        for i, row in zip(group.ids.tolist(), lam):
+            out[i] = row
+    return tuple(out)
 
 
 def tensor_expand(v, sizes):

@@ -14,6 +14,7 @@ equilibrium through its entrywise argument.
 """
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,6 +45,8 @@ class KuramotoSystem:
             raise PreconditionError("Kuramoto network must have real entries")
         self.network = network
         self.epsilon = float(epsilon)
+        if not math.isfinite(self.epsilon):
+            raise PreconditionError("epsilon must be finite")
         n = network.n
         if omega is None:
             self.omega = np.zeros(n)
@@ -53,6 +56,8 @@ class KuramotoSystem:
                 om = np.full(n, float(om))
             if om.shape != (n,):
                 raise PreconditionError(f"omega must be a scalar or length-{n} vector")
+            if not np.isfinite(om).all():
+                raise PreconditionError("omega must be finite")
             self.omega = om
 
     @property
@@ -165,12 +170,16 @@ def build_twisted_equilibrium(system, j, phis):
         raise PreconditionError(
             "twisted equilibria need a real symmetric circulant block"
         )
+    try:
+        j = operator.index(j)
+    except TypeError:
+        raise PreconditionError(f"fourier index {j!r} is not an integer") from None
     if not 1 <= j <= k - 1:
         raise PreconditionError(f"fourier index {j} out of range [1, {k - 1}]")
     phis = np.atleast_1d(np.asarray(phis, dtype=np.float64))
     if phis.shape != (network.d,):
         raise PreconditionError(f"need one phase offset per block ({network.d})")
-    if np.any(np.abs(phis) > np.pi + 1e-12):
+    if not np.all(np.abs(phis) <= np.pi + 1e-12):  # a NaN fails too
         raise PreconditionError("phase offsets must lie in [-pi, pi]")
     ramp = TWO_PI * j * np.arange(k) / k
     theta = np.concatenate([ramp + phi for phi in phis])

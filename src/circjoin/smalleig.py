@@ -51,6 +51,19 @@ def _inf_norm(a):
     return norm
 
 
+def _tolerance(name, value, default):
+    """`value` as a float, or `default` when it is None.  A given
+    tolerance must be finite and >= 0: a NaN passes no comparison and
+    a negative one no threshold, so either would change the structure
+    found without a word."""
+    if value is None:
+        return default
+    value = float(value)
+    if not 0.0 <= value < math.inf:
+        raise PreconditionError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _scale_exponent(norm):
     """t with 2^t the power of two just above `norm`, clamped so that
     2^-t stays finite."""
@@ -248,10 +261,8 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
     """
     a = _as_square(matrix)
     norm = _inf_norm(a)
-    if cluster_delta is None:
-        cluster_delta = 1e-7 * norm
-    if sigma_tol is None:
-        sigma_tol = 1e-8 * norm
+    cluster_delta = _tolerance("cluster_delta", cluster_delta, 1e-7 * norm)
+    sigma_tol = _tolerance("sigma_tol", sigma_tol, 1e-8 * norm)
     w, x = _eig(a)
     clusters = _finite_clusters(w, cluster_delta)
     fit = _fit(a, w, x, norm)
@@ -463,8 +474,7 @@ def jordan_chains(matrix, eigenvalue, multiplicity, *, sigma_tol=None):
     if not 1 <= multiplicity <= d:
         raise PreconditionError(f"multiplicity {multiplicity} out of range [1, {d}]")
     norm = _inf_norm(a)
-    if sigma_tol is None:
-        sigma_tol = 1e-8 * norm
+    sigma_tol = _tolerance("sigma_tol", sigma_tol, 1e-8 * norm)
     t = _scale_exponent(norm)
     e = (a - eigenvalue * np.eye(d, dtype=np.complex128)) * math.ldexp(1.0, -t)
     try:

@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 
 from circjoin import CirculantMatrix, JoinSpec, root_of_unity_powers
-from circjoin.circulant import stack_eigenvalues
 from circjoin.errors import PreconditionError
 
 from corpus import dense_circulant, fourier_matrix, inf_norm, multiset_match, unit_disk
@@ -97,21 +96,8 @@ def test_stacked_fft_is_the_per_row_fft_bit_for_bit(k):
         v[g // 2 :] = v[0]  # equal rows as well as distinct ones
         rows = np.array([np.fft.fft(row) for row in v])
         assert np.fft.fft(v, axis=1).tobytes() == rows.tobytes()
-        _, lam = stack_eigenvalues([CirculantMatrix(row) for row in v])
-        assert lam.tobytes() == rows.tobytes()
         rows = np.array([np.fft.fft(row, 2 * k)[::2] for row in v])
         assert np.fft.fft(v, 2 * k, axis=1)[:, ::2].tobytes() == rows.tobytes()
-
-
-def test_stacked_eigenvalues_become_the_blocks_own():
-    blocks = [CirculantMatrix([1.0, 2.0, 3.0]), CirculantMatrix([0.0, 1.0, 0.0])]
-    vectors, lam = stack_eigenvalues(blocks)
-    assert not vectors.flags.writeable and not lam.flags.writeable
-    for block, v, row in zip(blocks, vectors, lam):
-        assert np.array_equal(v, block.vector)
-        assert block.eigenvalues().base is lam
-        assert np.array_equal(block.eigenvalues(), row)
-        assert block.row_sum() == row[0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 64])
@@ -124,8 +110,6 @@ def test_matvec_matches_dense(k):
     tol = 1e-13 * (1.0 + inf_norm(a))
     x = unit_disk(rng, k)
     assert np.abs(spec.matvec(x) - a @ x).max() <= tol
-    xs = unit_disk(rng, (k, 3))
-    assert np.abs(spec.matvec(xs) - a @ xs).max() <= tol
 
 
 def test_row_sum_examples():

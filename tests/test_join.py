@@ -44,6 +44,7 @@ from corpus import (
     multiset_match,
     random_circulant,
     random_join,
+    structured_corpus,
     unit_disk,
 )
 
@@ -163,25 +164,33 @@ def test_block_eigenpairs_complete_blocks():
 
 
 def test_block_eigenpairs_are_read_only_views_of_the_block_fft():
-    spec = k8_minus_directed_triangle()
-    for block, lam in zip(spec.blocks, block_eigenpairs(spec)):
-        # both are views of the block's row of its size group's FFT
-        assert lam.base is block.eigenvalues().base is not None
-        assert np.array_equal(lam, block.eigenvalues()[1:])
-        assert not lam.flags.writeable
+    for spec in [k8_minus_directed_triangle(), *structured_corpus()]:
+        lams = block_eigenpairs(spec)
+        for group in spec.layout().groups:
+            for i in group.ids.tolist():
+                # a view of the block's row of its size group's FFT,
+                # holding the bits of the block's own transform
+                assert lams[i].base is group.eigenvalues
+                assert lams[i].tobytes() == spec.blocks[i].eigenvalues()[1:].tobytes()
+                assert not lams[i].flags.writeable
 
 
 def test_layout_groups_blocks_by_size():
     rng = np.random.default_rng(5)
-    vectors = [unit_disk(rng, k) for k in (3, 5, 3, 1, 5, 3)]
+    sizes = (3, 5, 3, 1, 5, 3)
+    vectors = [unit_disk(rng, k) for k in sizes]
     spec = JoinSpec(vectors, unit_disk(rng, (6, 6)))
     layout = spec.layout()
     assert layout is spec.layout()
     assert [g.ids.tolist() for g in layout.groups] == [[3], [0, 2, 5], [1, 4]]
+    starts = np.cumsum((0, *sizes[:-1]))
+    assert np.array_equal(layout.offsets, starts)
     for group in layout.groups:
         assert np.array_equal(group.vectors, [vectors[i] for i in group.ids])
+        assert np.array_equal(
+            group.rows, [np.arange(starts[i], starts[i] + sizes[i]) for i in group.ids]
+        )
         for i, row in zip(group.ids, group.eigenvalues):
-            assert spec.blocks[i].eigenvalues().base is group.eigenvalues
             assert np.array_equal(row, np.fft.fft(vectors[i]))
     assert np.array_equal(layout.row_sums, [np.fft.fft(v)[0] for v in vectors])
     assert not layout.row_sums.flags.writeable

@@ -274,6 +274,15 @@ def real_join_doc():
     return json.dumps({"blocks": blocks, "couplings": couplings})
 
 
+def mixed_join_doc():
+    """A real join whose blocks have mixed and repeated sizes, so each
+    rate runs several size groups of `JoinSpec.matvec`."""
+    rng = np.random.default_rng(19)
+    blocks = [rng.uniform(-1.0, 1.0, k).tolist() for k in (3, 5, 3, 8)]
+    couplings = rng.uniform(-1.0, 1.0, (4, 4)).tolist()
+    return json.dumps({"blocks": blocks, "couplings": couplings})
+
+
 # sha256 of stdout as the json.dumps(indent=2) writer printed it, on
 # x86-64 Linux with numpy 2.4 (OpenBLAS, pocketfft).  FFT, exp and LAPACK
 # rounding elsewhere may move last digits; the byte-identity tests above
@@ -287,13 +296,22 @@ PINNED = [
      "033237e5f45a2fdd7d57de9bf55004b07502c0f00e3d374d31ad12e01657fb9b"),
     (["graph", "join", "ring:5:1", "complement:cycle:4", "--emit", "spec"], "",
      "8c915c44b8ac5f0656f31e15da1c91399a9826bf6a71cd6282bcf7df0b896a75"),
+    # off equilibrium, so every row rests on the bits of the rates
+    (["kuramoto", "simulate", "-", "--state", "STATE", "--steps", "50", "--drift"],
+     mixed_join_doc(), "48ced9224c2e146ceaba5c3513df9a3ff48d457458842c503e71f7b6cac50e8f"),
 ]
 
 
 @pytest.mark.parametrize(
-    "argv, stdin, digest", PINNED, ids=["k8", "real-2x128", "equilibrium", "graph-spec"]
+    "argv, stdin, digest",
+    PINNED,
+    ids=["k8", "real-2x128", "equilibrium", "graph-spec", "simulate-3-5-3-8"],
 )
-def test_stdout_matches_pinned_digest(argv, stdin, digest, monkeypatch, capsys):
+def test_stdout_matches_pinned_digest(argv, stdin, digest, tmp_path, monkeypatch, capsys):
+    state = tmp_path / "state.json"
+    rng = np.random.default_rng(20)
+    state.write_text(json.dumps(rng.uniform(-np.pi, np.pi, 19).tolist()))
+    argv = [str(state) if a == "STATE" else a for a in argv]
     code, out, err = run(argv, stdin, monkeypatch, capsys)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -178,6 +180,26 @@ def test_twisted_state_preconditions():
         build_twisted_equilibrium(system, 6, [0.0])
     with pytest.raises(PreconditionError):
         build_twisted_equilibrium(system, 1, [4.0])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda s: build_twisted_equilibrium(s, 1, [math.nan, 0.0]),
+        lambda s: build_twisted_equilibrium(s, 1.5, [0.0, 0.0]),
+        lambda s: build_twisted_equilibrium(s, np.float64(1.0), [0.0, 0.0]),
+        lambda s: KuramotoSystem(s.network, epsilon=math.nan),
+        lambda s: KuramotoSystem(s.network, epsilon=math.inf),
+        lambda s: KuramotoSystem(s.network, omega=math.nan),
+        lambda s: KuramotoSystem(s.network, omega=[0.0] * 11 + [-math.inf]),
+    ],
+    ids=["nan-phi", "j-1.5", "j-float", "eps-nan", "eps-inf", "omega-nan", "omega-inf"],
+)
+def test_constructors_reject_non_integral_index_and_non_finite_input(make):
+    # a NaN reaches the phases or the rates, and a non-integral j winds
+    # a state that is no equilibrium; a float j is refused even when whole
+    with pytest.raises(PreconditionError):
+        make(identical_ring_system(2, 6))
 
 
 def test_constant_states_are_equilibria():

@@ -428,6 +428,25 @@ def test_jordan_rejects_bad_multiplicity():
         smalleig.jordan_chains(np.eye(2), 1.0, 3)
 
 
+@pytest.mark.parametrize("tol", [-1.0, -5e-324, math.nan, math.inf])
+def test_tolerances_must_be_finite_and_non_negative(tol):
+    # on a 2 x 2 Jordan block a NaN or negative tolerance would report
+    # two chains of length 1, or a misleading IllConditionedError
+    j2 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    join = JoinSpec([[0.0], [0.0]], [[0.0, 1.0], [0.0, 0.0]])
+    assert not full_spectrum(join).diagonalizable
+    calls = [
+        lambda: smalleig.eigensystem(j2, cluster_delta=tol),
+        lambda: smalleig.eigensystem(j2, sigma_tol=tol),
+        lambda: smalleig.jordan_chains(j2, 0.0, 2, sigma_tol=tol),
+        lambda: full_spectrum(join, cluster_delta=tol),
+        lambda: full_spectrum(join, sigma_tol=tol),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="must be finite and >= 0"):
+            call()
+
+
 def eigensystem_or_error(m, **kwargs):
     try:
         return smalleig.eigensystem(m, **kwargs).clusters

@@ -49,9 +49,6 @@ def test_matvec_matches_dense(index):
     rng = np.random.default_rng(index)
     x = unit_disk(rng, spec.n)
     assert np.abs(spec.matvec(x) - a @ x).max() <= tol
-    xs = unit_disk(rng, (spec.n, 5))
-    assert spec.matvec(xs).shape == (spec.n, 5)
-    assert np.abs(spec.matvec(xs) - a @ xs).max() <= tol
     assert abs(spec.inf_norm() - inf_norm(a)) <= 1e-13 * (1.0 + inf_norm(a))
 
 
@@ -59,6 +56,8 @@ def test_matvec_rejects_wrong_shape():
     spec = structured_corpus()[0]
     with pytest.raises(PreconditionError):
         spec.matvec(np.zeros(spec.n + 1))
+    with pytest.raises(PreconditionError):
+        spec.matvec(np.zeros((spec.n, 2)))
     with pytest.raises(PreconditionError):
         spec.matvec(np.zeros((spec.n, 2, 2)))
 
