@@ -301,9 +301,11 @@ def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):
     O(n + d^2) numbers.  The diagonalizable flag mirrors the condensed
     matrix.
 
-    The condensed solve is one `smalleig.eigensystem` call: one LAPACK
-    `eig` of the d x d matrix, O(d^3), with SVD null spaces only for
-    repeated or uncertified eigenvalues.  The reduced characteristic
+    The condensed solve is one `smalleig.eigensystem` call: twin blocks
+    are deflated to their exact eigenvalues, and one LAPACK `eig` of
+    the q x q quotient that remains (the d x d matrix when no blocks
+    are twins), O(q^3), with SVD null spaces only for repeated or
+    uncertified eigenvalues.  The reduced characteristic
     polynomial comes from the same eig.  Tolerance keywords are
     forwarded to it.
     """
@@ -331,8 +333,9 @@ def reduced_char_poly(join):
     eigenvalues of the join: the characteristic polynomial of the
     condensed matrix.  Coefficients are returned highest degree first.
 
-    One `smalleig.char_poly` call: np.poly of the eigenvalues of one
-    `eig`, O(d^3), and O(d^2) after it, with no Jordan chains.  A real
+    One `smalleig.char_poly` call: np.poly of the twin values and the
+    eigenvalues of one `eig` of the quotient, O(q^3), and O(d^2) after
+    it, with no Jordan chains.  A real
     join gets real coefficients.  When the condensed matrix has
     Gaussian-integer entries, as for graph joins, a coefficient is
     exact wherever its certified error bound is below 1/2; the others

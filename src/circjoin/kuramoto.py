@@ -21,6 +21,7 @@ import numpy as np
 
 from .errors import DivergenceError, NumericalError, PreconditionError
 from .join import JoinSpec
+from .smalleig import _tolerance
 
 TWO_PI = 2.0 * np.pi
 
@@ -134,9 +135,12 @@ def default_equilibrium_tol(system):
 
 
 def check_equilibrium(system, theta, tol=None):
-    """Whether theta is an equilibrium; returns (flag, residual norm)."""
+    """Whether theta is an equilibrium; returns (flag, residual norm).
+    A given tol must be finite and >= 0 (PreconditionError)."""
     if tol is None:
         tol = default_equilibrium_tol(system)
+    else:
+        tol = _tolerance("tol", tol, None)
     residual = float(np.abs(rhs(system, theta)).max())
     return residual <= tol, residual
 
@@ -250,11 +254,12 @@ def integrate(system, theta0, dt, steps):
     Every row is the one a full-length RK4 loop gives, bit for bit.  Once
     a step returns its input unchanged (a state resting on an
     equilibrium), the later rows are copies of it and no rate is
-    evaluated for them.  Raises DivergenceError (carrying the step
-    index) if the state stops being finite.
+    evaluated for them.  Raises PreconditionError unless 0 < dt < inf
+    and steps >= 1, and DivergenceError (carrying the step index) if the
+    state stops being finite.
     """
-    if dt <= 0.0:
-        raise PreconditionError("dt must be positive")
+    if not 0.0 < dt < math.inf:
+        raise PreconditionError(f"dt must be positive and finite, got {dt!r}")
     steps = int(steps)
     if steps < 1:
         raise PreconditionError("steps must be >= 1")

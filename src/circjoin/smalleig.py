@@ -1,16 +1,26 @@
 """Eigenvalues and Jordan chains of small dense complex matrices.
 
 Intended for the d x d condensed matrix of a join (d up to a few
-hundred).  `eigensystem` is one LAPACK eig (np.linalg.eig), O(d^3):
-nearby eigenvalues are merged into clusters with summed multiplicity,
-and a simple eigenvalue keeps LAPACK's eigenvector when a residual and
-separation certificate proves that the SVD rank test would find one
-chain of length 1.  Repeated or uncertified eigenvalues get their
-Jordan chains from SVD null spaces of powers of (M - lambda*I)
-(`jordan_chains`).  The same eig gives the characteristic polynomial
-with a certified error bound per coefficient (`char_poly`), in O(d^2)
-after the solve.  Default tolerances are relative to the matrix's
-inf-norm, so scaling the input scales the results.
+hundred).  Equal structure is deflated first: indices i != j are twins
+when C_ii = C_jj, C_ij = C_ji and rows i, j and columns i, j agree
+outside {i, j} (as for equal blocks with equal couplings).  A class of
+m twins with inner value C_ij has the exact eigenvalue C_ii - C_ij on
+its m - 1 orthonormal Helmert vectors, and the normalized class
+indicators span the complementary invariant subspace, on which C acts
+as the q x q quotient (`_deflate`).  The split is unitary, so only the
+quotient needs LAPACK; a matrix without twins is its own quotient.
+
+`eigensystem` is one LAPACK eig (np.linalg.eig) of the quotient,
+O(q^3): the quotient's eigenvalues and the twin eigenvalues are merged
+into clusters with summed multiplicity, and a simple eigenvalue keeps
+LAPACK's eigenvector when a residual and separation certificate proves
+that the SVD rank test would find one chain of length 1.  Repeated or
+uncertified eigenvalues get their Jordan chains from SVD null spaces of
+powers of (M - lambda*I) (`jordan_chains`).  The same eig gives the
+characteristic polynomial with a certified error bound per coefficient
+(`char_poly`), in O(d^2) after the solve.  Default tolerances are
+relative to the matrix's inf-norm, so scaling the input scales the
+results.
 
 The clustering (`_cluster`, also used for the spectrum report's rows)
 first proves which values stay alone, from a bound on how far a greedy
@@ -20,6 +30,7 @@ the greedy merge loop.
 
 import cmath
 import math
+from functools import cache
 from itertools import compress
 from math import hypot
 from operator import itemgetter, sub
@@ -248,63 +259,99 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
     1e-7 * inf-norm) are merged to their mean, and sigma_tol defaults to
     1e-8 * inf-norm as in `jordan_chains`.
 
-    One np.linalg.eig gives every eigenvalue and eigenvector.  A simple
-    eigenvalue whose eigenpair is certified (see `_certified`) to pass
-    jordan_chains' nullity test keeps its LAPACK eigenvector (unit norm,
-    largest component real) as its one chain; every other cluster, of
-    multiplicity > 1 or uncertified, goes to `jordan_chains`.  The
-    characteristic polynomial comes from the same eigenpairs, as in
-    `char_poly`.  The cost is O(d^3), plus O(d^3) or more per cluster
-    that falls back.  Raises ConvergenceError when LAPACK does not
-    converge, NumericalError when an eigenvalue overflows, and as
-    `jordan_chains` does.
+    The matrix is first split into its twin eigenvalues and its q x q
+    quotient (see the module docstring); without twins the quotient is
+    the matrix itself.  One np.linalg.eig of the quotient gives its
+    eigenvalues and eigenvectors, and all eigenvalues, each twin value
+    lambda_c repeated m_c - 1 times, are clustered together.  Then, by
+    cluster:
+
+    * twin values only: one chain of length 1 per Helmert vector, the
+      orthonormal (e_(i_1) + ... + e_(i_r) - r e_(i_(r+1))) /
+      sqrt(r (r + 1)), r = 1..m - 1, class by class in increasing
+      order of members;
+    * quotient values only: a simple eigenvalue whose eigenpair is
+      certified (see `_certified`) to pass jordan_chains' nullity test
+      keeps its LAPACK eigenvector (unit norm, largest component real)
+      as its one chain; any other goes to `jordan_chains` of the
+      quotient.  Either is lifted to C^d through the normalized class
+      indicators, which keeps norms and chain links;
+    * both: `jordan_chains` of the whole matrix, as without twins.
+
+    The characteristic polynomial comes from the same eigenpairs, as in
+    `char_poly`.  The cost is O(d^2) for the twin search (O(d) when the
+    diagonal entries are distinct, O(d^3) at worst, see `_twin_classes`)
+    and O(q^3) for the eig, plus O(q^3) or more per cluster that falls
+    back.  Raises ConvergenceError when LAPACK does not converge,
+    NumericalError when an eigenvalue overflows, and as `jordan_chains`
+    does.
     """
     a = _as_square(matrix)
     norm = _inf_norm(a)
     cluster_delta = _tolerance("cluster_delta", cluster_delta, 1e-7 * norm)
     sigma_tol = _tolerance("sigma_tol", sigma_tol, 1e-8 * norm)
-    w, x = _eig(a)
-    clusters = _finite_clusters(w, cluster_delta)
-    fit = _fit(a, w, x, norm)
+    twins, w, x, fit = _solve(a, norm)
+    p, t = len(w), fit[0]
+    clusters = _finite_clusters(np.concatenate([w, twins.values]), cluster_delta)
+    helmert = twins.helmert()
+    vectors = twins.lift(x.T)
     certified = _certified(w, fit, sigma_tol)
     out = []
     for lam, mult, members in clusters:
-        if mult == 1 and certified[members[0]]:
-            chains = [np.array([x[:, members[0]]])]
+        if min(members) >= p:
+            chains = [helmert[i - p][None] for i in sorted(members)]
+        elif max(members) >= p:
+            chains = _jordan_chains(a, lam, mult, sigma_tol, t)
+        elif mult == 1 and certified[members[0]]:
+            chains = [vectors[members[0]][None]]
         else:
-            chains = jordan_chains(a, lam, mult, sigma_tol=sigma_tol)
+            chains = _jordan_chains(twins.quotient, lam, mult, sigma_tol, t)
+            chains = [twins.lift(chain) for chain in chains]
         out.append((lam, mult, chains))
-    return Eigensystem(out, *_char_poly(a, w, x, fit))
+    return Eigensystem(out, *_char_poly(a, twins, w, x, fit))
 
 
 def char_poly(matrix):
     """Coefficients of det(x I - M), highest degree first, and a bound on
-    the error of each; one np.linalg.eig, O(d^3), and O(d^2) after it.
+    the error of each; one np.linalg.eig of the q x q quotient (see the
+    module docstring), O(q^3), and O(d^2) after it.
 
-    The coefficients are np.poly of the eigenvalues w, with the
-    eigenvectors X, R = M X - X W (W = diag(w)) and the singular values
-    of X as the certificate:
+    The coefficients are np.poly of the eigenvalues: the eigenvalues w
+    of the quotient Q and the twin values lambda_c, each m_c - 1 times.
+    A lambda_c = C_ii - C_ij is exact up to the rounding of that one
+    difference, which is 0 when the difference is exact (tested by
+    TwoSum).  For the w, the eigenvectors X, R = Q X - X W (W = diag(w))
+    and the singular values of X are the certificate:
 
-    * M is within R X^-1 of X W X^-1, so by Bauer-Fike every eigenvalue
-      of M lies in a disc of radius rho = ||R|| sigma_max / sigma_min^2
+    * Q is within R X^-1 of X W X^-1, so by Bauer-Fike every eigenvalue
+      of Q lies in a disc of radius rho = ||R|| sigma_max / sigma_min^2
       about some w_j.  ||R|| is the computed Frobenius norm plus the
-      rounding error of forming R, and sigma_min is lowered by a margin
-      for the SVD's own error.
-    * A connected group of m such discs holds exactly m eigenvalues of M,
-      so the eigenvalues of M pair off with the w_j within 2 m rho
-      <= 2 d rho.  This holds for repeated eigenvalues too.
-    * Moving each root by at most r moves e_i, the i-th elementary
-      symmetric function, by at most e_i(|w| + r) - e_i(|w|); np.poly's
-      own rounding adds at most gamma_4d * e_i(|w|).  The bound is twice
-      their sum, which covers the rounding of the bound itself.
+      rounding error of forming R and of forming Q from M, and
+      sigma_min is lowered by a margin for the SVD's own error.
+    * A connected group of m such discs holds exactly m eigenvalues of Q,
+      so the eigenvalues of Q pair off with the w_j within 2 m rho
+      <= 2 q rho.  This holds for repeated eigenvalues too.
+    * Moving each root by at most its radius r moves e_i, the i-th
+      elementary symmetric function, by at most e_i(|w| + r) - e_i(|w|);
+      np.poly's own rounding adds at most gamma_4d * e_i(|w|).  The bound
+      is twice their sum, which covers the rounding of the bound itself.
     * e_i(|w|) and e_i(|w| + r) come from one Vieta recurrence over
       both root vectors (`_elementary`).  Every term is nonnegative, so
-      each is within gamma_2d of its value, relatively, and e_0 = 1 is
-      exact.  For i >= 1 their difference D_i is at least
-      r (d - i + 1) e_(i-1)(|w|) >= r i e_i(|w|) / max|w|, and r is at
+      each is within gamma_2g of its value, relatively, g the number of
+      roots, and e_0 = 1 is exact.  For i >= 1 their difference D_i is
+      at least sum_j r_j e_(i-1)(|w| without w_j) >= c i e_i(|w|) when
+      every r_j >= c |w_j|.  Without twins, g = d and every r_j is at
       least 4 d (d + 4) u max|w| from the rounding term of ||R||, so
       the rounding of the two terms, gamma_2d (2 e_i(|w|) + D_i), is
-      about D_i / (d + 4) or less, which the factor 2 covers too.
+      about D_i / (d + 4) or less, which the factor 2 covers too.  With
+      twins, the recurrence runs over the w and the inexact lambda_c,
+      all with the radius rho above, raised to 4 g (g + 4) u max|w_j|
+      if that is larger, for the same argument (an inexact lambda_c is
+      within u |lambda_c| of its value); the exact lambda_c have radius
+      0, and the product of their (x + |lambda_c|)^(m_c - 1) multiplies
+      the bound after it, a convolution of nonnegative terms whose
+      rounding the factor 2 covers as well.  Without twins, g = d and
+      rho is never raised.
 
     A bound is inf when X is not finite, its SVD fails or X is
     numerically singular.  A real M gets real coefficients.  When every
@@ -315,9 +362,214 @@ def char_poly(matrix):
     converge and NumericalError when the inf-norm of M overflows.
     """
     a = _as_square(matrix)
-    norm = _inf_norm(a)
-    w, x = _eig(a)
-    return _char_poly(a, w, x, _fit(a, w, x, norm))
+    return _char_poly(a, *_solve(a, _inf_norm(a)))
+
+
+class _Twins(NamedTuple):
+    """The twin classes of a matrix C and its quotient (see `_deflate`).
+
+    `classes` lists the members of each class of two or more, in
+    increasing order, classes by first member.  `quotient` is the
+    q x q matrix of C on the normalized class indicators, one per
+    class and per index in no class, in order of first member, and
+    `error` bounds the Frobenius norm of the rounding of forming it, on
+    the scale 2^-t of `_fit` (0 when the quotient is C itself).
+    `values` holds each class's eigenvalue C_ii - C_ij, m - 1 times,
+    class by class.  For `_char_poly`, on the same scale: `loose` holds
+    |C_ii - C_ij| of the classes where that difference is inexact, m - 1
+    times, and `fixed` the coefficients of the product of
+    (x + |C_ii - C_ij|)^(m - 1) over the others, highest degree first.
+    Index i of C lies in the class of quotient coordinate `index[i]`,
+    whose normalized indicator has the entry `weight[i]` = 1 / sqrt(m)
+    there.
+    """
+
+    classes: list
+    quotient: np.ndarray
+    error: float
+    values: np.ndarray
+    loose: np.ndarray
+    fixed: np.ndarray
+    index: np.ndarray
+    weight: np.ndarray
+
+    def lift(self, chain):
+        """A chain of the quotient, rows in C^q, as a chain of C.  Both
+        parts are scaled by the real weights, so a weight of 1 keeps
+        every bit, signed zeros and non-finite entries included."""
+        out = chain[:, self.index]
+        out.real *= self.weight
+        out.imag *= self.weight
+        return out
+
+    def helmert(self):
+        """The Helmert vectors of every class, as the rows of a
+        (len(values), d) array in the order of `values`: for members
+        i_1 < ... < i_m, row r = 1..m - 1 of the class is
+        (e_(i_1) + ... + e_(i_r) - r e_(i_(r+1))) / sqrt(r (r + 1))."""
+        out = np.zeros((len(self.values), len(self.index)), dtype=np.complex128)
+        start = 0
+        for members in self.classes:
+            r = np.arange(1, len(members))
+            h = np.tri(len(r), len(members))
+            h[r - 1, r] = -r
+            out[start : start + len(r), members] = h / np.sqrt(r * (r + 1))[:, None]
+            start += len(r)
+        return out
+
+
+def _twin_classes(a):
+    """The classes of two or more twins of `a` (see the module
+    docstring), members in increasing order, classes by first member.
+
+    Twins have equal diagonal entries, so only indices that share a
+    diagonal value are compared, and a matrix whose d diagonal entries
+    are distinct is done in O(d).  Otherwise the row of one twin is the
+    row of the other with two entries swapped, and so is its column, so
+    twins also share the largest real part of their row and of their
+    column: O(d^2) to compute, and indices are compared only within
+    groups that agree on all three.  Being twins is transitive: from
+    i ~ j and j ~ k, rows i, j and k agree outside {i, j, k} and
+    C_ij = C_ik = C_jk = C_ji = C_ki = C_kj, and likewise for columns.
+    So a class is its first member's twins, found by comparing that
+    member with the rest of its group: O(g) numpy work for C_ij = C_ji,
+    g the size of the group, and O(d) for each j that passes it.
+
+    Each round takes one class, or one index in none, out of its group,
+    so a group whose members all pass C_ij = C_ji without being twins
+    costs O(g^2 d), and the search O(d^3) at worst.  That is the case
+    where C is symmetric with a constant diagonal and rows that are
+    permutations of one another, as for blocks of one size and row sum
+    coupled in a regular pattern: for 128 rings ring(6, 1), each
+    coupled to the blocks 1 and 5 places away on either side, the search
+    takes about 10 ms on one core of an Intel Xeon, and the solve,
+    whose repeated eigenvalues go to SVD chains, about 0.5 s.
+    """
+    d = len(a)
+    diag = a.diagonal().tolist()
+    if len(set(diag)) == d:
+        return []
+    re = a.real
+    keys = zip(diag, re.max(axis=1).tolist(), re.max(axis=0).tolist())
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    classes = []
+    for group in groups.values():
+        while len(group) > 1:
+            i, rest = group[0], np.array(group[1:])
+            twin = a[i, rest] == a[rest, i]
+            if twin.any():
+                j = rest[twin]
+                same = (a[j] == a[i]) & (a[:, j].T == a[:, i])
+                same[:, i] = True
+                same[np.arange(len(j)), j] = True
+                twin[twin] = same.all(axis=1)
+            if twin.any():
+                classes.append([i] + rest[twin].tolist())
+            group = rest[~twin].tolist()
+    classes.sort()
+    return classes
+
+
+def _deflate(a, t):
+    """The `_Twins` of `a` on the scale 2^-t; without twins, its quotient
+    is `a` itself.
+
+    For a class c of m_c twins, with first member r_c and inner value
+    C_ij (i != j in c), C maps every vector that vanishes off c and sums
+    to zero on it to (C_ii - C_ij) times itself, since C_kj is the same
+    for all j in c when k is outside c.  C_ij is also the same for all
+    i in c and j in c', so C maps the normalized indicators
+    u_c = (e_(i_1) + ... + e_(i_m)) / sqrt(m_c) among themselves, by the
+    quotient Q_cc' = sqrt(m_c m_c') C_(r_c r_c') for c != c' and
+    Q_cc = C_(r_c r_c) + (m_c - 1) C_ij.  With U the orthonormal basis
+    of Helmert vectors and indicators, C = U (diag(lambda) (+) Q) U*.
+
+    Q_cc is at most the inf-norm of C, but Q_cc' only sqrt(m_c / m_c')
+    times it, so near the float range Q can overflow where C does not;
+    such a matrix is left undeflated.
+    """
+    d = len(a)
+    undeflated = _Twins([], a, 0.0, *_untwinned(d))
+    classes = _twin_classes(a)
+    if not classes:
+        return undeflated
+    firsts = [c[0] for c in classes]
+    size = np.ones(d)
+    inner = np.zeros(d, dtype=np.complex128)
+    keep = np.ones(d, dtype=bool)
+    for members in classes:
+        size[members[0]] = len(members)
+        inner[members[0]] = a[members[0], members[1]]
+        keep[members[1:]] = False
+    reps = np.flatnonzero(keep)
+    index = np.empty(d, dtype=np.intp)
+    index[reps] = np.arange(len(reps))
+    for members in classes:
+        index[members] = index[members[0]]
+    m = size[reps]
+    mag = np.sqrt(np.outer(m, m))
+    block = a[np.ix_(reps, reps)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotient = block * mag
+        # sqrt and product off the diagonal, product and sum on it
+        error = np.abs(block) * mag
+    np.fill_diagonal(quotient, block.diagonal() + (m - 1.0) * inner[reps])
+    if not np.isfinite(quotient).all():
+        return undeflated
+    np.fill_diagonal(error, np.abs(block.diagonal()) + (m - 1.0) * np.abs(inner[reps]))
+    scale = math.ldexp(1.0, -t)
+    error = np.linalg.norm(error * scale) * _gamma(3)
+    # lambda_c = C_ii - C_ij, and whether it is exact, both parts by TwoSum
+    x, y = a[firsts, firsts], -inner[firsts]
+    lam = x + y
+    yv = lam - x
+    exact = ((x - (lam - yv)) + (y - yv) == 0.0).tolist()
+    repeat = [len(c) - 1 for c in classes]
+    mags = np.abs(lam) * scale
+    fixed = np.ones(1)
+    for n, mag in zip(compress(repeat, exact), compress(mags, exact)):
+        # C(n, i) |lambda_c|^i, i = 0..n, by one running product
+        k = np.arange(1.0, n + 1.0)
+        fixed = np.convolve(fixed, np.cumprod(np.concatenate([[1.0], mag * (n + 1.0 - k) / k])))
+    inexact = [not e for e in exact]
+    return _Twins(
+        classes,
+        quotient,
+        error,
+        np.repeat(lam, repeat),
+        np.repeat(mags[inexact], list(compress(repeat, inexact))),
+        fixed,
+        index,
+        1.0 / np.sqrt(size[reps])[index],
+    )
+
+
+@cache
+def _untwinned(d):
+    """The `_Twins` fields from `values` on of a d x d matrix without
+    twins: no twin values, the polynomial 1, and the identity lift.
+    They are read-only, as every call shares them."""
+    fields = (
+        np.zeros(0, dtype=np.complex128),
+        np.zeros(0),
+        np.ones(1),
+        np.arange(d),
+        np.ones(d),
+    )
+    for field in fields:
+        field.flags.writeable = False
+    return fields
+
+
+def _solve(a, norm):
+    """(twins, w, x, fit): the `_deflate` of `a`, the eigenpairs (w, x)
+    of its quotient and their `_fit`, on the scale of `a`'s norm."""
+    t = _scale_exponent(norm)
+    twins = _deflate(a, t)
+    w, x = _eig(twins.quotient)
+    return twins, w, x, _fit(twins.quotient, w, x, t)
 
 
 def _eig(a):
@@ -332,13 +584,13 @@ def _gamma(k):
     return k * _U / (1.0 - k * _U)
 
 
-def _fit(a, w, x, norm):
-    """(t, r, sv) for the eigenpairs (w_i, x_i) of `a`: 2^t is the power
-    of two just above `norm`, r = (M X - X W) / 2^t and sv the singular
-    values of X, largest first.  Working on M / 2^t keeps r from
-    overflowing or underflowing with the scale of M.  r and sv are None
-    when X is not finite or its SVD fails."""
-    t = _scale_exponent(norm)
+def _fit(a, w, x, t):
+    """(t, r, sv) for the eigenpairs (w_i, x_i) of `a`: r = (M X - X W)
+    / 2^t and sv the singular values of X, largest first, with 2^t the
+    power of two just above the inf-norm of the matrix that `a` is the
+    quotient of.  Working on M / 2^t keeps r from overflowing or
+    underflowing with the scale of M.  r and sv are None when X is not
+    finite or its SVD fails."""
     if not np.all(np.isfinite(x)):
         return t, None, None
     try:
@@ -381,30 +633,44 @@ def _certified(w, fit, sigma_tol):
     return (np.linalg.norm(r, axis=0) <= tol / 2) & (bound > 2 * tol * sv[-1])
 
 
-def _char_poly(a, w, x, fit):
-    """`char_poly` of `a` from its eigenpairs (w, X) and their `_fit`.
+def _char_poly(a, twins, w, x, fit):
+    """`char_poly` of `a` from its `_solve`: the twins of `a`, the
+    eigenpairs (w, X) of their quotient and their `_fit`.
 
     Both the coefficients and the bound are formed for M / 2^t and
     coefficient i is then scaled by 2^(t i), so a coefficient overflows
     to inf only when its value is out of range."""
-    d = len(w)
+    d, p = len(a), len(w)
     t, r, sv = fit
     scale = math.ldexp(1.0, -t)
-    ws = w * scale
-    mags = np.abs(ws)
+    ws = np.concatenate([w, twins.values]) * scale
+    mags = np.abs(ws[:p])
+    loose = np.concatenate([mags, twins.loose])
+    g, top = len(loose), loose.max()
     radius = np.inf
     if r is not None:
         # sigma_min is lowered by the SVD's own error, and ||R|| raised by
-        # the rounding of each entry: a complex dot product of length d,
-        # a product and a difference
-        s_min = sv[-1] - _gamma(4 * d) * sv[0]
-        r_norm = np.linalg.norm(r) + 2.0 * _gamma(d + 4) * np.linalg.norm(x) * (
-            np.linalg.norm(a * scale) + mags.max()
+        # the rounding of each entry: a complex dot product of length q, a
+        # product and a difference, and of forming the quotient
+        s_min = sv[-1] - _gamma(4 * p) * sv[0]
+        r_norm = np.linalg.norm(r) + 2.0 * _gamma(p + 4) * np.linalg.norm(x) * (
+            np.linalg.norm(twins.quotient * scale) + top
         )
+        r_norm += twins.error * sv[0]
         if s_min > 0.0:
-            radius = 2.0 * d * r_norm * sv[0] / s_min**2
-    e, shifted = _elementary(np.array([mags, mags + radius]))
-    bound = 2.0 * (shifted - e + _gamma(4 * d) * e)
+            radius = 2.0 * p * r_norm * sv[0] / s_min**2
+    # the recurrence runs over the w and the inexact twin values, all
+    # with the radius above or, where that is smaller, the
+    # 4 g (g + 4) u max|w_j| of the argument in `char_poly`, which also
+    # covers the rounding of C_ii - C_ij.  The exact twin values
+    # (radius 0) multiply the bound after it, as `fixed`, so that the
+    # spread is a difference of two close terms only where every root
+    # has at least that radius.  All terms are >= 0, so a nan is an inf
+    # times 0
+    radius = max(radius, 4.0 * g * (g + 4) * _U * top)
+    e, shifted = _elementary(np.array([loose, loose + radius]))
+    bound = np.convolve(2.0 * (shifted - e + _gamma(4 * d) * e), twins.fixed)
+    bound[np.isnan(bound)] = np.inf
     poly = np.poly(ws)
     k = t * np.arange(d + 1)
     coeffs = np.empty(d + 1, dtype=np.complex128)
@@ -475,7 +741,17 @@ def jordan_chains(matrix, eigenvalue, multiplicity, *, sigma_tol=None):
         raise PreconditionError(f"multiplicity {multiplicity} out of range [1, {d}]")
     norm = _inf_norm(a)
     sigma_tol = _tolerance("sigma_tol", sigma_tol, 1e-8 * norm)
-    t = _scale_exponent(norm)
+    return _jordan_chains(a, eigenvalue, multiplicity, sigma_tol, _scale_exponent(norm))
+
+
+def _jordan_chains(a, eigenvalue, multiplicity, sigma_tol, t):
+    """`jordan_chains` of the checked complex matrix `a`, on the scale
+    2^t in place of the one of its own inf-norm.  `eigensystem` passes
+    the t of the whole matrix for a quotient, so that (Q - lambda I)^p
+    is thresholded at sigma_tol * 2^(t (p - 1)) as (C - lambda I)^p
+    would be: the split is unitary, so the singular values of the
+    latter are those of the former and the |lambda_c - lambda|^p."""
+    d = a.shape[0]
     e = (a - eigenvalue * np.eye(d, dtype=np.complex128)) * math.ldexp(1.0, -t)
     try:
         scaled = _chains(e, multiplicity, math.ldexp(sigma_tol, -t))

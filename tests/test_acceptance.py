@@ -48,8 +48,6 @@ def _report(num, desc, ok):
 def corpus500():
     rng = np.random.default_rng(CORPUS_SEED)
     specs = [random_join(rng, dmax=5, kmax=8) for _ in range(500)]
-    # warm the jit kernels so criterion timing measures steady state
-    CirculantMatrix([0.0, 1.0]).eigenvalues()
     return [(spec, full_spectrum(spec)) for spec in specs]
 
 
@@ -72,7 +70,6 @@ def test_criterion_1_main_theorem_oracle_suite():
     try:
         rng = np.random.default_rng(CORPUS_SEED)
         specs = [random_join(rng, dmax=5, kmax=8) for _ in range(500)]
-        CirculantMatrix([0.0, 1.0]).eigenvalues()  # jit warmup
         start = time.perf_counter()
         for spec in specs:
             dec = full_spectrum(spec)

@@ -534,6 +534,41 @@ def test_graph_join_ring_spectrum(capsys):
         assert min(abs(c - want) for c in condensed) < 1e-9
 
 
+def condensed_rows(out):
+    return [
+        (e["re"], e["im"], e["multiplicity"])
+        for e in json.loads(out)["eigenvalues"]
+        if e["provenance"] == "condensed"
+    ]
+
+
+def test_twin_rings_print_exact_condensed_values(monkeypatch, capsys):
+    # 64 equal rings are twins: -4 = 2 - 6 on 63 Helmert vectors and the
+    # quotient [2 + 63 * 6]; the char poly is (x + 4)^63 (x - 380)
+    doc = json.dumps({"blocks": [[0, 1, 0, 0, 0, 1]] * 64, "couplings": [[1] * 64] * 64})
+    monkeypatch.setattr(sys, "stdin", io.StringIO(doc))
+    code, out, err = run(["spectrum", "-", "--verify"], capsys)
+    assert code == 0, err
+    assert condensed_rows(out) == [(-4.0, 0.0, 63), (380.0, 0.0, 1)]
+    exact = [
+        math.comb(63, i) * 4**i - (380 * math.comb(63, i - 1) * 4 ** (i - 1) if i else 0)
+        for i in range(7)
+    ]
+    assert exact[2:4] == [-64512, -9332736]
+    assert json.loads(out)["reduced_char_poly"][:7] == [[float(c), 0.0] for c in exact]
+
+
+def test_twin_graph_parts_print_exact_condensed_values(capsys):
+    # the two complete:4 parts are twins with the exact eigenvalue 3 - 4
+    code, out, _ = run(
+        ["graph", "join", "ring:5:1", "ring:6:1", "complete:4", "complete:4",
+         "cycle:5", "--emit", "spectrum"],
+        capsys,
+    )
+    assert code == 0
+    assert (-1.0, 0.0, 1) in condensed_rows(out)
+
+
 def test_graph_remove_cycle_matches_spectrum_command(tmp_path, capsys):
     code, via_graph, _ = run(
         ["graph", "remove-cycle", "--n", "8", "--k", "3", "--directed",

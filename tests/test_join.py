@@ -326,15 +326,16 @@ def test_full_spectrum_defective_two_by_two():
 
 
 def count_jordan_chains(monkeypatch):
-    """Record the multiplicity of every smalleig.jordan_chains call."""
+    """Record the multiplicity of every Jordan chain computation, the
+    public smalleig.jordan_chains and the solve's own calls alike."""
     calls = []
-    jordan_chains = smalleig.jordan_chains
+    jordan_chains = smalleig._jordan_chains
 
-    def counted(matrix, eigenvalue, multiplicity, **kwargs):
+    def counted(matrix, eigenvalue, multiplicity, *args):
         calls.append(multiplicity)
-        return jordan_chains(matrix, eigenvalue, multiplicity, **kwargs)
+        return jordan_chains(matrix, eigenvalue, multiplicity, *args)
 
-    monkeypatch.setattr(smalleig, "jordan_chains", counted)
+    monkeypatch.setattr(smalleig, "_jordan_chains", counted)
     return calls
 
 
@@ -346,10 +347,44 @@ def test_condensed_solve_runs_svd_chains_only_for_repeated_eigenvalues(monkeypat
     dec = full_spectrum(spec)
     assert calls == []
     assert dec.diagonalizable and len(dec.condensed_chains) == 64
-    # 64 rings: condensed eigenvalues 2 + 6 * 63 (simple) and -4 (x63)
+    # 64 rings: condensed eigenvalues 2 + 6 * 63 (simple) and -4 (x63),
+    # whose chains are the Helmert vectors of the one twin class
     dec = full_spectrum(join_graphs(*[ring_graph(6, 1)] * 64))
-    assert calls == [63]
+    assert calls == []
     assert dec.diagonalizable
+
+
+def test_twin_ring_join_runs_no_jordan_chains_and_only_a_1x1_eig(monkeypatch):
+    # 64 equal rings are one twin class, so LAPACK sees the 1 x 1
+    # quotient [2 + 63 * 6] and -4 = 2 - 6 takes the Helmert vectors
+    calls = count_jordan_chains(monkeypatch)
+    shapes = []
+    lapack_eig = np.linalg.eig
+    monkeypatch.setattr(
+        np.linalg, "eig", lambda a: shapes.append(a.shape) or lapack_eig(a)
+    )
+    spec = join_graphs(*[ring_graph(6, 1)] * 64)
+    dec = full_spectrum(spec)
+    coeffs = reduced_char_poly(spec)
+    assert (calls, shapes) == ([], [(1, 1), (1, 1)])
+    assert [(ch.eigenvalue, len(ch)) for ch in dec.condensed_chains] == [
+        (-4.0 + 0.0j, 1)
+    ] * 63 + [(380.0 + 0.0j, 1)]
+    # orthonormal Helmert vectors, in the order of the class's members
+    helmert = condensed_vectors(dec)[:, :63]
+    assert np.allclose(helmert.conj().T @ helmert, np.eye(63), rtol=0, atol=1e-15)
+    for r, u in enumerate(helmert.T, 1):
+        want = np.zeros(64)
+        want[:r] = 1.0
+        want[r] = -r
+        assert np.allclose(u, want / math.sqrt(r * (r + 1)), rtol=0, atol=1e-16)
+    # (x + 4)^63 (x - 380): c_0..c_6 are certified and exact
+    exact = [
+        math.comb(63, i) * 4**i - (380 * math.comb(63, i - 1) * 4 ** (i - 1) if i else 0)
+        for i in range(65)
+    ]
+    assert np.all(dec.char_poly_bound[:7] < 0.5)
+    assert coeffs[:7].tolist() == [complex(c) for c in exact[:7]]
 
 
 def test_condensed_solve_mixing_defective_and_simple_is_warning_free(monkeypatch):
@@ -515,10 +550,10 @@ def test_reduced_char_poly_runs_one_eig_and_no_jordan_chains(monkeypatch):
         np.linalg, "eig", lambda a: eig_calls.append(a) or lapack_eig(a)
     )
     chain_calls = []
-    jordan_chains = smalleig.jordan_chains
+    jordan_chains = smalleig._jordan_chains
     monkeypatch.setattr(
         smalleig,
-        "jordan_chains",
+        "_jordan_chains",
         lambda *args, **kw: chain_calls.append(args) or jordan_chains(*args, **kw),
     )
     # (x - 13)(x + 1)^3, for K_14

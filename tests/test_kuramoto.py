@@ -495,6 +495,29 @@ def test_integrate_preconditions():
         integrate(system, np.zeros(3), 0.1, 10)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s, theta: check_equilibrium(s, theta, tol=np.nan),
+        lambda s, theta: check_equilibrium(s, theta, tol=-1.0),
+        lambda s, theta: check_equilibrium(s, theta, tol=np.inf),
+        lambda s, theta: integrate(s, theta, np.nan, 3),
+        lambda s, theta: integrate(s, theta, np.inf, 3),
+        lambda s, theta: integrate(s, theta, -np.inf, 3),
+    ],
+    ids=["tol-nan", "tol-negative", "tol-inf", "dt-nan", "dt-inf", "dt-minus-inf"],
+)
+def test_library_refuses_non_finite_tol_and_dt(call):
+    # a NaN tol fails every comparison and a negative one every residual,
+    # so the equilibrium below would read False; a NaN or infinite dt
+    # made the first RK4 step non-finite, a DivergenceError at step 1
+    system = KuramotoSystem(join(ring_graph(6, 1), ring_graph(6, 1)), epsilon=0.3)
+    theta = build_twisted_equilibrium(system, 1, [0.0, 0.5]).theta
+    assert check_equilibrium(system, theta)[0]
+    with pytest.raises(PreconditionError, match="finite"):
+        call(system, theta)
+
+
 def test_reduce_phases_convention():
     vals = np.array([np.pi, -np.pi, 3.0 * np.pi, 0.0, -0.5, TWO_PI])
     reduced = reduce_phases(vals)

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from circjoin import CirculantMatrix, JoinSpec, cli, full_spectrum, smalleig
@@ -13,7 +14,13 @@ from circjoin.errors import (
     PreconditionError,
 )
 
-from corpus import inf_norm, mpmath_eigenvalues, multiset_match, unit_disk
+from corpus import (
+    inf_norm,
+    mpmath_eigenvalues,
+    multiset_match,
+    structured_corpus,
+    unit_disk,
+)
 
 
 def eigenvalues(m):
@@ -569,10 +576,10 @@ def test_certificate_rejects_inaccurate_eigenvectors(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eig", sloppy_eig)
     calls = []
-    jordan_chains = smalleig.jordan_chains
+    jordan_chains = smalleig._jordan_chains
     monkeypatch.setattr(
         smalleig,
-        "jordan_chains",
+        "_jordan_chains",
         lambda *args, **kwargs: calls.append(args) or jordan_chains(*args, **kwargs),
     )
     rng = np.random.default_rng(10)
@@ -623,3 +630,206 @@ def test_rejects_non_square():
         eigenvalues(np.ones((2, 3)))
     with pytest.raises(PreconditionError):
         eigenvalues(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# twin deflation
+# ---------------------------------------------------------------------------
+
+
+def structure(clusters):
+    """(eigenvalue, multiplicity, sorted chain lengths) per cluster."""
+    return [(lam, mult, sorted(len(c) for c in chains)) for lam, mult, chains in clusters]
+
+
+def undeflated_structure(m):
+    """The solve without deflation, built here: one eigvals of the whole
+    matrix, the same clustering and tolerances, and jordan_chains of the
+    whole matrix for every cluster."""
+    norm = inf_norm(m)
+    w = np.linalg.eigvals(m)
+    return structure(
+        (lam, mult, smalleig.jordan_chains(m, lam, mult, sigma_tol=1e-8 * norm))
+        for lam, mult, _ in smalleig._cluster(w, 1e-7 * norm)
+    )
+
+
+def assert_same_structure(got, want, tol):
+    """Clusters paired by nearest eigenvalue: equal multiplicities and
+    chain lengths, eigenvalues within tol."""
+    assert len(got) == len(want)
+    pool = list(want)
+    for lam, mult, lengths in got:
+        best = min(pool, key=lambda c: abs(c[0] - lam))
+        assert abs(best[0] - lam) <= tol, (lam, best)
+        assert (mult, lengths) == best[1:], lam
+        pool.remove(best)
+
+
+def test_deflation_keeps_the_structure_of_the_corpus_joins_with_twins():
+    twins = [
+        spec.condensed()
+        for spec in structured_corpus()
+        if smalleig._twin_classes(spec.condensed())
+    ]
+    assert twins
+    for m in twins:
+        got = structure(smalleig.eigensystem(m).clusters)
+        assert_same_structure(got, undeflated_structure(m), 1e-9 * inf_norm(m))
+
+
+def centralizer(classes, alpha, beta, gamma):
+    """The sympy matrix that is alpha[c] on the diagonal of class c,
+    beta[c] between two members of c and gamma[c][e] from a member of c
+    to one of e != c.  Such matrices commute with every permutation
+    within the classes, so sums, products and inverses of them keep the
+    classes as twins."""
+    d = sum(len(c) for c in classes)
+    m = sympy.zeros(d, d)
+    for c, rows in enumerate(classes):
+        for e, cols in enumerate(classes):
+            for i in rows:
+                for j in cols:
+                    if c != e:
+                        m[i, j] = gamma[c][e]
+                    else:
+                        m[i, j] = alpha[c] if i == j else beta[c]
+    return m
+
+
+# Classes {0, 3, 5}, {1, 6}, {2}, {4} (sizes 3, 2, 1, 1).  J has twin
+# values alpha - beta and the quotient alpha + (m - 1) beta on the
+# diagonal, m_e gamma[c][e] off it: upper triangular with diagonal
+# 1, 1, 3, -1 and a 2 at (0, 1), one Jordan block of length 2 at 1.
+TWIN_CLASSES = [[0, 3, 5], [1, 6], [2], [4]]
+TWIN_GAMMA = [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+PLANTED = {
+    # twin values 4 (x2) and -1, the latter equal to the quotient's -1
+    "mixed-simple": (
+        [3, 0, 3, -1],
+        [-1, 1, 0, 0],
+        [(-1, 2, [1, 1]), (1, 2, [2]), (3, 1, [1]), (4, 2, [1, 1])],
+    ),
+    # twin values 4 (x2) and 1, on the quotient's Jordan block at 1
+    "mixed-defective": (
+        [3, 1, 3, -1],
+        [-1, 0, 0, 0],
+        [(-1, 1, [1]), (1, 3, [1, 2]), (3, 1, [1]), (4, 2, [1, 1])],
+    ),
+    # twin values 4 (x2) and 2, apart from the quotient's eigenvalues
+    "defective-quotient": (
+        [3, sympy.Rational(3, 2), 3, -1],
+        [-1, sympy.Rational(-1, 2), 0, 0],
+        [(-1, 1, [1]), (1, 2, [2]), (2, 1, [1]), (3, 1, [1]), (4, 2, [1, 1])],
+    ),
+}
+
+
+def unimodular_centralizer(rng, classes):
+    """S = L U with L and U unit triangular by classes: det 1, so S and
+    S^-1 are integer, and both keep the classes as twins."""
+    q = len(classes)
+    ones = [1] * q
+    zeros = [0] * q
+    upper = [[int(rng.integers(-1, 2)) if c < e else 0 for e in range(q)] for c in range(q)]
+    lower = [[int(rng.integers(-1, 2)) if c > e else 0 for e in range(q)] for c in range(q)]
+    return centralizer(classes, ones, zeros, lower) * centralizer(classes, ones, zeros, upper)
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("case", sorted(PLANTED))
+def test_deflation_matches_exact_similarities_with_planted_twins(case, seed):
+    alpha, beta, want = PLANTED[case]
+    j = centralizer(TWIN_CLASSES, alpha, beta, TWIN_GAMMA)
+    s = unimodular_centralizer(np.random.default_rng(seed), TWIN_CLASSES)
+    exact = s * j * s.inv()
+    m = np.array(exact.tolist(), dtype=np.float64).astype(np.complex128)
+    assert np.array_equal(m, np.array(exact.evalf(30).tolist(), dtype=np.complex128))
+    assert smalleig._twin_classes(m) == [c for c in TWIN_CLASSES if len(c) > 1]
+    got = structure(smalleig.eigensystem(m).clusters)
+    assert_same_structure(got, [(complex(v), mult, lengths) for v, mult, lengths in want], 1e-6)
+    assert_same_structure(got, undeflated_structure(m), 1e-6)
+    coeffs, bound = smalleig.char_poly(m)
+    charpoly = [complex(c) for c in exact.charpoly().all_coeffs()]
+    assert np.all(np.abs(coeffs - charpoly) <= bound)
+
+
+@st.composite
+def twin_structured(draw):
+    """A matrix with planted twin classes (sizes 1-4), entries on a
+    grid of eighths or arbitrary floats, and a quotient that is upper
+    triangular in class order, so that LAPACK's balancing isolates its
+    eigenvalues, which are then exact whatever the order of the rows;
+    plus a permutation of the indices."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    entry = st.one_of(
+        st.integers(-8, 8).map(lambda v: v / 8.0),
+        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+    )
+    q = len(sizes)
+    alpha = draw(st.lists(entry, min_size=q, max_size=q))
+    beta = draw(st.lists(entry, min_size=q, max_size=q))
+    gamma = [[draw(entry) if c < e else 0.0 for e in range(q)] for c in range(q)]
+    cls = np.repeat(np.arange(q), sizes)
+    d = len(cls)
+    m = np.array([[gamma[cls[i]][cls[j]] for j in range(d)] for i in range(d)])
+    same = cls[:, None] == cls[None, :]
+    m[same] = np.array(beta)[cls][np.nonzero(same)[0]]
+    np.fill_diagonal(m, np.array(alpha)[cls])
+    perm = np.array(draw(st.permutations(range(d))))
+    return m.astype(np.complex128), perm
+
+
+@settings(max_examples=200)
+@given(twin_structured())
+def test_permuting_the_blocks_permutes_the_twin_classes(case):
+    m, perm = case
+    p = m[np.ix_(perm, perm)]  # index i of p is index perm[i] of m
+    where = np.argsort(perm)
+    assert smalleig._twin_classes(p) == sorted(
+        sorted(where[c].tolist()) for c in smalleig._twin_classes(m)
+    )
+    # the clusters' means come from the same values in the same sorted
+    # order; repr tells signed zeros apart, so this is bit for bit
+    assert repr(spectrum_or_error(m)) == repr(spectrum_or_error(p))
+
+
+def spectrum_or_error(m):
+    try:
+        return [c[:2] for c in smalleig.eigensystem(m).clusters]
+    except IllConditionedError as exc:
+        return type(exc)
+
+
+def test_twins_whose_quotient_overflows_are_solved_undeflated():
+    # Q_01 = sqrt(3) * 1.5e308 overflows although every entry and the
+    # inf-norm of the matrix are finite
+    m = np.zeros((4, 4), dtype=np.complex128)
+    m[:3, 3] = 1.5e308
+    m[3, :3] = 1.0
+    assert smalleig._twin_classes(m) == [[0, 1, 2]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert smalleig._deflate(m, 0).quotient is m
+        got = structure(smalleig.eigensystem(m).clusters)
+    assert_same_structure(got, undeflated_structure(m), 1e-9 * inf_norm(m))
+
+
+def test_quotient_chains_are_thresholded_on_the_scale_of_the_whole_matrix():
+    # A class of 16 beside three singletons: Q_0s = 4 C_0s, so the
+    # inf-norm of the quotient (65) rounds up to 2^7 and that of the
+    # matrix (29) to 2^5.  The quotient has a Jordan block at 0 and the
+    # simple eigenvalue 2^-8, whose square 1.5e-5 lies between the
+    # thresholds 1e-8 * 29 * 2^5 and 1e-8 * 29 * 2^7 of (M - 0 I)^2 on
+    # the two scales; on the quotient's own scale the nullity of that
+    # square would be 3 for a cluster of multiplicity 2
+    classes = [list(range(16)), [16], [17], [18]]
+    gamma = [[0, 4, 4, 4], [0, 0, 1, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    exact = centralizer(classes, [2, 0, 0, sympy.Rational(1, 256)], [1, 0, 0, 0], gamma)
+    m = np.array(exact.tolist(), dtype=np.float64).astype(np.complex128)
+    q = smalleig._deflate(m, 0).quotient
+    assert (math.frexp(inf_norm(m))[1], math.frexp(inf_norm(q))[1]) == (5, 7)
+    got = structure(smalleig.eigensystem(m).clusters)
+    want = [(0, 2, [2]), (2**-8, 1, [1]), (1, 15, [1] * 15), (17, 1, [1])]
+    assert_same_structure(got, want, 1e-9)
+    assert_same_structure(got, undeflated_structure(m), 1e-9)
