@@ -279,29 +279,21 @@ def decomposition_residual(join, decomposition):
     return max(worst, 0.0), tag
 
 
-def _pair_lists(table, index):
-    """The vectors table[index[r]], one per row r, as nested [re, im]
-    lists."""
-    pairs = np.stack([table.real, table.imag], axis=-1)
-    return pairs[index].tolist()
-
-
 def _pair_texts(table, index):
-    """The vectors of `_pair_lists` as jsontext values: each table entry
-    is formatted once and every vector is joined from those texts."""
+    """The vectors table[index[r]], one per row r, as jsontext values of
+    [re, im] pairs: each table entry is formatted once and every vector
+    is joined from those texts."""
     table = jsontext.PairTable(table.tolist())
     return [table.list(row) for row in index.tolist()]
 
 
-def _eigenvectors(decomposition, pair_lists):
+def _eigenvectors(decomposition):
     """The report's "eigenvectors" section.
 
     Every vector in it is a gather from a short table.  The zero-padded
     Fourier vector of block b at index j holds root (m*j) % k of the
     block's k roots of unity at row m of the block and an exact zero
     elsewhere; a lifted chain vector repeats its d condensed coordinates.
-    `pair_lists(table, index)` turns a complex table and an (r, n) index
-    array into the r written vectors.
     """
     n, d = decomposition.n, decomposition.d
     sizes = decomposition.block_sizes
@@ -311,7 +303,7 @@ def _eigenvectors(decomposition, pair_lists):
         table = np.append(root_of_unity_powers(k), 0.0)  # entry k is the zero
         index = np.full((k - 1, n), k)
         index[:, offset : offset + k] = np.outer(np.arange(1, k), np.arange(k)) % k
-        vectors = pair_lists(table, index)
+        vectors = _pair_texts(table, index)
         circulant += [
             {
                 "block": b,
@@ -326,7 +318,7 @@ def _eigenvectors(decomposition, pair_lists):
     condensed = [
         {
             "eigenvalue": [ch.eigenvalue.real, ch.eigenvalue.imag],
-            "chain": pair_lists(
+            "chain": _pair_texts(
                 ch.vectors.ravel(), lift + d * np.arange(len(ch))[:, None]
             ),
         }
@@ -335,9 +327,10 @@ def _eigenvectors(decomposition, pair_lists):
     return {"circulant": circulant, "condensed": condensed}
 
 
-def _spectrum(join, args, pair_lists):
-    """The report dict; `pair_lists` writes the --eigenvectors vectors
-    (see `_eigenvectors`), and None leaves them out."""
+def _spectrum(join, args):
+    """The spectrum report, as the JSON output writes it; the
+    "eigenvectors" section is built for JSON output only, since the CSV
+    table prints no vectors."""
     decomposition = full_spectrum(
         join, cluster_delta=args.cluster_delta, sigma_tol=args.sigma_tol
     )
@@ -373,24 +366,18 @@ def _spectrum(join, args, pair_lists):
             [float(c.real), float(c.imag)] for c in decomposition.reduced_char_poly()
         ],
     }
-    if args.eigenvectors and pair_lists is not None:
-        report["eigenvectors"] = _eigenvectors(decomposition, pair_lists)
+    if args.eigenvectors and args.output == "json":
+        report["eigenvectors"] = _eigenvectors(decomposition)
     if args.verify:
         report["max_residual"] = residual
     return report
 
 
-def spectrum_report(join, args):
-    """The spectrum report as a dict: the JSON that the spectrum command
-    writes, with every vector as nested [re, im] lists."""
-    return _spectrum(join, args, _pair_lists)
-
-
 def _print_report(join, args):
+    report = _spectrum(join, args)
     if args.output == "json":
-        print(jsontext.dumps(_spectrum(join, args, _pair_texts)))
+        print(jsontext.dumps(report))
         return
-    report = _spectrum(join, args, None)  # the CSV table prints no vectors
     lines = ["eigenvalue,multiplicity,provenance"]
     for row in report["eigenvalues"]:
         z = complex(row["re"], row["im"])
@@ -403,13 +390,14 @@ def _print_report(join, args):
 # ---------------------------------------------------------------------------
 
 def _read_input(path):
-    if path in (None, "-"):
-        return sys.stdin.read()
+    stdin = path in (None, "-")
     try:
+        if stdin:
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
+        raise ParseError(f"cannot read {'stdin' if stdin else path}: {exc}") from exc
 
 
 def _parse_phis(text):
@@ -422,7 +410,8 @@ def _parse_phis(text):
     return phis
 
 
-def _read_state(path):
+def _read_state(path, n):
+    """The phases of a --state file, one per node of an n-node network."""
     text = _read_input(path)
     try:
         data = json.loads(text)
@@ -440,6 +429,8 @@ def _read_state(path):
         raise ParseError(f"state file: {exc}") from exc
     if not np.all(np.isfinite(theta)):
         raise ParseError("state file phases must be finite")
+    if theta.shape != (n,):
+        raise PreconditionError(f"state has {theta.shape[0]} phases, network has {n}")
     return theta
 
 
@@ -539,6 +530,13 @@ def _kuramoto_system(args):
     return KuramotoSystem(spec, epsilon=args.epsilon, omega=args.omega)
 
 
+def _twisted_state(system, args):
+    """The twisted equilibrium of --j, with the --phi offsets (default 0
+    for every block)."""
+    phis = _parse_phis(args.phi) if args.phi else [0.0] * system.network.d
+    return build_twisted_equilibrium(system, args.j, phis)
+
+
 def _csv_rows(times, values):
     """One line per time, "t,v_1,...,v_n", every number as _fmt17 writes
     it: one %-template per row instead of a format call per value.  A
@@ -559,14 +557,9 @@ def _csv_rows(times, values):
 def cmd_kuramoto_simulate(args):
     system = _kuramoto_system(args)
     if args.state is not None:
-        theta0 = _read_state(args.state)
-        if theta0.shape != (system.n,):
-            raise PreconditionError(
-                f"state has {theta0.shape[0]} phases, network has {system.n}"
-            )
+        theta0 = _read_state(args.state, system.n)
     elif args.j is not None:
-        phis = _parse_phis(args.phi) if args.phi else [0.0] * system.network.d
-        theta0 = build_twisted_equilibrium(system, args.j, phis).theta
+        theta0 = _twisted_state(system, args).theta
     else:
         raise PreconditionError("simulate needs --state or --j (with optional --phi)")
     trajectory = integrate(system, theta0, args.dt, args.steps)
@@ -583,8 +576,7 @@ def cmd_kuramoto_equilibrium(args):
     system = _kuramoto_system(args)
     if args.j is None:
         raise PreconditionError("equilibrium needs --j")
-    phis = _parse_phis(args.phi) if args.phi else [0.0] * system.network.d
-    state = build_twisted_equilibrium(system, args.j, phis)
+    state = _twisted_state(system, args)
     flag, residual = check_equilibrium(system, state.theta, tol=args.tol)
     report = {
         "fourier_index": state.fourier_index,
@@ -601,11 +593,7 @@ def cmd_kuramoto_check(args):
     system = _kuramoto_system(args)
     if args.state is None:
         raise PreconditionError("check needs --state")
-    theta = _read_state(args.state)
-    if theta.shape != (system.n,):
-        raise PreconditionError(
-            f"state has {theta.shape[0]} phases, network has {system.n}"
-        )
+    theta = _read_state(args.state, system.n)
     tol = args.tol if args.tol is not None else default_equilibrium_tol(system)
     flag, residual = check_equilibrium(system, theta, tol=tol)
     report = {"equilibrium": flag, "residual": residual, "tol": tol}

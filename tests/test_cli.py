@@ -109,11 +109,11 @@ def test_csv_output_builds_no_eigenvectors(tmp_path, capsys, monkeypatch):
     argv = ["spectrum", path, "--output", "csv"]
     plain = run(argv, capsys)
     assert plain[0] == 0
-    # the report dict keeps the section; only the CSV printer skips it
-    args = cli.build_parser().parse_args(argv + ["--eigenvectors"])
-    assert "eigenvectors" in cli.spectrum_report(parse_join_document(K8_DOC)[0], args)
+    # the JSON report has the section; the CSV report never builds it
+    code, out, _ = run(["spectrum", path, "--eigenvectors"], capsys)
+    assert code == 0 and "eigenvectors" in json.loads(out)
 
-    def no_vectors(decomposition, pair_lists):
+    def no_vectors(decomposition):
         raise AssertionError("eigenvector section built for CSV output")
 
     monkeypatch.setattr(cli, "_eigenvectors", no_vectors)
@@ -288,20 +288,29 @@ def document_list(doc, key, i):
 
 
 @st.composite
-def mutated_documents(draw):
-    """A valid join document with up to three slots replaced by a bad
-    entry, a bad or ragged list, or bad labels."""
+def join_documents(draw, entries=ENTRIES, labels=st.text("ab", max_size=3)):
+    """A valid join document as a dict: d <= 3 blocks of 1 to 4 entries,
+    a d x d coupling table and, half the time, labels."""
     d = draw(st.integers(1, 3))
     doc = {
         "blocks": [
-            draw(st.lists(ENTRIES, min_size=1, max_size=4)) for _ in range(d)
+            draw(st.lists(entries, min_size=1, max_size=4)) for _ in range(d)
         ],
         "couplings": [
-            draw(st.lists(ENTRIES, min_size=d, max_size=d)) for _ in range(d)
+            draw(st.lists(entries, min_size=d, max_size=d)) for _ in range(d)
         ],
     }
     if draw(st.booleans()):
-        doc["labels"] = draw(st.lists(st.text("ab", max_size=3), max_size=d))
+        doc["labels"] = draw(st.lists(labels, max_size=d))
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid join document with up to three slots replaced by a bad
+    entry, a bad or ragged list, or bad labels."""
+    doc = draw(join_documents())
+    d = len(doc["blocks"])
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(
             st.sampled_from(
@@ -509,6 +518,28 @@ def test_round_trip_is_byte_identical(capsys):
     assert emit_join_document(spec, labels) == first
     spec2, labels2 = parse_join_document(emit_join_document(spec, labels))
     assert emit_join_document(spec2, labels2) == first
+
+
+ROUND_TRIP_REALS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, -5e-324, 1e308, -1e308]),
+    st.integers(-(2**64), 2**64),
+)
+
+
+@settings(max_examples=300)
+@given(
+    join_documents(
+        st.one_of(ROUND_TRIP_REALS, st.lists(ROUND_TRIP_REALS, min_size=2, max_size=2)),
+        st.text(max_size=4),
+    )
+)
+def test_parse_emit_round_trip_is_byte_stable(doc):
+    spec, labels = parse_join_document(json.dumps(doc))
+    text = emit_join_document(spec, labels)
+    again, back = parse_join_document(text)
+    assert (again, back) == (spec, labels)
+    assert emit_join_document(again, back) == text
 
 
 def test_graph_ring_spec_document(capsys):
@@ -765,7 +796,10 @@ def test_kuramoto_errors(tmp_path, capsys):
     assert run(["kuramoto", "equilibrium", path, "--j", "9"], capsys)[0] == 3
     assert run(["kuramoto", "simulate", path], capsys)[0] == 3
     short = write(tmp_path, "short.json", json.dumps([0.0] * 3))
-    assert run(["kuramoto", "check", path, "--state", short], capsys)[0] == 3
+    for command in ("check", "simulate"):
+        assert run(["kuramoto", command, path, "--state", short], capsys) == (
+            3, "", "circjoin: precondition error: state has 3 phases, network has 6\n"
+        )
     bad_state = write(tmp_path, "bad_state.json", "[1, 2")
     assert run(["kuramoto", "check", path, "--state", bad_state], capsys)[0] == 2
 
@@ -776,17 +810,24 @@ def test_kuramoto_errors(tmp_path, capsys):
         ["spectrum", "BAD"],
         ["kuramoto", "check", "RING", "--state", "BAD"],
         ["kuramoto", "simulate", "RING", "--state", "BAD", "--steps", "1"],
+        ["spectrum", "-"],
+        ["kuramoto", "check", "RING", "--state", "-"],
     ],
 )
-def test_non_utf8_file_is_a_parse_error(argv, tmp_path, capsys):
+def test_non_utf8_file_is_a_parse_error(argv, tmp_path, monkeypatch, capsys):
     # a UTF-16 file with its byte-order mark, as some editors save JSON
+    data = b"\xff\xfe" + K8_DOC.encode("utf-16-le")
     bad = tmp_path / "bad.json"
-    bad.write_bytes(b"\xff\xfe" + K8_DOC.encode("utf-16-le"))
+    bad.write_bytes(data)
+    # stdin as a strict UTF-8 stream, as with PYTHONIOENCODING=utf-8
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
     paths = {"BAD": str(bad), "RING": write(tmp_path, "ring.json", ring_doc())}
     code, out, err = run([paths.get(a, a) for a in argv], capsys)
     assert (code, out) == (2, "")
+    source = "stdin" if "-" in argv else bad
     assert err == (
-        f"circjoin: parse error: cannot read {bad}: 'utf-8' codec can't decode "
+        f"circjoin: parse error: cannot read {source}: 'utf-8' codec can't decode "
         "byte 0xff in position 0: invalid start byte\n"
     )
 

@@ -16,6 +16,7 @@ from circjoin import (
     KuramotoSystem,
     block_eigenpairs,
     build_twisted_equilibrium,
+    cli,
     full_spectrum,
     integrate,
     reduced_char_poly,
@@ -243,7 +244,8 @@ def test_every_exported_name_resolves():
                         (circjoin.CirculantMatrix, "dense"),
                         (circjoin.CirculantMatrix, "eigenpairs"),
                         (circjoin.CirculantGraph, "dense"),
-                        (circjoin.SpectralDecomposition, "condensed_vector_matrix")):
+                        (circjoin.SpectralDecomposition, "condensed_vector_matrix"),
+                        (cli, "spectrum_report"), (cli, "_pair_lists")):
         assert not hasattr(owner, name), (owner, name)
 
 

@@ -11,11 +11,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from circjoin import JoinSpec, NumericalError, cli
-from circjoin.cli import build_parser, emit_join_document, main, spectrum_report
+from circjoin import JoinSpec, NumericalError, cli, full_spectrum
+from circjoin.cli import decomposition_residual, emit_join_document, main
 from circjoin.jsontext import PairTable, dumps
 
-from corpus import defective_joins, structured_corpus
+from corpus import (
+    defective_joins,
+    lifted_chains,
+    padded_fourier_mode,
+    structured_corpus,
+)
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 2.0, 1e16, 0.1]
 
@@ -184,31 +189,92 @@ REPORT_DOCS = [
 ]
 
 
+def bits(values):
+    """The bytes of complex values as complex128, so that bit-equal
+    values, and only those, compare equal (the sign of a zero counts)."""
+    return np.asarray(values, dtype=np.complex128).tobytes()
+
+
+def pair_bits(pairs):
+    """`bits` of a JSON list of [re, im] pairs."""
+    return bits([complex(re, im) for re, im in pairs])
+
+
 @pytest.mark.parametrize("index", range(len(REPORT_DOCS)))
 def test_spectrum_stdout_is_json_dumps_of_spectrum_report(index, monkeypatch, capsys):
+    # stdout is the one spectrum report: it is checked against the
+    # decomposition and against vectors built here from the definitions
     doc = REPORT_DOCS[index]
     spec, _ = cli.parse_join_document(doc)
+    dec = full_spectrum(spec)
     for flags in SPECTRUM_FLAGS:
         code, out, err = run(["spectrum", "-", *flags], doc, monkeypatch, capsys)
         assert code == 0, err
-        report = spectrum_report(spec, build_parser().parse_args(["spectrum", *flags]))
-        assert out == oracle(report) + "\n"
-        assert dumps(report) == oracle(report)
+        report = json.loads(out)
+        assert oracle(report) + "\n" == out
+        keys = ["n", "diagonalizable", "eigenvalues", "reduced_char_poly"]
+        keys += ["eigenvectors"] * ("--eigenvectors" in flags)
+        keys += ["max_residual"] * ("--verify" in flags)
+        assert list(report) == keys
+        assert (report["n"], report["diagonalizable"]) == (spec.n, dec.diagonalizable)
+        order = [
+            (r["re"], r["im"], -1 if r["provenance"] == "condensed" else r["provenance"])
+            for r in report["eigenvalues"]
+        ]
+        assert order == sorted(order)
+        counts = {}
+        for r in report["eigenvalues"]:
+            counts[r["provenance"]] = counts.get(r["provenance"], 0) + r["multiplicity"]
+        assert counts == {
+            "condensed": spec.d,
+            **{b: k - 1 for b, k in enumerate(spec.block_sizes, 1) if k > 1},
+        }
+        assert pair_bits(report["reduced_char_poly"]) == bits(dec.reduced_char_poly())
+        if "--verify" in flags:
+            assert report["max_residual"] == decomposition_residual(spec, dec)[0]
+        if "--eigenvectors" not in flags:
+            continue
+        vectors = report["eigenvectors"]
+        starts = np.cumsum([0, *spec.block_sizes]).tolist()
+        expected = [
+            (b, j, starts[b - 1], k)
+            for b, k in enumerate(spec.block_sizes, 1)
+            for j in range(1, k)
+        ]
+        circulant = vectors["circulant"]
+        assert [(e["block"], e["fourier_index"]) for e in circulant] == [
+            (b, j) for b, j, _, _ in expected
+        ]
+        assert pair_bits([e["eigenvalue"] for e in circulant]) == bits(
+            np.concatenate(dec.block_eigenvalues)
+        )
+        for entry, (_, j, start, k) in zip(circulant, expected):
+            assert pair_bits(entry["vector"]) == bits(
+                padded_fourier_mode(spec.n, start, k, j)
+            ), (entry["block"], j)
+        chains = lifted_chains(dec)
+        assert len(vectors["condensed"]) == len(chains)
+        for entry, chain in zip(vectors["condensed"], chains):
+            assert pair_bits([entry["eigenvalue"]]) == bits([chain.eigenvalue])
+            assert [pair_bits(v) for v in entry["chain"]] == [
+                bits(u) for u in chain.vectors
+            ]
 
 
-def test_spectrum_report_provenance_kinds():
-    spec, _ = cli.parse_join_document(K8_DOC)
-    report = spectrum_report(spec, build_parser().parse_args(["spectrum"]))
+def test_spectrum_report_provenance_kinds(monkeypatch, capsys):
+    code, out, err = run(["spectrum", "-"], K8_DOC, monkeypatch, capsys)
+    assert code == 0, err
+    report = json.loads(out)
     kinds = {type(row["provenance"]) for row in report["eigenvalues"]}
     assert kinds == {int, str}
-    assert dumps(report) == oracle(report)
+    assert out == oracle(report) + "\n"
 
 
 def test_a_non_finite_last_vector_prints_no_partial_report(monkeypatch, capsys):
     eigenvectors = cli._eigenvectors
 
-    def last_vector_nan(decomposition, pair_lists):
-        section = eigenvectors(decomposition, pair_lists)
+    def last_vector_nan(decomposition):
+        section = eigenvectors(decomposition)
         section["condensed"][-1]["chain"][-1] = PairTable([complex(math.nan, 0.0)]).list([0])
         return section
 
