@@ -50,7 +50,7 @@ from .kuramoto import (
 )
 from . import smalleig
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CirculantMatrix",

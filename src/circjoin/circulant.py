@@ -5,7 +5,10 @@ A k x k circulant matrix is determined by its first column
 Its eigenvectors are the discrete Fourier modes
 v_{k,j} = (1, w^j, w^{2j}, ..., w^{(k-1)j}) with w = exp(2*pi*i/k), and
 the eigenvalue attached to v_{k,j} is
-c_0 + c_{k-1} w^j + c_{k-2} w^{2j} + ... + c_1 w^{(k-1)j}.
+c_0 + c_{k-1} w^j + c_{k-2} w^{2j} + ... + c_1 w^{(k-1)j},
+entry j of the DFT np.fft.fft(c).  This module holds the validated
+defining vector only; the eigenvalues are computed where they are used,
+by a join's one stacked FFT per block size (`JoinSpec.layout`).
 """
 
 import numpy as np
@@ -26,9 +29,10 @@ def root_of_unity_powers(k):
 
 
 class CirculantMatrix:
-    """A circulant matrix stored by its defining vector (first column)."""
+    """A circulant matrix stored by its defining vector (first column),
+    finite and read-only."""
 
-    __slots__ = ("vector", "_eigenvalues")
+    __slots__ = ("vector",)
 
     def __init__(self, values):
         v = np.atleast_1d(np.asarray(values, dtype=np.complex128))
@@ -39,31 +43,10 @@ class CirculantMatrix:
         v = v.copy()
         v.setflags(write=False)
         self.vector = v
-        self._eigenvalues = None
 
     @property
     def k(self):
         return self.vector.shape[0]
-
-    def row_sum(self):
-        """Sum of the defining vector, read from the j = 0 eigenvalue so
-        the two are bit-identical."""
-        return complex(self.eigenvalues()[0])
-
-    def eigenvalues(self):
-        """All k eigenvalues, ordered by Fourier index j = 0..k-1.
-
-        The eigenvalue sum_m c_m w^{-m*j} is the discrete Fourier
-        transform of the defining vector, so this is one FFT, computed
-        on first use and returned read-only afterwards.  A join reads
-        its blocks' eigenvalues from its own stacked transform
-        (`JoinSpec.layout`), which holds the same bits.
-        """
-        if self._eigenvalues is None:
-            lam = np.fft.fft(self.vector)
-            lam.setflags(write=False)
-            self._eigenvalues = lam
-        return self._eigenvalues
 
     def __eq__(self, other):
         if not isinstance(other, CirculantMatrix):

@@ -393,10 +393,15 @@ def _read_input(path):
     stdin = path in (None, "-")
     try:
         if stdin:
-            return sys.stdin.read()
+            text = sys.stdin.read()
+            # a C or POSIX locale reads stdin with surrogateescape; decode
+            # its bytes as strict UTF-8, as a file's are
+            if not text.isascii():
+                text = text.encode("utf-8", "surrogateescape").decode("utf-8")
+            return text
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         raise ParseError(f"cannot read {'stdin' if stdin else path}: {exc}") from exc
 
 

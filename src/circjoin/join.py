@@ -138,8 +138,8 @@ class JoinSpec:
         Each group's eigenvalues are one FFT along the rows of its
         stacked defining vectors.  numpy transforms the rows one by one
         with the plan of a single transform, so each row is bit for bit
-        the block's own `eigenvalues()`, and a join of d blocks of s
-        distinct sizes costs s FFT calls, however large d is.
+        np.fft.fft of the block's vector alone, and a join of d blocks
+        of s distinct sizes costs s FFT calls, however large d is.
         """
         if self._layout is None:
             by_size = {}

@@ -201,10 +201,12 @@ def eigenvector_equilibrium(system, v, eigenvalue):
     brings its largest real or imaginary part into [1, 2); that changes
     no argument, so the result does not depend on the scale of v, and
     every modulus is then finite.  Requires (A v ~
-    eigenvalue * v) up to 1e-8 * (1 + norm(A)); returns None unless the
-    eigenvalue is real (|Im| <= 1e-10) and all entries of v share one
-    positive modulus to within 1e-8, in which case the entrywise
-    argument of v is an equilibrium.
+    eigenvalue * v) up to 1e-8 * norm(A), with norm(A) the largest
+    absolute row sum; returns None unless the eigenvalue is real
+    (|Im| <= 1e-10 * norm(A)) and all entries of v share one positive
+    modulus to within 1e-8, in which case the entrywise argument of v
+    is an equilibrium.  Both tolerances scale with A, so the result
+    does not depend on the scale of the network either.
     """
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (system.n,):
@@ -220,11 +222,11 @@ def eigenvector_equilibrium(system, v, eigenvalue):
     network = system.network
     anorm = network.inf_norm()
     residual = float(np.abs(network.matvec(v) - eigenvalue * v).max())
-    if not residual <= 1e-8 * (1.0 + anorm):  # a NaN residual fails too
+    if not residual <= 1e-8 * anorm:  # a NaN residual fails too
         raise PreconditionError(
             f"not an eigenpair: residual {residual:.3e} exceeds tolerance"
         )
-    if abs(complex(eigenvalue).imag) > 1e-10:
+    if abs(complex(eigenvalue).imag) > 1e-10 * anorm:
         return None
     moduli = np.abs(v)
     common = float(moduli.mean())

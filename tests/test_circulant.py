@@ -8,21 +8,39 @@ from circjoin.errors import PreconditionError
 from corpus import dense_circulant, fourier_matrix, inf_norm, multiset_match, unit_disk
 
 
+def layout_rows(vectors):
+    """Each block's eigenvalues, in block order, read where the program
+    computes them: the block's row of its size group's stacked FFT in
+    `JoinSpec(vectors).layout()`."""
+    rows = [None] * len(vectors)
+    for group in JoinSpec(vectors).layout().groups:
+        for i, row in zip(group.ids.tolist(), group.eigenvalues):
+            rows[i] = row
+    return rows
+
+
+def stacked_blocks(draw, k):
+    """Three distinct defining vectors of size k around one of size
+    k + 1, so that the oracles check rows of a stacked size group of
+    three blocks as well as a group of one."""
+    return [draw(k), draw(k + 1), draw(k), draw(k)]
+
+
 def test_single_entry_eigenpair():
     c = CirculantMatrix([2.0])
-    assert np.array_equal(c.eigenvalues(), np.array([2.0 + 0.0j]))
+    assert np.array_equal(layout_rows([c])[0], np.array([2.0 + 0.0j]))
     assert np.array_equal(fourier_matrix(1), np.array([[1.0 + 0.0j]]))
     assert np.array_equal(dense_circulant(c.vector) @ fourier_matrix(1), [[2.0 + 0.0j]])
 
 
 def test_scaled_identity_eigenvalues():
-    eig = CirculantMatrix([2.0, 0.0, 0.0, 0.0]).eigenvalues()
+    eig = layout_rows([[2.0, 0.0, 0.0, 0.0]])[0]
     assert np.array_equal(eig, np.full(4, 2.0 + 0.0j))
 
 
 def test_alternating_four_eigenvalues():
     c = CirculantMatrix([0.0, 1.0, 0.0, 1.0])
-    eig = c.eigenvalues()
+    eig = layout_rows([c])[0]
     np.testing.assert_allclose(eig, [2.0, 0.0, -2.0, 0.0], atol=1e-12)
     # brute-force oracle: dense expansion and a generic eigensolver
     multiset_match(eig, np.linalg.eigvals(dense_circulant(c.vector)), 1e-10)
@@ -31,22 +49,23 @@ def test_alternating_four_eigenvalues():
 @pytest.mark.parametrize("k", range(1, 17))
 def test_eigenpair_residuals_random(k):
     rng = np.random.default_rng(100 + k)
-    c = CirculantMatrix(unit_disk(rng, k))
-    a = dense_circulant(c.vector)
-    tol = 1e-9 * (1.0 + inf_norm(a))
-    for lam, vec in zip(c.eigenvalues(), fourier_matrix(k).T):
-        assert np.abs(a @ vec - lam * vec).max() <= tol
+    vectors = stacked_blocks(lambda m: unit_disk(rng, m), k)
+    for c, eig in zip(vectors, layout_rows(vectors)):
+        a = dense_circulant(c)
+        tol = 1e-9 * (1.0 + inf_norm(a))
+        for lam, vec in zip(eig, fourier_matrix(c.size).T):
+            assert np.abs(a @ vec - lam * vec).max() <= tol
 
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_trace_identities_random(k):
     rng = np.random.default_rng(200 + k)
-    c = CirculantMatrix(unit_disk(rng, k))
-    a = dense_circulant(c.vector)
-    eig = c.eigenvalues()
-    tol = 1e-9 * (1.0 + inf_norm(a) ** 2)
-    assert abs(eig.sum() - np.trace(a)) <= tol
-    assert abs((eig**2).sum() - np.trace(a @ a)) <= tol
+    vectors = stacked_blocks(lambda m: unit_disk(rng, m), k)
+    for c, eig in zip(vectors, layout_rows(vectors)):
+        a = dense_circulant(c)
+        tol = 1e-9 * (1.0 + inf_norm(a) ** 2)
+        assert abs(eig.sum() - np.trace(a)) <= tol
+        assert abs((eig**2).sum() - np.trace(a @ a)) <= tol
 
 
 def direct_sum_eigenvalues(c):
@@ -64,25 +83,27 @@ def direct_sum_eigenvalues(c):
 @pytest.mark.parametrize("k", [1, 2, 3, 8, 31, 128])
 def test_fft_eigenvalues_match_direct_sum(k):
     rng = np.random.default_rng(400 + k)
-    c = rng.normal(size=k) + 1j * rng.normal(size=k)
-    got = CirculantMatrix(c).eigenvalues()
-    tol = 1e-13 * np.abs(c).sum()
-    assert np.abs(got - direct_sum_eigenvalues(c)).max() <= tol
+    vectors = stacked_blocks(lambda m: rng.normal(size=m) + 1j * rng.normal(size=m), k)
+    for c, got in zip(vectors, layout_rows(vectors)):
+        tol = 1e-13 * np.abs(c).sum()
+        assert np.abs(got - direct_sum_eigenvalues(c)).max() <= tol
 
 
 @pytest.mark.parametrize("k", range(1, 17))
 def test_fft_eigenvalues_match_mpmath(k):
     rng = np.random.default_rng(500 + k)
-    c = unit_disk(rng, k)
-    got = CirculantMatrix(c).eigenvalues()
-    tol = 1e-13 * np.abs(c).sum()
+    vectors = stacked_blocks(lambda m: unit_disk(rng, m), k)
     with mpmath.workdps(50):
-        cm = [mpmath.mpc(z.real, z.imag) for z in c]
-        for j in range(k):
-            exact = mpmath.fsum(
-                cm[m] * mpmath.expjpi(mpmath.mpf(-2 * m * j) / k) for m in range(k)
-            )
-            assert abs(complex(exact) - got[j]) <= tol
+        for c, got in zip(vectors, layout_rows(vectors)):
+            tol = 1e-13 * np.abs(c).sum()
+            cm = [mpmath.mpc(z.real, z.imag) for z in c]
+            size = len(cm)
+            for j in range(size):
+                exact = mpmath.fsum(
+                    cm[m] * mpmath.expjpi(mpmath.mpf(-2 * m * j) / size)
+                    for m in range(size)
+                )
+                assert abs(complex(exact) - got[j]) <= tol
 
 
 @pytest.mark.parametrize("k", [*range(1, 71), 128, 2048])
@@ -113,16 +134,21 @@ def test_matvec_matches_dense(k):
 
 
 def test_row_sum_examples():
-    assert CirculantMatrix([0, 1, 1]).row_sum() == 2.0
-    assert CirculantMatrix([0, 1, 0]).row_sum() == 1.0
-    assert CirculantMatrix([1 + 1j, 2 - 1j]).row_sum() == 3.0 + 0.0j
+    # the two blocks of size 3 share one stacked FFT
+    spec = JoinSpec([[0, 1, 1], [1 + 1j, 2 - 1j], [0, 1, 0]])
+    assert spec.layout().row_sums.tolist() == [2.0, 3.0 + 0.0j, 1.0]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
 def test_row_sum_is_zero_mode_exactly(k):
     rng = np.random.default_rng(300 + k)
-    c = CirculantMatrix(unit_disk(rng, k))
-    assert c.row_sum() == c.eigenvalues()[0]
+    vectors = stacked_blocks(lambda m: unit_disk(rng, m), k)
+    spec = JoinSpec(vectors, unit_disk(rng, (4, 4)))
+    sums = spec.layout().row_sums
+    for i, c in enumerate(vectors):
+        assert sums[i : i + 1].tobytes() == np.fft.fft(c)[:1].tobytes()
+    # the condensed diagonal holds the same bits
+    assert np.diagonal(spec.condensed()).tobytes() == sums.tobytes()
 
 
 def test_dense_examples():

@@ -819,17 +819,35 @@ def test_non_utf8_file_is_a_parse_error(argv, tmp_path, monkeypatch, capsys):
     data = b"\xff\xfe" + K8_DOC.encode("utf-16-le")
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)
-    # stdin as a strict UTF-8 stream, as with PYTHONIOENCODING=utf-8
-    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    monkeypatch.setattr(sys, "stdin", stdin)
     paths = {"BAD": str(bad), "RING": write(tmp_path, "ring.json", ring_doc())}
-    code, out, err = run([paths.get(a, a) for a in argv], capsys)
-    assert (code, out) == (2, "")
     source = "stdin" if "-" in argv else bad
-    assert err == (
-        f"circjoin: parse error: cannot read {source}: 'utf-8' codec can't decode "
-        "byte 0xff in position 0: invalid start byte\n"
+    # stdin as a strict UTF-8 stream, as with PYTHONIOENCODING=utf-8, and
+    # as the surrogateescape stream Python reads in a C or POSIX locale
+    for errors in ("strict", "surrogateescape"):
+        stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors=errors)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run([paths.get(a, a) for a in argv], capsys)
+        assert (code, out) == (2, ""), errors
+        assert err == (
+            f"circjoin: parse error: cannot read {source}: 'utf-8' codec can't "
+            "decode byte 0xff in position 0: invalid start byte\n"
+        ), errors
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "utf-8"])
+def test_utf8_stdin_reads_as_the_file_does(encoding, tmp_path, monkeypatch, capsys):
+    # a label outside ASCII, on stdin decoded with surrogateescape in the
+    # locale's encoding, parses as it does from the file
+    data = json.dumps({**json.loads(K8_DOC), "labels": ["é", "ü"]}, ensure_ascii=False)
+    path = tmp_path / "labels.json"
+    path.write_bytes(data.encode("utf-8"))
+    expected = run(["spectrum", str(path)], capsys)
+    assert expected[0] == 0
+    stdin = io.TextIOWrapper(
+        io.BytesIO(data.encode("utf-8")), encoding=encoding, errors="surrogateescape"
     )
+    monkeypatch.setattr(sys, "stdin", stdin)
+    assert run(["spectrum", "-"], capsys) == expected
 
 
 # Non-finite input: every case below once printed NaN or Infinity, or

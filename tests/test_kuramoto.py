@@ -242,7 +242,7 @@ def test_twisted_grid_all_indices_and_offsets():
 
 def test_eigenvector_equilibrium_constant_vector():
     system = identical_ring_system(1, 5, eps=1.0)
-    lam = system.network.blocks[0].row_sum().real
+    lam = np.fft.fft(system.network.blocks[0].vector)[0].real
     theta = eigenvector_equilibrium(system, np.ones(5, dtype=complex), lam)
     assert theta is not None
     np.testing.assert_allclose(theta, np.zeros(5), atol=1e-14)
@@ -251,7 +251,7 @@ def test_eigenvector_equilibrium_constant_vector():
 def test_eigenvector_equilibrium_rejects_zero_support():
     system = identical_ring_system(2, 4, eps=1.0)
     c = system.network.blocks[0]
-    lam = c.eigenvalues()[2].real
+    lam = np.fft.fft(c.vector)[2].real
     w = np.zeros(system.n, dtype=complex)
     w[:4] = fourier_matrix(4)[:, 2]
     assert eigenvector_equilibrium(system, w, lam) is None
@@ -261,7 +261,7 @@ def test_eigenvector_equilibrium_complex_eigenvalue():
     g = JoinSpec([CirculantMatrix([0.0, 0.0, 0.0, 1.0])])  # directed 4-cycle
     system = KuramotoSystem(g, epsilon=1.0)
     v = fourier_matrix(4)[:, 1]
-    lam = complex(g.blocks[0].eigenvalues()[1])
+    lam = complex(np.fft.fft(g.blocks[0].vector)[1])
     assert abs(lam - 1j) < 1e-12
     assert eigenvector_equilibrium(system, v, lam) is None
 
@@ -274,7 +274,7 @@ def test_eigenvector_equilibrium_matches_twisted_state():
     v = np.zeros(system.n, dtype=complex)
     v[:4] = np.exp(1j * phis[0]) * fourier_matrix(4)[:, j]
     v[4:] = np.exp(1j * phis[1]) * fourier_matrix(4)[:, j]
-    lam = c.eigenvalues()[j].real
+    lam = np.fft.fft(c.vector)[j].real
     theta = eigenvector_equilibrium(system, v, lam)
     assert theta is not None
     ok, _ = check_equilibrium(system, theta)
@@ -283,12 +283,18 @@ def test_eigenvector_equilibrium_matches_twisted_state():
     assert circular_gap(theta, expected).max() <= 1e-8
 
 
+def scaled_system(spec, scale):
+    """The Kuramoto system (epsilon 1) of the join scaled by `scale`."""
+    spec = JoinSpec([b.vector * scale for b in spec.blocks], spec.couplings * scale)
+    return KuramotoSystem(spec, epsilon=1.0)
+
+
 def test_eigenvector_equilibrium_does_not_depend_on_scale():
     system = identical_ring_system(2, 6, eps=1.0)
     c = system.network.blocks[0]
     mode = fourier_matrix(6)[:, 1]
     v = np.concatenate([np.exp(0.3j) * mode, np.exp(-1.2j) * mode])
-    lam = c.eigenvalues()[1].real
+    lam = np.fft.fft(c.vector)[1].real
     theta = eigenvector_equilibrium(system, v, lam)
     assert theta is not None
     for scale in (2.0**300, 2.0**-300, 1e9, 1e-9):
@@ -299,6 +305,22 @@ def test_eigenvector_equilibrium_does_not_depend_on_scale():
         else:
             assert circular_gap(scaled, theta).max() <= 1e-12
     assert eigenvector_equilibrium(system, np.zeros(system.n, dtype=complex), lam) is None
+    # the scale of the network: at 1e6 and 1e8 the FFT puts an imaginary
+    # part of 2.3e-10 and 1.5e-8 on this real eigenvalue
+    mode = fourier_matrix(64)[:, 5]
+    v = np.concatenate([np.exp(0.3j) * mode, np.exp(-1.2j) * mode])
+    for scale in (1.0, 1e6, 1e8, 2.0**40, 2.0**-40):
+        ring = scaled_system(join(ring_graph(64, 3), ring_graph(64, 3)), scale)
+        lam = np.fft.fft(ring.network.blocks[0].vector)[5]
+        scaled = eigenvector_equilibrium(ring, v, lam)
+        assert scaled is not None, scale
+        assert circular_gap(scaled, np.angle(v)).max() <= 1e-12
+    # at 2**-40 a random unimodular vector is no eigenvector for 0, though
+    # its residual is below an absolute 1e-8
+    tiny = scaled_system(system.network, 2.0**-40)
+    w = np.exp(1j * np.random.default_rng(0).uniform(-np.pi, np.pi, tiny.n))
+    with pytest.raises(PreconditionError):
+        eigenvector_equilibrium(tiny, w, 0.0)
 
 
 def test_eigenvector_equilibrium_rejects_non_eigenpair():

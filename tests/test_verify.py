@@ -179,7 +179,7 @@ def reference_block_residual(spec, dec):
     worst, tag = -1.0, "none"
     for b, (block, lams) in enumerate(zip(spec.blocks, dec.block_eigenvalues), 1):
         exact = np.fft.fft(block.vector, 2 * block.k)[::2]
-        r = np.abs(exact - np.concatenate(([block.row_sum()], lams)))
+        r = np.abs(exact - np.concatenate((np.fft.fft(block.vector)[:1], lams)))
         r[np.isnan(r)] = np.inf
         j = int(np.argmax(r))
         if r[j] > worst:
