@@ -8,7 +8,7 @@ coordinate repetition.  On top of this the package builds graph-join
 spectra and equilibrium states of Kuramoto oscillator networks.
 """
 
-from .circulant import CirculantMatrix, root_of_unity_powers
+from .circulant import root_of_unity_powers
 from .errors import (
     CircjoinError,
     ConvergenceError,
@@ -30,7 +30,6 @@ from .join import (
 )
 from .graphs import (
     CirculantGraph,
-    complement,
     complete_graph,
     directed_cycle,
     join,
@@ -50,10 +49,9 @@ from .kuramoto import (
 )
 from . import smalleig
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
-    "CirculantMatrix",
     "root_of_unity_powers",
     "JoinSpec",
     "JordanChain",
@@ -66,7 +64,6 @@ __all__ = [
     "complete_graph",
     "directed_cycle",
     "ring_graph",
-    "complement",
     "join",
     "remove_cycle_from_complete",
     "KuramotoSystem",

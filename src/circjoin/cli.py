@@ -165,7 +165,7 @@ def parse_join_document(text):
 def emit_join_document(join, labels=None):
     """Canonical document text; parsing and re-emitting is byte-stable."""
     doc = {
-        "blocks": [[_complex_to_entry(c) for c in b.vector] for b in join.blocks],
+        "blocks": [[_complex_to_entry(c) for c in b] for b in join.blocks],
         "couplings": [
             [_complex_to_entry(c) for c in row] for row in np.asarray(join.couplings)
         ],
@@ -234,11 +234,11 @@ def decomposition_residual(join, decomposition):
     lambda~ from a transform of length 2k: a different plan from the
     cached one, so the roundings are independent.  That is one FFT per
     distinct block size, on the size group's stacked defining vectors
-    (`JoinSpec.layout`).  Index 0 checks the block's row sum, the value
-    the condensed matrix holds.  A lifted condensed vector satisfies
-    A lift(x) = lift(s*x + a (k*x)) (row sums s, sizes k, couplings a),
-    so a chain link is checked in C^d, from the blocks and couplings
-    rather than from `JoinSpec.condensed`.
+    `join.vector[rows]` (`JoinSpec.layout`).  Index 0 checks the block's
+    row sum, the value the condensed matrix holds.  A lifted condensed
+    vector satisfies A lift(x) = lift(s*x + a (k*x)) (row sums s, sizes
+    k, couplings a), so a chain link is checked in C^d, from the blocks
+    and couplings rather than from `JoinSpec.condensed`.
 
     Returns (max residual, human-readable tag of the offender); a NaN
     residual counts as inf, so it is never passed over.  Of equal
@@ -250,11 +250,11 @@ def decomposition_residual(join, decomposition):
     # per size group, (-residual, block, Fourier index) of its first
     # largest residual in block order, so the least is the offender
     offenders = []
-    for ids, _, vectors, eigenvalues in layout.groups:
-        k = vectors.shape[1]
+    for ids, rows, eigenvalues in layout.groups:
+        k = rows.shape[1]
         claimed = eigenvalues.copy()  # index 0 is the row sum
         claimed[:, 1:] = [lams[i] for i in ids.tolist()]
-        r = np.abs(np.fft.fft(vectors, 2 * k, axis=1)[:, ::2] - claimed)
+        r = np.abs(np.fft.fft(join.vector[rows], 2 * k, axis=1)[:, ::2] - claimed)
         r[np.isnan(r)] = np.inf
         p = int(r.argmax())
         offenders.append((-r.item(p), ids.item(p // k), p % k))

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circulant import CirculantMatrix
 from .errors import PreconditionError
 from .join import JoinSpec
 
@@ -37,11 +36,13 @@ class CirculantGraph:
         return hash((self.k, self.directed, self.connection_vector.tobytes()))
 
     def __post_init__(self):
-        v = np.asarray(self.connection_vector, dtype=np.int64)
+        v = np.asarray(self.connection_vector)
         if v.ndim != 1 or v.shape[0] != self.k or self.k < 1:
             raise PreconditionError("connection vector must have length k >= 1")
+        # compared before the int64 cast, which would truncate 1.7 to 1
         if not np.all((v == 0) | (v == 1)):
             raise PreconditionError("connection vector entries must be 0 or 1")
+        v = v.astype(np.int64)
         if v[0] != 0:
             raise PreconditionError("no self-loops: offset 0 must be 0")
         if not self.directed:
@@ -53,9 +54,6 @@ class CirculantGraph:
         v.setflags(write=False)
         object.__setattr__(self, "connection_vector", v)
 
-    def adjacency(self):
-        return CirculantMatrix(self.connection_vector.astype(np.float64))
-
     def complement(self):
         """Complement graph: flip every off-diagonal offset."""
         flipped = 1 - self.connection_vector
@@ -65,10 +63,10 @@ class CirculantGraph:
 
 def _no_offsets(k):
     """The all-zero connection vector on k vertices; a k that numpy
-    refuses to index, before it allocates, is a PreconditionError."""
+    refuses to index or cannot allocate is a PreconditionError."""
     try:
         return np.zeros(k, dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise PreconditionError(f"a graph on {k} vertices: {exc}") from exc
 
 
@@ -103,10 +101,6 @@ def ring_graph(k, m):
     return CirculantGraph(k, v, directed=False)
 
 
-def complement(graph):
-    return graph.complement()
-
-
 def join(*parts):
     """Join the given circulant graphs: keep each part's edges and add
     every edge between distinct parts (couplings all one)."""
@@ -114,10 +108,8 @@ def join(*parts):
         parts = tuple(parts[0])
     if not parts:
         raise PreconditionError("join needs at least one part")
-    blocks = [p.adjacency() for p in parts]
     d = len(parts)
-    couplings = np.ones((d, d))
-    return JoinSpec(blocks, couplings)
+    return JoinSpec([p.connection_vector for p in parts], np.ones((d, d)))
 
 
 def remove_cycle_from_complete(n, k, directed):

@@ -15,18 +15,19 @@ into two analytic parts:
   the condensed matrix is.
 
 So the block part of a spectrum costs one FFT per distinct block size:
-a join keeps its blocks grouped by size (`JoinSpec.layout`), with the
-stacked defining vectors and eigenvalues of each group and the rows
-its blocks occupy, and every per-block quantity and the join's action
-`JoinSpec.matvec` are read from that one layout.
+a join stores its defining vectors once, as one array in row order
+(`JoinSpec.vector`), and groups its blocks by size (`JoinSpec.layout`),
+with the rows each group's blocks occupy and their eigenvalues, and
+every per-block quantity and the join's action `JoinSpec.matvec` are
+read from that one array and layout.
 """
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
 
-from .circulant import CirculantMatrix
 from .errors import NumericalError, PreconditionError
 from . import smalleig
 
@@ -34,12 +35,12 @@ from . import smalleig
 class BlockGroup(NamedTuple):
     """The g blocks of one size k in a join: their indices `ids` (g,)
     in block order, the (g, k) indices `rows` of their rows in the join,
-    and their read-only (g, k) stacked defining `vectors` and
-    `eigenvalues` (Fourier index j = 0..k-1 along each row)."""
+    and their read-only (g, k) stacked `eigenvalues` (Fourier index
+    j = 0..k-1 along each row).  The group's defining vectors are
+    `JoinSpec.vector[rows]`."""
 
     ids: np.ndarray
     rows: np.ndarray
-    vectors: np.ndarray
     eigenvalues: np.ndarray
 
 
@@ -53,22 +54,39 @@ class BlockLayout(NamedTuple):
     groups: tuple
 
 
-class JoinSpec:
-    """d circulant blocks plus the d x d table of coupling constants.
+def _defining_vector(values):
+    """One block's defining vector as a nonempty 1-d complex128 array; a
+    scalar is a block of size 1."""
+    try:
+        v = np.atleast_1d(np.asarray(values, dtype=np.complex128))
+    except (TypeError, ValueError) as exc:
+        raise PreconditionError(f"defining vector is not numeric: {exc}") from exc
+    if v.ndim != 1 or v.size < 1:
+        raise PreconditionError("defining vector must be a nonempty 1-d sequence")
+    return v
 
-    Coupling diagonal entries are unused and stored as zero.  Blocks may
-    be given as CirculantMatrix instances or raw defining vectors.
+
+class JoinSpec:
+    """d circulant blocks, each given by its defining vector (first
+    column), plus the d x d table of coupling constants.
+
+    The defining vectors are stored once, concatenated in the join's row
+    order as the read-only (n,) array `vector`; `blocks` holds read-only
+    views of it, one per block.  Coupling diagonal entries are unused
+    and stored as zero.
     """
 
-    __slots__ = ("blocks", "couplings", "d", "block_sizes", "n", "_layout")
+    __slots__ = ("vector", "blocks", "couplings", "d", "block_sizes", "n", "_layout")
 
     def __init__(self, blocks, couplings=None):
-        blocks = tuple(
-            b if isinstance(b, CirculantMatrix) else CirculantMatrix(b) for b in blocks
-        )
-        if not blocks:
+        parts = [_defining_vector(b) for b in blocks]
+        if not parts:
             raise PreconditionError("a join needs at least one block")
-        d = len(blocks)
+        vector = np.concatenate(parts)
+        if not np.all(np.isfinite(vector)):
+            raise PreconditionError("defining vector must be finite")
+        vector.setflags(write=False)
+        d = len(parts)
         if couplings is None:
             couplings = np.zeros((d, d))
         a = np.asarray(couplings, dtype=np.complex128)
@@ -81,11 +99,15 @@ class JoinSpec:
         a = a.copy()
         np.fill_diagonal(a, 0.0)
         a.setflags(write=False)
-        self.blocks = blocks
+        self.block_sizes = tuple(v.shape[0] for v in parts)
+        ends = list(accumulate(self.block_sizes))
+        self.vector = vector
+        self.blocks = tuple(
+            vector[end - k : end] for end, k in zip(ends, self.block_sizes)
+        )
         self.couplings = a
         self.d = d
-        self.block_sizes = tuple(b.k for b in blocks)
-        self.n = sum(self.block_sizes)
+        self.n = ends[-1]
         self._layout = None
 
     def condensed(self):
@@ -117,7 +139,7 @@ class JoinSpec:
         layout = self.layout()
         cross = self.couplings @ np.add.reduceat(x, layout.offsets)
         out = np.empty_like(x)
-        for ids, rows, _, lam in layout.groups:
+        for ids, rows, lam in layout.groups:
             # The transforms run in place on fresh arrays, which skips
             # np.fft's output allocation.  The product is lam * spec on a
             # named array: numpy's complex multiply is not bit-commutative,
@@ -136,7 +158,8 @@ class JoinSpec:
         on first use and shared by everything that reads the blocks.
 
         Each group's eigenvalues are one FFT along the rows of its
-        stacked defining vectors.  numpy transforms the rows one by one
+        stacked defining vectors, gathered from `vector` as
+        `vector[rows]`.  numpy transforms the rows one by one
         with the plan of a single transform, so each row is bit for bit
         np.fft.fft of the block's vector alone, and a join of d blocks
         of s distinct sizes costs s FFT calls, however large d is.
@@ -151,36 +174,40 @@ class JoinSpec:
             groups = []
             for k in sorted(by_size):
                 ids = np.array(by_size[k])
-                vectors = np.array([self.blocks[i].vector for i in by_size[k]])
-                lam = np.fft.fft(vectors, axis=1)
-                vectors.setflags(write=False)
+                rows = offsets[ids, None] + np.arange(k)
+                lam = np.fft.fft(self.vector[rows], axis=1)
                 lam.setflags(write=False)
                 sums[ids] = lam[:, 0]
-                rows = offsets[ids, None] + np.arange(k)
-                groups.append(BlockGroup(ids, rows, vectors, lam))
+                groups.append(BlockGroup(ids, rows, lam))
             sums.setflags(write=False)
             self._layout = BlockLayout(sums, offsets, tuple(groups))
         return self._layout
 
     def inf_norm(self):
         """Largest absolute row sum of the dense expansion, read from
-        the blocks and couplings."""
-        rows = np.empty(self.d)
-        for group in self.layout().groups:
-            rows[group.ids] = np.abs(group.vectors).sum(axis=1)
-        return float((rows + np.abs(self.couplings) @ self.block_sizes).max())
+        the defining vectors and couplings.
+
+        Each block's sum runs along its row of the size group's stack,
+        in numpy's pairwise order; np.add.reduceat on `vector` would sum
+        in another order and move the last bit of the default
+        tolerances that `kuramoto check` prints.
+        """
+        sums = np.empty(self.d)
+        for ids, rows, _ in self.layout().groups:
+            sums[ids] = np.abs(self.vector[rows]).sum(axis=1)
+        return float((sums + np.abs(self.couplings) @ self.block_sizes).max())
 
     def is_real(self):
         return bool(
-            all(np.all(g.vectors.imag == 0.0) for g in self.layout().groups)
-            and np.all(self.couplings.imag == 0.0)
+            np.all(self.vector.imag == 0.0) and np.all(self.couplings.imag == 0.0)
         )
 
     def __eq__(self, other):
         if not isinstance(other, JoinSpec):
             return NotImplemented
-        return self.blocks == other.blocks and bool(
-            np.array_equal(self.couplings, other.couplings)
+        return self.block_sizes == other.block_sizes and bool(
+            np.array_equal(self.vector, other.vector)
+            and np.array_equal(self.couplings, other.couplings)
         )
 
     def __repr__(self):

@@ -92,7 +92,7 @@ def _rk4_trajectory(theta0, network, omega, eps, dt, steps):
     n = theta0.shape[0]
     try:
         out = np.empty((steps + 1, n))
-    except ValueError as exc:  # numpy refuses the size before allocating
+    except (ValueError, MemoryError) as exc:  # a size numpy refuses or cannot allocate
         raise PreconditionError(f"{steps} steps of {n} phases: {exc}") from exc
     out[0] = theta0
     th = theta0.copy()
@@ -165,11 +165,12 @@ def build_twisted_equilibrium(system, j, phis):
     what makes the state stationary.
     """
     network = system.network
-    first = network.blocks[0]
-    if any(b != first for b in network.blocks[1:]):
+    vec = network.blocks[0]
+    k = vec.shape[0]
+    if network.block_sizes != (k,) * network.d or np.any(
+        network.vector.reshape(network.d, k) != vec
+    ):
         raise PreconditionError("twisted equilibria need identical blocks")
-    vec = first.vector
-    k = first.k
     if np.any(vec.imag != 0.0) or not np.array_equal(vec[1:], vec[1:][::-1]):
         raise PreconditionError(
             "twisted equilibria need a real symmetric circulant block"

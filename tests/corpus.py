@@ -3,7 +3,7 @@
 import mpmath
 import numpy as np
 
-from circjoin import CirculantMatrix, JoinSpec, JordanChain
+from circjoin import JoinSpec, JordanChain
 
 
 def inf_norm(a):
@@ -18,14 +18,10 @@ def unit_disk(rng, size):
     return r * np.exp(1j * phase)
 
 
-def random_circulant(rng, k):
-    return CirculantMatrix(unit_disk(rng, k))
-
-
 def random_join(rng, dmax=5, kmax=8):
     """Random join with complex entries in the unit disk."""
     d = int(rng.integers(1, dmax + 1))
-    blocks = [random_circulant(rng, int(rng.integers(1, kmax + 1))) for _ in range(d)]
+    blocks = [unit_disk(rng, int(rng.integers(1, kmax + 1))) for _ in range(d)]
     couplings = unit_disk(rng, (d, d))
     return JoinSpec(blocks, couplings)
 
@@ -33,7 +29,7 @@ def random_join(rng, dmax=5, kmax=8):
 def random_real_join(rng, dmax=5, kmax=8, unit_couplings=False):
     d = int(rng.integers(1, dmax + 1))
     blocks = [
-        CirculantMatrix(rng.uniform(-1.0, 1.0, int(rng.integers(1, kmax + 1))))
+        rng.uniform(-1.0, 1.0, int(rng.integers(1, kmax + 1)))
         for _ in range(d)
     ]
     if unit_couplings:
@@ -82,7 +78,7 @@ def dense_join(spec):
     a = np.repeat(np.repeat(spec.couplings, sizes, axis=0), sizes, axis=1)
     start = 0
     for block, k in zip(spec.blocks, sizes):
-        a[start : start + k, start : start + k] = dense_circulant(block.vector)
+        a[start : start + k, start : start + k] = dense_circulant(block)
         start += k
     return a
 
@@ -170,25 +166,25 @@ def defective_joins():
     """
     cases = []
     # 2x2 nilpotent: single chain of length 2
-    cases.append(JoinSpec([CirculantMatrix([0.0])] * 2, [[0.0, 1.0], [0.0, 0.0]]))
+    cases.append(JoinSpec([[0.0]] * 2, [[0.0, 1.0], [0.0, 0.0]]))
     # 3x3 single chain of length 3 (strictly upper triangular condensed)
     cases.append(
         JoinSpec(
-            [CirculantMatrix([0.0])] * 3,
+            [[0.0]] * 3,
             [[0.0, 1.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
         )
     )
     # repeated eigenvalue, chain lengths 2 + 1
     cases.append(
         JoinSpec(
-            [CirculantMatrix([0.5])] * 3,
+            [[0.5]] * 3,
             [[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],
         )
     )
     # defective block with nontrivial circulant parts
     cases.append(
         JoinSpec(
-            [CirculantMatrix([0.0, 1.0, 1.0]), CirculantMatrix([0.0, 1.0, 0.0, 1.0])],
+            [[0.0, 1.0, 1.0], [0.0, 1.0, 0.0, 1.0]],
             [[0.0, 0.5], [0.0, 0.0]],
         )
     )
@@ -208,20 +204,20 @@ def structured_corpus():
     for sizes in ([3, 5, 3, 1, 5, 8], [1, 4, 1, 4, 1], [37, 64, 2, 37, 64]):
         d = len(sizes)
         cases.append(
-            JoinSpec([random_circulant(mixed, k) for k in sizes], unit_disk(mixed, (d, d)))
+            JoinSpec([unit_disk(mixed, k) for k in sizes], unit_disk(mixed, (d, d)))
         )
     cases.append(
         JoinSpec(
-            [CirculantMatrix(mixed.uniform(-1.0, 1.0, k)) for k in (3, 5, 3, 1, 5, 8)],
+            [mixed.uniform(-1.0, 1.0, k) for k in (3, 5, 3, 1, 5, 8)],
             mixed.uniform(-1.0, 1.0, (6, 6)),
         )
     )
-    ring = CirculantMatrix([0.0, 1.0, 0.0, 0.0, 0.0, 1.0])
+    ring = [0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
     cases.append(JoinSpec([ring] * 8, np.ones((8, 8))))
-    cases.append(JoinSpec([CirculantMatrix(unit_disk(rng, 300))]))
+    cases.append(JoinSpec([unit_disk(rng, 300)]))
     cases.append(
         JoinSpec(
-            [random_circulant(rng, k) for k in (64, 1, 37, 128)],
+            [unit_disk(rng, k) for k in (64, 1, 37, 128)],
             unit_disk(rng, (4, 4)),
         )
     )

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from circjoin import (
-    CirculantMatrix,
     JoinSpec,
     KuramotoSystem,
     build_twisted_equilibrium,
@@ -109,14 +108,14 @@ def test_criterion_3_two_block_closed_form():
             k2 = int(rng.integers(1, 9))
             spec = JoinSpec(
                 [
-                    CirculantMatrix(rng.uniform(-1.0, 1.0, k1)),
-                    CirculantMatrix(rng.uniform(-1.0, 1.0, k2)),
+                    rng.uniform(-1.0, 1.0, k1),
+                    rng.uniform(-1.0, 1.0, k2),
                 ],
                 np.ones((2, 2)),
             )
             dec = full_spectrum(spec)
             assert dec.diagonalizable
-            cs, ds = (np.fft.fft(b.vector)[0].real for b in spec.blocks)
+            cs, ds = (np.fft.fft(b)[0].real for b in spec.blocks)
             root = math.sqrt((cs - ds) ** 2 + 4.0 * k1 * k2)
             condensed = [v for v, p in dec.eigenvalues() if p == "condensed"]
             multiset_match(
@@ -168,7 +167,7 @@ def test_criterion_6_diagonalizability_and_chain_lifting():
         corpus = [random_join(rng) for _ in range(40)] + defective_joins()
         # joins with zero couplings and equal row sums: diagonalizable
         # with a repeated condensed eigenvalue
-        c = CirculantMatrix([0.0, 1.0, 1.0])
+        c = [0.0, 1.0, 1.0]
         corpus.append(JoinSpec([c, c, c], np.zeros((3, 3))))
         for spec in corpus:
             dec = full_spectrum(spec)
@@ -217,7 +216,7 @@ def _random_symmetric_circulant(rng, k):
         w = rng.uniform(0.2, 1.0)
         c[off] = w
         c[k - off] = w
-    return CirculantMatrix(c)
+    return c
 
 
 def test_criterion_7_kuramoto_twisted_equilibria():

@@ -2,10 +2,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from circjoin import CirculantMatrix, JoinSpec, root_of_unity_powers
+from circjoin import JoinSpec, root_of_unity_powers
 from circjoin.errors import PreconditionError
 
-from corpus import dense_circulant, fourier_matrix, inf_norm, multiset_match, unit_disk
+from corpus import (
+    dense_circulant,
+    fourier_matrix,
+    inf_norm,
+    multiset_match,
+    structured_corpus,
+    unit_disk,
+)
 
 
 def layout_rows(vectors):
@@ -27,10 +34,10 @@ def stacked_blocks(draw, k):
 
 
 def test_single_entry_eigenpair():
-    c = CirculantMatrix([2.0])
+    c = [2.0]
     assert np.array_equal(layout_rows([c])[0], np.array([2.0 + 0.0j]))
     assert np.array_equal(fourier_matrix(1), np.array([[1.0 + 0.0j]]))
-    assert np.array_equal(dense_circulant(c.vector) @ fourier_matrix(1), [[2.0 + 0.0j]])
+    assert np.array_equal(dense_circulant(c) @ fourier_matrix(1), [[2.0 + 0.0j]])
 
 
 def test_scaled_identity_eigenvalues():
@@ -39,11 +46,11 @@ def test_scaled_identity_eigenvalues():
 
 
 def test_alternating_four_eigenvalues():
-    c = CirculantMatrix([0.0, 1.0, 0.0, 1.0])
+    c = [0.0, 1.0, 0.0, 1.0]
     eig = layout_rows([c])[0]
     np.testing.assert_allclose(eig, [2.0, 0.0, -2.0, 0.0], atol=1e-12)
     # brute-force oracle: dense expansion and a generic eigensolver
-    multiset_match(eig, np.linalg.eigvals(dense_circulant(c.vector)), 1e-10)
+    multiset_match(eig, np.linalg.eigvals(dense_circulant(c)), 1e-10)
 
 
 @pytest.mark.parametrize("k", range(1, 17))
@@ -125,9 +132,9 @@ def test_stacked_fft_is_the_per_row_fft_bit_for_bit(k):
 def test_matvec_matches_dense(k):
     # a one-block join acts as its circulant block
     rng = np.random.default_rng(600 + k)
-    c = CirculantMatrix(unit_disk(rng, k))
+    c = unit_disk(rng, k)
     spec = JoinSpec([c])
-    a = dense_circulant(c.vector)
+    a = dense_circulant(c)
     tol = 1e-13 * (1.0 + inf_norm(a))
     x = unit_disk(rng, k)
     assert np.abs(spec.matvec(x) - a @ x).max() <= tol
@@ -152,17 +159,18 @@ def test_row_sum_is_zero_mode_exactly(k):
 
 
 def test_dense_examples():
-    assert np.array_equal(dense_circulant(CirculantMatrix([2.5]).vector), [[2.5 + 0j]])
-    shift = dense_circulant(CirculantMatrix([0, 1, 0]).vector).real
+    assert np.array_equal(dense_circulant(JoinSpec([2.5]).vector), [[2.5 + 0j]])
+    shift = dense_circulant(JoinSpec([[0, 1, 0]]).vector).real
     assert np.array_equal(shift, np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]]))
-    k3 = dense_circulant(CirculantMatrix([0, 1, 1]).vector).real
+    k3 = dense_circulant(JoinSpec([[0, 1, 1]]).vector).real
     assert np.array_equal(k3, np.ones((3, 3)) - np.eye(3))
 
 
 def test_dense_first_column_roundtrip():
     rng = np.random.default_rng(7)
     v = unit_disk(rng, 9)
-    assert np.array_equal(dense_circulant(CirculantMatrix(v).vector)[:, 0], v)
+    spec = JoinSpec([v[:4], v])
+    assert np.array_equal(dense_circulant(spec.blocks[1])[:, 0], v)
 
 
 def test_root_of_unity_powers_entries():
@@ -175,25 +183,32 @@ def test_root_of_unity_powers_entries():
 
 
 def test_invalid_inputs():
-    with pytest.raises(PreconditionError):
-        CirculantMatrix([])
-    with pytest.raises(PreconditionError):
-        CirculantMatrix([[1, 2], [3, 4]])
-    with pytest.raises(PreconditionError):
-        CirculantMatrix([np.nan])
+    for blocks in ([[]], [[[1, 2], [3, 4]]], [[np.nan]], [[1.0, np.inf]], [["x"]],
+                   [[[1, 2], [3]]], [[0, 1], {}]):
+        with pytest.raises(PreconditionError):
+            JoinSpec(blocks)
     with pytest.raises(PreconditionError):
         root_of_unity_powers(0)
 
 
-def test_signed_zeros_hash_equal():
+def test_signed_zeros_compare_equal():
     for zero in (-0.0, complex(0.0, -0.0)):
-        a, b = CirculantMatrix([1, 0, 0]), CirculantMatrix([1, zero, 0])
-        assert a == b
-        assert hash(a) == hash(b)
-        assert len({a, b}) == 1
+        assert JoinSpec([[1, 0, 0]]) == JoinSpec([[1, zero, 0]])
+    # the same vector cut into other blocks is another join
+    assert JoinSpec([[1, 0, 0]]) != JoinSpec([[1, 0], [0]], np.zeros((2, 2)))
 
 
 def test_vector_is_read_only():
-    c = CirculantMatrix([0, 1, 0])
-    with pytest.raises(ValueError):
-        c.vector[0] = 5.0
+    given = np.array([0.0, 1.0, 0.0, 2.0, 3.0])
+    spec = JoinSpec([given[:3], given[3:]])
+    given[:] = 5.0  # the join keeps its own copy
+    assert spec.vector.tolist() == [0, 1, 0, 2, 3]
+    for view in (spec.vector, *spec.blocks):
+        with pytest.raises(ValueError):
+            view[0] = 5.0
+    # every block is a view of the one stored vector, in row order
+    for spec in structured_corpus():
+        assert spec.vector.dtype == np.complex128 and spec.vector.shape == (spec.n,)
+        assert np.array_equal(np.concatenate(spec.blocks), spec.vector)
+        for block in spec.blocks:
+            assert np.shares_memory(block, spec.vector)

@@ -230,7 +230,7 @@ def parse_outcome(parse, text):
         spec, labels = parse(text)
     except ParseError as exc:
         return "error", str(exc)
-    vectors = [b.vector.tobytes() for b in spec.blocks]
+    vectors = [b.tobytes() for b in spec.blocks]
     return "ok", vectors, spec.couplings.tobytes(), labels
 
 
@@ -481,10 +481,15 @@ def test_cap_flag_is_gone(tmp_path, capsys):
         (["graph", "ring", "--k", str(10**20), "--m", "1"], 10**20),
         (["graph", "cycle", "--k", str(10**20)], 10**20),
         (["graph", "join", f"complete:{10**20}"], 10**20),
+        (["kuramoto", "simulate", "--j", "1", "--steps", str(2**55)], 2**55),
+        (["graph", "complete", "--n", str(2**55)], 2**55),
+        (["graph", "join", f"ring:{2**55}:1"], 2**55),
     ],
 )
 def test_sizes_numpy_refuses_exit_3(argv, size, monkeypatch, capsys):
-    # numpy refuses these sizes before it allocates anything
+    # numpy refuses these sizes before it allocates anything, or fails
+    # to allocate them at once: 2**55 int64 or float64 entries are 2**58
+    # bytes, beyond any x86-64 address space
     monkeypatch.setattr(sys, "stdin", io.StringIO(ring_doc()))
     code, out, err = run(argv, capsys)
     assert (code, out) == (3, "")
@@ -1050,7 +1055,8 @@ FLAGS = [
     "--dt", "--drift", "--bogus",
 ]
 VALUES = [
-    *map(str, range(-1, 9)), "4611686018427387904", "100000000000000000000",
+    *map(str, range(-1, 9)), "36028797018963968", "4611686018427387904",
+    "100000000000000000000",
     "0.5", "1e-3", "1e-300", "nan", "-inf", "inf", "1e400", "abc", "", "0,0.5",
     "0,nan",
     "complete:3", "cycle:4", "ring:5:1", "ring:8:3", "complement:ring:6:1",

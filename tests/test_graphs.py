@@ -5,7 +5,6 @@ import pytest
 
 from circjoin import (
     CirculantGraph,
-    complement,
     complete_graph,
     directed_cycle,
     full_spectrum,
@@ -15,11 +14,12 @@ from circjoin import (
 )
 from circjoin.errors import PreconditionError
 
-from corpus import dense_circulant, dense_join, multiset_match
+from corpus import dense_join, multiset_match
 
 
 def adjacency_matrix(g):
-    return dense_circulant(g.adjacency().vector).real
+    """The dense adjacency matrix of g, read from its one-part join."""
+    return dense_join(join(g)).real
 
 
 def test_complete_graph_vectors():
@@ -30,7 +30,7 @@ def test_complete_graph_vectors():
 
 
 def test_complete_graph_spectrum():
-    eig = np.fft.fft(complete_graph(5).adjacency().vector)
+    eig = np.fft.fft(complete_graph(5).connection_vector)
     multiset_match(eig, [4.0] + [-1.0] * 4, 1e-10)
 
 
@@ -43,7 +43,7 @@ def test_directed_cycle_dense():
 
 
 def test_directed_cycle_eigenvalues_are_roots_of_unity():
-    eig = np.fft.fft(directed_cycle(4).adjacency().vector)
+    eig = np.fft.fft(directed_cycle(4).connection_vector)
     multiset_match(eig, [1.0, 1j, -1.0, -1j], 1e-12)
 
 
@@ -51,21 +51,29 @@ def test_ring_graph_vectors():
     assert np.array_equal(ring_graph(5, 1).connection_vector, [0, 1, 0, 0, 1])
     # small rings collapse to the complete graph
     assert np.array_equal(ring_graph(4, 2).connection_vector, [0, 1, 1, 1])
-    assert np.fft.fft(ring_graph(7, 2).adjacency().vector)[0] == 4.0  # valency 2m
+    assert np.fft.fft(ring_graph(7, 2).connection_vector)[0] == 4.0  # valency 2m
 
 
 def test_complement_examples():
     k3 = complete_graph(3)
-    assert np.array_equal(complement(k3).connection_vector, [0, 0, 0])
+    assert np.array_equal(k3.complement().connection_vector, [0, 0, 0])
     g = CirculantGraph(3, [0, 1, 0], directed=True)
-    assert np.array_equal(complement(g).connection_vector, [0, 0, 1])
-    assert complement(complement(g)) == g
+    assert np.array_equal(g.complement().connection_vector, [0, 0, 1])
+    assert g.complement().complement() == g
 
 
 def test_complement_identity_exact():
     for g in (ring_graph(7, 2), directed_cycle(5), complete_graph(4)):
-        total = adjacency_matrix(g) + adjacency_matrix(complement(g)) + np.eye(g.k)
+        total = adjacency_matrix(g) + adjacency_matrix(g.complement()) + np.eye(g.k)
         assert np.array_equal(total, np.ones((g.k, g.k)))
+
+
+def test_connection_entries_must_be_zero_or_one():
+    # compared as given: an int64 cast would turn 1.7 into 1 and 0.5 into 0
+    for v in ([0, 1.7, 1.2], [0, 0.5, 0.5], [0, np.nan, 0]):
+        with pytest.raises(PreconditionError):
+            CirculantGraph(3, v)
+    assert CirculantGraph(3, [0, 1.0, True]) == complete_graph(3)
 
 
 def test_undirected_requires_palindrome():
@@ -80,7 +88,7 @@ def test_join_of_complete_graphs_is_complete():
     dec = full_spectrum(spec)
     multiset_match(
         dec.eigenvalue_multiset(),
-        np.fft.fft(complete_graph(8).adjacency().vector),
+        np.fft.fft(complete_graph(8).connection_vector),
         1e-10,
     )
 

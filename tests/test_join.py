@@ -1,3 +1,4 @@
+import ast
 import math
 import re
 import warnings
@@ -10,7 +11,6 @@ import sympy
 
 import circjoin
 from circjoin import (
-    CirculantMatrix,
     JoinSpec,
     JordanChain,
     KuramotoSystem,
@@ -24,6 +24,7 @@ from circjoin import (
     tensor_expand,
 )
 from circjoin.errors import PreconditionError
+from circjoin.join import BlockGroup
 from circjoin.graphs import (
     complete_graph,
     join as join_graphs,
@@ -43,7 +44,6 @@ from corpus import (
     lifted_chains,
     mpmath_eigenvalues,
     multiset_match,
-    random_circulant,
     random_join,
     structured_corpus,
     unit_disk,
@@ -52,7 +52,7 @@ from corpus import (
 
 def k8_minus_directed_triangle():
     return JoinSpec(
-        [CirculantMatrix([0, 1, 0]), CirculantMatrix([0, 1, 1, 1, 1])],
+        [[0, 1, 0], [0, 1, 1, 1, 1]],
         np.ones((2, 2)),
     )
 
@@ -86,12 +86,12 @@ def independent_diagonalizable(abar):
 # ---------------------------------------------------------------------------
 
 def test_dense_single_block_is_the_block():
-    spec = JoinSpec([CirculantMatrix([0, 1, 0])])
+    spec = JoinSpec([[0, 1, 0]])
     assert np.array_equal(dense_join(spec).real, [[0, 0, 1], [1, 0, 0], [0, 1, 0]])
 
 
 def test_dense_two_singletons():
-    spec = JoinSpec([CirculantMatrix([0]), CirculantMatrix([0])], np.ones((2, 2)))
+    spec = JoinSpec([[0], [0]], np.ones((2, 2)))
     assert np.array_equal(dense_join(spec).real, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
@@ -105,7 +105,7 @@ def test_dense_k8_minus_directed_triangle():
 
 def test_couplings_validation():
     with pytest.raises(PreconditionError):
-        JoinSpec([CirculantMatrix([0])], np.ones((2, 2)))
+        JoinSpec([[0]], np.ones((2, 2)))
     with pytest.raises(PreconditionError):
         JoinSpec([], np.zeros((0, 0)))
 
@@ -121,13 +121,13 @@ def test_condensed_k8_example():
 
 
 def test_condensed_single_block():
-    spec = JoinSpec([CirculantMatrix([0, 1, 1])])
+    spec = JoinSpec([[0, 1, 1]])
     assert np.array_equal(spec.condensed(), np.array([[2.0 + 0.0j]]))
 
 
 def test_condensed_complete_blocks():
     spec = JoinSpec(
-        [CirculantMatrix([0, 1, 1]), CirculantMatrix([0, 1, 1, 1, 1])],
+        [[0, 1, 1], [0, 1, 1, 1, 1]],
         np.ones((2, 2)),
     )
     assert np.array_equal(spec.condensed().real, np.array([[2.0, 5.0], [3.0, 4.0]]))
@@ -138,7 +138,7 @@ def test_condensed_complete_blocks():
 # ---------------------------------------------------------------------------
 
 def test_block_eigenpairs_empty_for_singleton_blocks():
-    spec = JoinSpec([CirculantMatrix([1.0])] * 3, unit_disk(np.random.default_rng(0), (3, 3)))
+    spec = JoinSpec([[1.0]] * 3, unit_disk(np.random.default_rng(0), (3, 3)))
     assert [lam.shape for lam in block_eigenpairs(spec)] == [(0,)] * 3
 
 
@@ -158,7 +158,7 @@ def test_block_eigenpairs_k8_example():
 
 def test_block_eigenpairs_complete_blocks():
     spec = JoinSpec(
-        [CirculantMatrix([0, 1, 1]), CirculantMatrix([0, 1, 1, 1, 1])],
+        [[0, 1, 1], [0, 1, 1, 1, 1]],
         np.ones((2, 2)),
     )
     multiset_match(np.concatenate(block_eigenpairs(spec)), [-1.0] * 6, 1e-12)
@@ -172,7 +172,7 @@ def test_block_eigenpairs_are_read_only_views_of_the_block_fft():
                 # a view of the block's row of its size group's FFT,
                 # holding the bits of the transform of its vector alone
                 assert lams[i].base is group.eigenvalues
-                assert lams[i].tobytes() == np.fft.fft(spec.blocks[i].vector)[1:].tobytes()
+                assert lams[i].tobytes() == np.fft.fft(spec.blocks[i])[1:].tobytes()
                 assert not lams[i].flags.writeable
 
 
@@ -187,7 +187,7 @@ def test_layout_groups_blocks_by_size():
     starts = np.cumsum((0, *sizes[:-1]))
     assert np.array_equal(layout.offsets, starts)
     for group in layout.groups:
-        assert np.array_equal(group.vectors, [vectors[i] for i in group.ids])
+        assert np.array_equal(spec.vector[group.rows], [vectors[i] for i in group.ids])
         assert np.array_equal(
             group.rows, [np.arange(starts[i], starts[i] + sizes[i]) for i in group.ids]
         )
@@ -222,7 +222,7 @@ def test_block_eigenpair_support():
     # in the eigenbasis, block b's Fourier columns are nonzero exactly on
     # block b's rows
     spec = JoinSpec(
-        [CirculantMatrix([0, 1]), CirculantMatrix([0, 1, 1])], np.ones((2, 2))
+        [[0, 1], [0, 1, 1]], np.ones((2, 2))
     )
     m = eigenbasis(full_spectrum(spec))
     for start, size in ((0, 2), (2, 3)):
@@ -241,15 +241,30 @@ def test_every_exported_name_resolves():
                  "fourier_vector", "eigenbasis_matrix"):
         assert not hasattr(circjoin, name), name
     for owner, name in ((circjoin.JoinSpec, "dense"), (circjoin.JoinSpec, "offsets"),
-                        (circjoin.CirculantMatrix, "dense"),
-                        (circjoin.CirculantMatrix, "eigenpairs"),
-                        (circjoin.CirculantMatrix, "eigenvalues"),
-                        (circjoin.CirculantMatrix, "row_sum"),
+                        (circjoin, "CirculantMatrix"), (circjoin.circulant, "CirculantMatrix"),
+                        (circjoin, "complement"), (circjoin.graphs, "complement"),
                         (circjoin.CirculantGraph, "dense"),
+                        (circjoin.CirculantGraph, "adjacency"),
+                        (BlockGroup, "vectors"),
                         (circjoin.SpectralDecomposition, "condensed_vector_matrix"),
                         (cli, "spectrum_report"), (cli, "_pair_lists")):
         assert not hasattr(owner, name), (owner, name)
-    assert circjoin.CirculantMatrix.__slots__ == ("vector",)
+
+
+def test_readme_quick_start_runs(capsys):
+    # the README's python block is run as documented, so the API it
+    # shows cannot go stale
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], "README.md", "exec"), {})
+    values, diagonalizable, drift = capsys.readouterr().out.splitlines()
+    root = math.sqrt(69.0)
+    expected = [(5 + root) / 2, (5 - root) / 2, np.exp(2j * np.pi / 3),
+                np.exp(-2j * np.pi / 3), -1, -1, -1, -1]
+    multiset_match(ast.literal_eval(values), expected, 1e-12)
+    assert diagonalizable == "True"
+    assert float(drift) <= 1e-14
 
 
 def test_version_matches_pyproject():
@@ -300,7 +315,7 @@ def test_tensor_expand_lifts_condensed_eigenvectors():
 
 def test_full_spectrum_join_of_complete_graphs_is_complete():
     spec = JoinSpec(
-        [CirculantMatrix([0, 1, 1]), CirculantMatrix([0, 1, 1, 1, 1])],
+        [[0, 1, 1], [0, 1, 1, 1, 1]],
         np.ones((2, 2)),
     )
     dec = full_spectrum(spec)
@@ -322,7 +337,7 @@ def test_full_spectrum_k8_example():
 
 def test_full_spectrum_defective_two_by_two():
     spec = JoinSpec(
-        [CirculantMatrix([0.0]), CirculantMatrix([0.0])], [[0.0, 1.0], [0.0, 0.0]]
+        [[0.0], [0.0]], [[0.0, 1.0], [0.0, 0.0]]
     )
     dec = full_spectrum(spec)
     assert dec.eigenvalue_multiset() == [0.0 + 0.0j, 0.0 + 0.0j]
@@ -348,7 +363,7 @@ def test_condensed_solve_runs_svd_chains_only_for_repeated_eigenvalues(monkeypat
     calls = count_jordan_chains(monkeypatch)
     rng = np.random.default_rng(64)
     sizes = rng.integers(2, 9, 64)
-    spec = JoinSpec([random_circulant(rng, k) for k in sizes], unit_disk(rng, (64, 64)))
+    spec = JoinSpec([unit_disk(rng, k) for k in sizes], unit_disk(rng, (64, 64)))
     dec = full_spectrum(spec)
     assert calls == []
     assert dec.diagonalizable and len(dec.condensed_chains) == 64
@@ -413,9 +428,9 @@ def test_condensed_solve_mixing_defective_and_simple_is_warning_free(monkeypatch
 
 
 def test_full_spectrum_single_block_matches_fourier_decomposition():
-    c = CirculantMatrix([0.5, 1.0, -0.25, 2.0])
+    c = [0.5, 1.0, -0.25, 2.0]
     dec = full_spectrum(JoinSpec([c]))
-    multiset_match(dec.eigenvalue_multiset(), np.fft.fft(c.vector), 1e-10)
+    multiset_match(dec.eigenvalue_multiset(), np.fft.fft(c), 1e-10)
     # row-sum mode arrives via the condensed path with a constant vector
     assert len(dec.condensed_chains) == 1
     lifted = lifted_chains(dec)[0].vectors[0]
@@ -436,13 +451,13 @@ def test_reduced_char_poly_k8_example():
 
 
 def test_reduced_char_poly_single_block():
-    coeffs = reduced_char_poly(JoinSpec([CirculantMatrix([0, 1, 1])]))
+    coeffs = reduced_char_poly(JoinSpec([[0, 1, 1]]))
     np.testing.assert_allclose(coeffs, [1.0, -2.0], atol=1e-14)
 
 
 def test_reduced_char_poly_complete_blocks():
     spec = JoinSpec(
-        [CirculantMatrix([0, 1, 1]), CirculantMatrix([0, 1, 1, 1, 1])],
+        [[0, 1, 1], [0, 1, 1, 1, 1]],
         np.ones((2, 2)),
     )
     np.testing.assert_allclose(reduced_char_poly(spec), [1.0, -6.0, -7.0], atol=1e-12)
@@ -452,7 +467,7 @@ def test_reduced_char_poly_complete_blocks():
 def test_reduced_char_poly_matches_condensed_roots(d):
     rng = np.random.default_rng(700 + d)
     blocks = [
-        CirculantMatrix(unit_disk(rng, int(rng.integers(1, 6)))) for _ in range(d)
+        unit_disk(rng, int(rng.integers(1, 6))) for _ in range(d)
     ]
     spec = JoinSpec(blocks, unit_disk(rng, (d, d)))
     coeffs = reduced_char_poly(spec)
@@ -467,7 +482,7 @@ def test_reduced_char_poly_matches_mpmath(d):
     # coefficient i measured against C(d, i) * ||A||^i, its natural scale
     rng = np.random.default_rng(900 + d)
     blocks = [
-        CirculantMatrix(unit_disk(rng, int(rng.integers(1, 6)))) for _ in range(d)
+        unit_disk(rng, int(rng.integers(1, 6))) for _ in range(d)
     ]
     spec = JoinSpec(blocks, unit_disk(rng, (d, d)))
     a = spec.condensed()
@@ -588,7 +603,7 @@ def test_reduced_char_poly_of_a_similarity_at_d_128():
     lam = rng.integers(-3, 4, (2, d))
     lam[0, (lam == 0).all(axis=0)] = 1
     a = (s * lam[0]) @ s_inv + 1j * ((s * lam[1]) @ s_inv)
-    spec = JoinSpec([CirculantMatrix([a[i, i]]) for i in range(d)], a)
+    spec = JoinSpec([[a[i, i]] for i in range(d)], a)
     assert np.array_equal(spec.condensed(), a)
     roots = list(zip(lam[0].tolist(), lam[1].tolist()))
     assert_char_poly(spec, gaussian_poly(roots), np.hypot(*lam), 1e-12)
@@ -598,7 +613,7 @@ def test_reduced_char_poly_of_a_similarity_at_d_128():
 def test_reduced_char_poly_matches_mpmath_relative_to_each_coefficient(d):
     rng = np.random.default_rng(1100 + d)
     blocks = [
-        CirculantMatrix(unit_disk(rng, int(rng.integers(1, 6)))) for _ in range(d)
+        unit_disk(rng, int(rng.integers(1, 6))) for _ in range(d)
     ]
     spec = JoinSpec(blocks, unit_disk(rng, (d, d)))
     with mpmath.workdps(60):
@@ -617,7 +632,7 @@ def char_poly_bound_cases():
     for d, seed in [*((d, 900 + d) for d in range(1, 7)), (16, 1116), (24, 1124)]:
         rng = np.random.default_rng(seed)
         blocks = [
-            CirculantMatrix(unit_disk(rng, int(rng.integers(1, 6)))) for _ in range(d)
+            unit_disk(rng, int(rng.integers(1, 6))) for _ in range(d)
         ]
         cases.append(JoinSpec(blocks, unit_disk(rng, (d, d))))
     return cases
@@ -662,14 +677,14 @@ def test_char_poly_bound_recurrence_matches_np_poly(index, monkeypatch):
 
 def test_eigenbasis_single_block_determinant():
     k = 5
-    dec = full_spectrum(JoinSpec([CirculantMatrix(unit_disk(np.random.default_rng(3), k))]))
+    dec = full_spectrum(JoinSpec([unit_disk(np.random.default_rng(3), k)]))
     det = np.linalg.det(eigenbasis(dec))
     assert abs(abs(det) - k ** (k / 2.0)) <= 1e-9 * k ** (k / 2.0)
 
 
 def test_eigenbasis_determinant_factorization():
     spec = JoinSpec(
-        [CirculantMatrix([0, 1, 1]), CirculantMatrix([0, 1, 1, 1, 1])],
+        [[0, 1, 1], [0, 1, 1, 1, 1]],
         np.ones((2, 2)),
     )
     dec = full_spectrum(spec)
@@ -684,7 +699,7 @@ def test_eigenbasis_determinant_factorization():
 
 def test_eigenbasis_nonsingular_for_defective_case():
     spec = JoinSpec(
-        [CirculantMatrix([0.0]), CirculantMatrix([0.0])], [[0.0, 1.0], [0.0, 0.0]]
+        [[0.0], [0.0]], [[0.0, 1.0], [0.0, 0.0]]
     )
     m = eigenbasis(full_spectrum(spec))
     assert abs(np.linalg.det(m)) > 1e-12
@@ -719,12 +734,12 @@ def test_two_block_closed_form(seed):
     k2 = int(rng.integers(1, 9))
     spec = JoinSpec(
         [
-            CirculantMatrix(rng.uniform(-1, 1, k1)),
-            CirculantMatrix(rng.uniform(-1, 1, k2)),
+            rng.uniform(-1, 1, k1),
+            rng.uniform(-1, 1, k2),
         ],
         np.ones((2, 2)),
     )
-    cs, ds = (np.fft.fft(b.vector)[0].real for b in spec.blocks)
+    cs, ds = (np.fft.fft(b)[0].real for b in spec.blocks)
     disc = math.sqrt((cs - ds) ** 2 + 4.0 * k1 * k2)
     dec = full_spectrum(spec)
     condensed = [v for v, p in dec.eigenvalues() if p == "condensed"]

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from circjoin import (
-    CirculantMatrix,
     JoinSpec,
     KuramotoSystem,
     build_twisted_equilibrium,
@@ -30,7 +29,7 @@ def circular_gap(a, b):
 
 
 def two_oscillators(eps=1.0):
-    spec = JoinSpec([CirculantMatrix([0.0]), CirculantMatrix([0.0])], np.ones((2, 2)))
+    spec = JoinSpec([[0.0], [0.0]], np.ones((2, 2)))
     return KuramotoSystem(spec, epsilon=eps)
 
 
@@ -85,7 +84,7 @@ def test_rhs_matches_the_dense_formula(seed):
     sizes = RHS_SIZES[seed % len(RHS_SIZES)]
     d = len(sizes)
     network = JoinSpec(
-        [CirculantMatrix(rng.uniform(-1.0, 1.0, k)) for k in sizes],
+        [rng.uniform(-1.0, 1.0, k) for k in sizes],
         rng.uniform(-1.0, 1.0, (d, d)),
     )
     omega = rng.normal(size=network.n)
@@ -100,7 +99,7 @@ def test_rhs_matches_the_dense_formula(seed):
 def test_rhs_matches_mpmath():
     rng = np.random.default_rng(14)
     network = JoinSpec(
-        [CirculantMatrix(rng.uniform(-1.0, 1.0, k)) for k in (3, 1, 3, 2)],
+        [rng.uniform(-1.0, 1.0, k) for k in (3, 1, 3, 2)],
         rng.uniform(-1.0, 1.0, (4, 4)),
     )
     omega = rng.normal(size=network.n)
@@ -128,7 +127,7 @@ def test_rhs_rejects_wrong_length():
 
 
 def test_system_requires_real_network():
-    spec = JoinSpec([CirculantMatrix([0.0, 1j])])
+    spec = JoinSpec([[0.0, 1j]])
     with pytest.raises(PreconditionError):
         KuramotoSystem(spec)
 
@@ -150,7 +149,7 @@ def test_twisted_state_is_nontrivial():
 
 
 def test_twisted_state_two_block_example():
-    c = CirculantMatrix([0.0, 1.0, 0.0, 1.0])
+    c = [0.0, 1.0, 0.0, 1.0]
     spec = JoinSpec([c, c], np.ones((2, 2)))
     system = KuramotoSystem(spec, epsilon=0.3)
     state = build_twisted_equilibrium(system, 2, [0.0, np.pi / 3.0])
@@ -163,13 +162,13 @@ def test_twisted_state_two_block_example():
 
 def test_twisted_state_preconditions():
     unequal = KuramotoSystem(
-        JoinSpec([CirculantMatrix([0.0, 1.0]), CirculantMatrix([0.0, 0.0])],
+        JoinSpec([[0.0, 1.0], [0.0, 0.0]],
                  np.ones((2, 2)))
     )
     with pytest.raises(PreconditionError):
         build_twisted_equilibrium(unequal, 1, [0.0, 0.0])
     asym = KuramotoSystem(
-        JoinSpec([CirculantMatrix([0.0, 1.0, 0.0])], np.zeros((1, 1)))
+        JoinSpec([[0.0, 1.0, 0.0]], np.zeros((1, 1)))
     )
     with pytest.raises(PreconditionError):
         build_twisted_equilibrium(asym, 1, [0.0])
@@ -242,7 +241,7 @@ def test_twisted_grid_all_indices_and_offsets():
 
 def test_eigenvector_equilibrium_constant_vector():
     system = identical_ring_system(1, 5, eps=1.0)
-    lam = np.fft.fft(system.network.blocks[0].vector)[0].real
+    lam = np.fft.fft(system.network.blocks[0])[0].real
     theta = eigenvector_equilibrium(system, np.ones(5, dtype=complex), lam)
     assert theta is not None
     np.testing.assert_allclose(theta, np.zeros(5), atol=1e-14)
@@ -251,30 +250,30 @@ def test_eigenvector_equilibrium_constant_vector():
 def test_eigenvector_equilibrium_rejects_zero_support():
     system = identical_ring_system(2, 4, eps=1.0)
     c = system.network.blocks[0]
-    lam = np.fft.fft(c.vector)[2].real
+    lam = np.fft.fft(c)[2].real
     w = np.zeros(system.n, dtype=complex)
     w[:4] = fourier_matrix(4)[:, 2]
     assert eigenvector_equilibrium(system, w, lam) is None
 
 
 def test_eigenvector_equilibrium_complex_eigenvalue():
-    g = JoinSpec([CirculantMatrix([0.0, 0.0, 0.0, 1.0])])  # directed 4-cycle
+    g = JoinSpec([[0.0, 0.0, 0.0, 1.0]])  # directed 4-cycle
     system = KuramotoSystem(g, epsilon=1.0)
     v = fourier_matrix(4)[:, 1]
-    lam = complex(np.fft.fft(g.blocks[0].vector)[1])
+    lam = complex(np.fft.fft(g.blocks[0])[1])
     assert abs(lam - 1j) < 1e-12
     assert eigenvector_equilibrium(system, v, lam) is None
 
 
 def test_eigenvector_equilibrium_matches_twisted_state():
-    c = CirculantMatrix([0.0, 1.0, 0.0, 1.0])
+    c = [0.0, 1.0, 0.0, 1.0]
     spec = JoinSpec([c, c], np.ones((2, 2)))
     system = KuramotoSystem(spec, epsilon=0.5)
     j, phis = 2, np.array([0.2, -1.1])
     v = np.zeros(system.n, dtype=complex)
     v[:4] = np.exp(1j * phis[0]) * fourier_matrix(4)[:, j]
     v[4:] = np.exp(1j * phis[1]) * fourier_matrix(4)[:, j]
-    lam = np.fft.fft(c.vector)[j].real
+    lam = np.fft.fft(c)[j].real
     theta = eigenvector_equilibrium(system, v, lam)
     assert theta is not None
     ok, _ = check_equilibrium(system, theta)
@@ -285,7 +284,7 @@ def test_eigenvector_equilibrium_matches_twisted_state():
 
 def scaled_system(spec, scale):
     """The Kuramoto system (epsilon 1) of the join scaled by `scale`."""
-    spec = JoinSpec([b.vector * scale for b in spec.blocks], spec.couplings * scale)
+    spec = JoinSpec([b * scale for b in spec.blocks], spec.couplings * scale)
     return KuramotoSystem(spec, epsilon=1.0)
 
 
@@ -294,7 +293,7 @@ def test_eigenvector_equilibrium_does_not_depend_on_scale():
     c = system.network.blocks[0]
     mode = fourier_matrix(6)[:, 1]
     v = np.concatenate([np.exp(0.3j) * mode, np.exp(-1.2j) * mode])
-    lam = np.fft.fft(c.vector)[1].real
+    lam = np.fft.fft(c)[1].real
     theta = eigenvector_equilibrium(system, v, lam)
     assert theta is not None
     for scale in (2.0**300, 2.0**-300, 1e9, 1e-9):
@@ -311,7 +310,7 @@ def test_eigenvector_equilibrium_does_not_depend_on_scale():
     v = np.concatenate([np.exp(0.3j) * mode, np.exp(-1.2j) * mode])
     for scale in (1.0, 1e6, 1e8, 2.0**40, 2.0**-40):
         ring = scaled_system(join(ring_graph(64, 3), ring_graph(64, 3)), scale)
-        lam = np.fft.fft(ring.network.blocks[0].vector)[5]
+        lam = np.fft.fft(ring.network.blocks[0])[5]
         scaled = eigenvector_equilibrium(ring, v, lam)
         assert scaled is not None, scale
         assert circular_gap(scaled, np.angle(v)).max() <= 1e-12
@@ -419,7 +418,7 @@ def random_symmetric_block(rng, k):
     c = np.zeros(k)
     for off in range(1, k // 2 + 1):
         c[off] = c[k - off] = rng.uniform(0.2, 1.0)
-    return CirculantMatrix(c)
+    return c
 
 
 def test_integrate_is_the_full_length_loop_on_stable_twisted_states(monkeypatch):
@@ -463,7 +462,7 @@ def test_integrate_is_the_full_length_loop_when_settling_late(seed, monkeypatch)
 def test_integrate_is_the_full_length_loop_off_equilibrium(seed):
     rng = np.random.default_rng(seed)
     network = JoinSpec(
-        [CirculantMatrix(rng.uniform(-1.0, 1.0, k)) for k in RHS_SIZES[seed]],
+        [rng.uniform(-1.0, 1.0, k) for k in RHS_SIZES[seed]],
         rng.uniform(-1.0, 1.0, (len(RHS_SIZES[seed]),) * 2),
     )
     omega = rng.normal(size=network.n) if seed % 2 else None
@@ -498,7 +497,7 @@ def test_negative_zero_is_not_taken_for_a_fixed_point(monkeypatch):
 
 def test_integrate_divergence_reports_step():
     system = KuramotoSystem(
-        JoinSpec([CirculantMatrix([0.0, 1.0])]), epsilon=1.0, omega=1e308
+        JoinSpec([[0.0, 1.0]]), epsilon=1.0, omega=1e308
     )
     _, bad = reference_rk4(system, np.zeros(2), 10.0, 5)
     assert bad >= 1

@@ -6,7 +6,7 @@ import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
 
-from circjoin import CirculantMatrix, JoinSpec, cli, full_spectrum, smalleig
+from circjoin import JoinSpec, cli, full_spectrum, smalleig
 from circjoin.errors import (
     ConvergenceError,
     IllConditionedError,
@@ -316,7 +316,7 @@ def count_loop_values(monkeypatch):
 def test_report_clustering_loops_only_over_values_with_a_near_neighbour(monkeypatch):
     counts = count_loop_values(monkeypatch)
     rng = np.random.default_rng(2048)
-    block = CirculantMatrix(rng.uniform(-1.0, 1.0, 2048))
+    block = rng.uniform(-1.0, 1.0, 2048)
     rows = cli._report_rows(full_spectrum(JoinSpec([block], [[0.5]])))
     assert len(rows) == 2048
     assert counts == [0]  # 2047 block values, all proved singletons

@@ -50,6 +50,11 @@ def test_matvec_matches_dense(index):
     x = unit_disk(rng, spec.n)
     assert np.abs(spec.matvec(x) - a @ x).max() <= tol
     assert abs(spec.inf_norm() - inf_norm(a)) <= 1e-13 * (1.0 + inf_norm(a))
+    # bit for bit the pairwise sum of each block alone: `kuramoto check`
+    # prints a tolerance made from it
+    sums = np.array([np.abs(b).sum() for b in spec.blocks])
+    cross = np.abs(spec.couplings) @ spec.block_sizes
+    assert spec.inf_norm() == float((sums + cross).max())
 
 
 def test_matvec_rejects_wrong_shape():
@@ -178,8 +183,8 @@ def reference_block_residual(spec, dec):
     the blocks, one transform each: (max residual, tag), NaN as inf."""
     worst, tag = -1.0, "none"
     for b, (block, lams) in enumerate(zip(spec.blocks, dec.block_eigenvalues), 1):
-        exact = np.fft.fft(block.vector, 2 * block.k)[::2]
-        r = np.abs(exact - np.concatenate((np.fft.fft(block.vector)[:1], lams)))
+        exact = np.fft.fft(block, 2 * block.size)[::2]
+        r = np.abs(exact - np.concatenate((np.fft.fft(block)[:1], lams)))
         r[np.isnan(r)] = np.inf
         j = int(np.argmax(r))
         if r[j] > worst:
