@@ -183,46 +183,43 @@ def _fmt17(x):
     return format(float(x), ".17g")
 
 
-def _fmt_complex(z):
-    z = complex(z)
-    return f"{z.real:.17g}{z.imag:+.17g}i"
+def report_rows(decomposition):
+    """The report's eigenvalue table as three arrays in report order:
+    cluster means, multiplicities and provenances (block numbers from 1,
+    and "condensed").
 
-
-def _provenance_rank(p):
-    return -1 if p == "condensed" else int(p)
-
-
-def _report_rows(decomposition):
-    """Cluster equal eigenvalues within each provenance group, at a
-    distance of 1e-9 * max |eigenvalue|.
-
-    That maximum is the hypot of the values scaled down by a power of
-    two, which is exact, so it is finite whenever every part is, and the
-    distance is 1e-9 times the plain maximum wherever that is finite.
-    Clustering depends only on the values' bits and the distance, so
-    each distinct group of values, such as the spectrum shared by equal
-    blocks, is clustered once and its rows are copied to every group
-    with those bits.
+    Equal eigenvalues are clustered within each provenance group, at a
+    distance of 1e-9 * max |eigenvalue|.  That maximum is the hypot of
+    the values scaled down by a power of two, which is exact, so it is
+    finite whenever every part is, and the distance is 1e-9 times the
+    plain maximum wherever that is finite.  Clustering depends only on
+    the values' bits and the distance, so each distinct group of values,
+    such as the spectrum shared by equal blocks, is clustered once and
+    its rows are copied to every group with those bits.  One stable
+    lexsort orders the rows by (Re, Im), -0.0 equal to 0.0, and then by
+    provenance, the condensed matrix first.
     """
     chains = decomposition.condensed_chains
     condensed = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
-    groups = [*enumerate(decomposition.block_eigenvalues, 1), ("condensed", condensed)]
+    # provenance rank: 0 for the condensed matrix, b for block b
+    groups = [*enumerate(decomposition.block_eigenvalues, 1), (0, condensed)]
     values = np.concatenate([vals for _, vals in groups])
     t = max(_scale_exponent(float(np.abs(values.view(np.float64)).max())), 0)
     scale = math.ldexp(1.0, -t)
     biggest = float(np.hypot(values.real * scale, values.imag * scale).max())
     delta = math.ldexp(REPORT_CLUSTER_SCALE * biggest, t)
-    # groups with equal values are clustered together; the sort puts each
-    # row in its place, since every group has its own provenance
     alike = {}
-    for prov, vals in groups:
-        alike.setdefault(vals.tobytes(), (vals, []))[1].append(prov)
+    for rank, vals in groups:
+        alike.setdefault(vals.tobytes(), (vals, []))[1].append(rank)
     rows = []
-    for vals, provs in alike.values():
+    for vals, ranks in alike.values():
         clusters = _finite_clusters(vals, delta)
-        rows += [(mean, mult, prov) for prov in provs for mean, mult, _ in clusters]
-    rows.sort(key=lambda r: (r[0].real, r[0].imag, _provenance_rank(r[2])))
-    return rows
+        rows += [(mean, mult, rank) for rank in ranks for mean, mult, _ in clusters]
+    # _cluster's own means: a singleton's is w / 1, which sets zero signs
+    mean, mult, rank = map(np.array, zip(*rows))
+    order = np.lexsort((rank, mean.imag, mean.real))
+    names = np.array(["condensed", *range(1, len(groups))], dtype=object)
+    return mean[order], mult[order], names[rank[order]]
 
 
 def decomposition_residual(join, decomposition):
@@ -328,7 +325,8 @@ def _eigenvectors(decomposition):
 
 
 def _spectrum(join, args):
-    """The spectrum report, as the JSON output writes it; the
+    """The spectrum report, as the JSON output writes it; its eigenvalue
+    table is a `jsontext.Table` of the `report_rows` columns.  The
     "eigenvectors" section is built for JSON output only, since the CSV
     table prints no vectors."""
     decomposition = full_spectrum(
@@ -349,19 +347,14 @@ def _spectrum(join, args):
             raise VerificationError(
                 f"residual {residual:.3e} exceeds tolerance {tol:.3e} at {offender}"
             )
-    rows = _report_rows(decomposition)
+    mean, mult, provenance = report_rows(decomposition)
+    table = {
+        "re": mean.real, "im": mean.imag, "multiplicity": mult, "provenance": provenance
+    }
     report = {
         "n": join.n,
         "diagonalizable": decomposition.diagonalizable,
-        "eigenvalues": [
-            {
-                "re": float(v.real),
-                "im": float(v.imag),
-                "multiplicity": mult,
-                "provenance": prov,
-            }
-            for v, mult, prov in rows
-        ],
+        "eigenvalues": jsontext.Table({key: c.tolist() for key, c in table.items()}),
         "reduced_char_poly": [
             [float(c.real), float(c.imag)] for c in decomposition.reduced_char_poly()
         ],
@@ -378,11 +371,11 @@ def _print_report(join, args):
     if args.output == "json":
         print(jsontext.dumps(report))
         return
-    lines = ["eigenvalue,multiplicity,provenance"]
-    for row in report["eigenvalues"]:
-        z = complex(row["re"], row["im"])
-        lines.append(f"{_fmt_complex(z)},{row['multiplicity']},{row['provenance']}")
-    print("\n".join(lines))
+    table = report["eigenvalues"].columns
+    rows = zip(table["re"], table["im"], table["multiplicity"], table["provenance"])
+    header = "eigenvalue,multiplicity,provenance"
+    template = header + "\n%.17g%+.17gi,%d,%s" * len(table["re"])
+    print(template % tuple(chain.from_iterable(rows)))
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@
 json's ``indent`` mode runs its pure-Python encoder, several calls per
 value.  This writer fills one ``%``-template per homogeneous list
 instead: a list of numbers, a list of equal-length number lists (the
-``[re, im]`` pairs of a report) and a list of flat dicts with one key
-order (the eigenvalue rows).  Floats go through ``%r``, which is
+``[re, im]`` pairs of a report) and a `Table`, flat dicts given as
+columns (the eigenvalue rows).  Floats go through ``%r``, which is
 ``float.__repr__``, json's own float encoder; ints through ``%r`` or
 ``%d`` (both ``int.__repr__``); strings and keys through json's own
 ``encode_basestring_ascii``.  Anything else is written value by value
@@ -20,21 +20,19 @@ which is not JSON, so the writer raises NumericalError instead.
 import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
-from operator import itemgetter
 
 from .errors import NumericalError
 
 _STEP = "  "
 _NUMBERS = {float, int}  # exact types: bool and numpy scalars take the general path
 _SEQUENCES = {list, tuple}
-_SCALARS = {str, int, float, bool, type(None)}
 _NON_FINITE = "a non-finite number cannot be written as JSON"
 
 
 def dumps(obj):
     """The text json's ``dumps(obj, indent=2)`` returns, for str-keyed
-    dicts, lists, tuples, str, int, float, bool, None and PairTable
-    lists."""
+    dicts, lists, tuples, str, int, float, bool, None, PairTable lists
+    and Tables."""
     out = []
     _write(obj, "\n", out)
     return "".join(out)
@@ -87,6 +85,50 @@ class _PairList:
         self.index = index
 
 
+class Table:
+    """Flat dicts given as columns: ``dumps`` writes ``Table({key:
+    column, ...})``, columns of equal length, as the list of dicts
+    ``{key: column[i], ...}``, every row from one template.  Floats are
+    written with %r, ints with %d, and any other column with %s from
+    per-value texts, made once per distinct value where equal values
+    cannot have different texts."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns):
+        self.columns = columns
+
+    def _write(self, nl, out):
+        fields, texts = [], []
+        for key, column in self.columns.items():
+            types = set(map(type, column))
+            form = "%s"
+            if types == {float}:
+                # checked here, since _checked cannot test a text with strings
+                if not all(map(math.isfinite, column)):
+                    raise NumericalError(_NON_FINITE)
+                form = "%r"
+            elif types == {int}:
+                form = "%d"
+            elif float in types or {bool, int} <= types:
+                # True == 1 == 1.0 and 0.0 == -0.0, but their texts differ
+                column = list(map(_scalar, column))
+            else:  # equal values have equal texts: format each once
+                once = {x: _scalar(x) for x in set(column)}
+                column = list(map(once.__getitem__, column))
+            fields.append(_key(key).replace("%", "%%") + ": " + form)
+            texts.append(column)
+        values = tuple(chain.from_iterable(zip(*texts)))
+        if not values:
+            out.append("[]")
+            return
+        inner = nl + _STEP
+        deeper = inner + _STEP
+        row = "{" + deeper + ("," + deeper).join(fields) + inner + "}"
+        text = _template(row, inner, len(values) // len(fields)) % values
+        out += ("[" + inner, text, nl + "]")
+
+
 def _checked(numbers):
     """`numbers` holds only numbers and punctuation, so an "n" is part of
     "nan" or "inf"."""
@@ -104,6 +146,8 @@ def _write(obj, nl, out):
         _dict(obj, nl, out)
     elif type(obj) is _PairList:
         obj.table._write(obj.index, nl, out)
+    elif type(obj) is Table:
+        obj._write(nl, out)
     else:
         out.append(_scalar(obj))
 
@@ -155,8 +199,6 @@ def _list(items, nl, out):
         text = _checked(_template("%r", inner, len(items)) % tuple(items))
     elif types <= _SEQUENCES:
         text = _number_rows(items, inner)
-    elif types == {dict}:
-        text = _dict_rows(items, inner)
     if text is not None:
         out += ("[" + inner, text, nl + "]")
         return
@@ -184,39 +226,3 @@ def _number_rows(rows, inner):
     row = "[" + deeper + _template("%r", deeper, widths.pop()) + inner + "]"
     return _checked(_template(row, inner, len(rows)) % flat)
 
-
-def _dict_rows(rows, inner):
-    """Text of dicts with one key order and scalar values, or None.
-
-    A column of floats is written with %r, of ints with %d, and any
-    other column of scalars with %s from per-value texts, made once per
-    distinct value where equal values cannot have different texts.
-    """
-    keys = tuple(rows[0])
-    if not keys or not all(map(keys.__eq__, map(tuple, rows))):
-        return None
-    get = itemgetter(*keys)
-    columns = list(zip(*map(get, rows))) if len(keys) > 1 else [list(map(get, rows))]
-    formats = []
-    for c, column in enumerate(columns):
-        types = set(map(type, column))
-        if types == {float}:
-            if not all(map(math.isfinite, column)):
-                raise NumericalError(_NON_FINITE)
-            formats.append("%r")
-        elif types == {int}:
-            formats.append("%d")
-        elif types <= _SCALARS:
-            if float in types or {bool, int} <= types:
-                # True == 1 == 1.0 and 0.0 == -0.0, but their texts differ
-                columns[c] = list(map(_scalar, column))
-            else:  # equal values have equal texts: format each once
-                texts = {x: _scalar(x) for x in set(column)}
-                columns[c] = list(map(texts.__getitem__, column))
-            formats.append("%s")
-        else:
-            return None
-    deeper = inner + _STEP
-    fields = [_key(k).replace("%", "%%") + ": " + f for k, f in zip(keys, formats)]
-    row = "{" + deeper + ("," + deeper).join(fields) + inner + "}"
-    return _template(row, inner, len(rows)) % tuple(chain.from_iterable(zip(*columns)))

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from circjoin import JoinSpec, NumericalError, cli, full_spectrum
 from circjoin.cli import decomposition_residual, emit_join_document, main
-from circjoin.jsontext import PairTable, dumps
+from circjoin.jsontext import PairTable, Table, dumps
 
 from corpus import (
     defective_joins,
@@ -141,7 +142,7 @@ def test_pair_table_rejects_non_finite_entries():
 
 
 def test_unsupported_values_raise_type_error():
-    for obj in ({1: 2.0}, [object()], np.int64(3)):
+    for obj in ({1: 2.0}, [object()], np.int64(3), Table({"v": [[1.0]]})):
         with pytest.raises(TypeError):
             dumps(obj)
 
@@ -174,6 +175,47 @@ def test_dumps_is_json_dumps_on_generated_values(obj):
     assert dumps(obj) == oracle(obj)
 
 
+def table_of(rows):
+    """The Table of dicts with one key order."""
+    return Table({key: [row[key] for row in rows] for key in (rows[0] if rows else ())})
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        [
+            {"re": x, "im": -x, "multiplicity": i + 1, "provenance": p}
+            for i, (x, p) in enumerate(zip(EDGE_FLOATS, [1, "condensed"] * 5))
+        ],
+        [{"p": v} for v in [1, "c", 1, None, 0, "c", None, 1]],
+        [{"p": v} for v in [True, 1, "c", 1, True, False, 0, None, "c", 1]],
+        [{"p": v} for v in [1, 1.0, True, -0.0, 0.0, 0, "c", -0.0]],
+        [{"%d": 1.0, "k%": "%s%r"}],
+        [],
+    ],
+)
+def test_table_is_json_dumps_of_its_rows(rows):
+    for wrap in (lambda v: v, lambda v: {"rows": [v]}):
+        assert dumps(wrap(table_of(rows))) == oracle(wrap(rows))
+
+
+@given(
+    st.lists(
+        st.tuples(st.floats(allow_nan=False, allow_infinity=False), st.integers(), JSON_SCALARS),
+        max_size=8,
+    )
+)
+def test_table_is_json_dumps_of_generated_rows(values):
+    rows = [{"re": x, "m": m, "p": p} for x, m, p in values]
+    assert dumps({"t": table_of(rows)}) == oracle({"t": rows})
+
+
+def test_table_rejects_non_finite_floats():
+    for bad in (math.nan, -math.inf):
+        with pytest.raises(NumericalError):
+            dumps(Table({"re": [1.0, bad], "provenance": ["condensed", 1]}))
+
+
 # ---------------------------------------------------------------------------
 # every CLI output is the text json.dumps writes
 # ---------------------------------------------------------------------------
@@ -181,11 +223,27 @@ def test_dumps_is_json_dumps_on_generated_values(obj):
 SPECTRUM_FLAGS = [[], ["--eigenvectors"], ["--verify"], ["--eigenvectors", "--verify"]]
 
 
+# -0.0 real and imaginary parts, and a value tied with a -0.0 one: the
+# report sorts -0.0 as 0.0, so the tie goes to the provenance rank
+NEGATIVE_ZERO_DOC = json.dumps(
+    {
+        "blocks": [[[-0.0, -1.0]], [[-0.0, -0.0], -0.0]],
+        "couplings": [[-0.0, -1.0], [0.0, -1.0]],
+    }
+)
+# a block and the condensed matrix share the eigenvalue -1
+SHARED_EIGENVALUE_DOC = json.dumps(
+    {"blocks": [[0.0, 1.0], [-1.0]], "couplings": [[0.0, 0.0], [0.0, 0.0]]}
+)
 REPORT_DOCS = [
-    emit_join_document(spec)
-    for spec in [
-        cli.parse_join_document(K8_DOC)[0], *structured_corpus(), *defective_joins()
-    ]
+    *(
+        emit_join_document(spec)
+        for spec in [
+            cli.parse_join_document(K8_DOC)[0], *structured_corpus(), *defective_joins()
+        ]
+    ),
+    NEGATIVE_ZERO_DOC,
+    SHARED_EIGENVALUE_DOC,
 ]
 
 
@@ -261,6 +319,53 @@ def test_spectrum_stdout_is_json_dumps_of_spectrum_report(index, monkeypatch, ca
             ]
 
 
+# a CSV eigenvalue field, "<re><im>i" with the sign of im always written
+CSV_COMPLEX = re.compile(r"(-?[0-9.]+(?:e[+-][0-9]+)?)([+-][0-9.]+(?:e[+-][0-9]+)?)i")
+
+
+@pytest.mark.parametrize("index", range(len(REPORT_DOCS)))
+def test_csv_rows_mirror_json_rows(index, monkeypatch, capsys):
+    doc = REPORT_DOCS[index]
+    code, out, err = run(["spectrum", "-"], doc, monkeypatch, capsys)
+    assert code == 0, err
+    rows = json.loads(out)["eigenvalues"]
+    code, out, err = run(["spectrum", "-", "--output", "csv"], doc, monkeypatch, capsys)
+    assert code == 0, err
+    header, *lines = out.splitlines()
+    assert header == "eigenvalue,multiplicity,provenance"
+    assert len(lines) == len(rows)
+    for line, row in zip(lines, rows):
+        value, mult, prov = line.split(",")
+        re_text, im_text = CSV_COMPLEX.fullmatch(value).groups()
+        assert bits([complex(float(re_text), float(im_text))]) == bits(
+            [complex(row["re"], row["im"])]
+        ), line
+        assert (int(mult), prov) == (row["multiplicity"], str(row["provenance"]))
+
+
+@pytest.mark.parametrize(
+    "doc, expected",
+    [
+        (
+            NEGATIVE_ZERO_DOC,
+            [(-0.0, -1.0, "condensed"), (0.0, 0.0, "condensed"), (0.0, -0.0, 2)],
+        ),
+        (
+            SHARED_EIGENVALUE_DOC,
+            [(-1.0, 0.0, "condensed"), (-1.0, 0.0, 1), (1.0, 0.0, "condensed")],
+        ),
+    ],
+)
+def test_equal_eigenvalues_are_ordered_by_provenance_rank(doc, expected, monkeypatch, capsys):
+    code, out, err = run(["spectrum", "-"], doc, monkeypatch, capsys)
+    assert code == 0, err
+    rows = json.loads(out)["eigenvalues"]
+    assert [r["provenance"] for r in rows] == [p for _, _, p in expected]
+    assert bits([complex(r["re"], r["im"]) for r in rows]) == bits(
+        [complex(x, y) for x, y, _ in expected]
+    )
+
+
 def test_spectrum_report_provenance_kinds(monkeypatch, capsys):
     code, out, err = run(["spectrum", "-"], K8_DOC, monkeypatch, capsys)
     assert code == 0, err
@@ -333,9 +438,10 @@ def test_emitted_documents_are_json_dumps_text(labels):
 # stdout pinned across commits
 # ---------------------------------------------------------------------------
 
-def real_join_doc():
-    rng = np.random.default_rng(128)
-    blocks = [rng.uniform(-1.0, 1.0, 128).tolist() for _ in range(2)]
+def real_join_doc(k=128):
+    """Two random real blocks of size k, seeded by k."""
+    rng = np.random.default_rng(k)
+    blocks = [rng.uniform(-1.0, 1.0, k).tolist() for _ in range(2)]
     couplings = rng.uniform(-1.0, 1.0, (2, 2)).tolist()
     return json.dumps({"blocks": blocks, "couplings": couplings})
 
@@ -365,13 +471,29 @@ PINNED = [
     # off equilibrium, so every row rests on the bits of the rates
     (["kuramoto", "simulate", "-", "--state", "STATE", "--steps", "50", "--drift"],
      mixed_join_doc(), "48ced9224c2e146ceaba5c3513df9a3ff48d457458842c503e71f7b6cac50e8f"),
+    (["spectrum", "-", "--output", "csv"], K8_DOC,
+     "b898f39a443bdbc0f43d0f528ab102af9ba483f5b134a60d8db6cad0574f6e08"),
+    (["spectrum", "-", "--output", "csv"], real_join_doc(),
+     "042a0fbfac74a758014d31a2d17932b1ccdfcb13a9e727b5dc87a3a8f25bbb86"),
+    # the shape of the slowest spectrum-large-k job: a table of 4096 rows
+    (["spectrum", "-"], real_join_doc(2048),
+     "d647e25eff6db8409d4bed694d3c4953fc4468f9867c7b00e3d9e3cb6bc5c81d"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, stdin, digest",
     PINNED,
-    ids=["k8", "real-2x128", "equilibrium", "graph-spec", "simulate-3-5-3-8"],
+    ids=[
+        "k8",
+        "real-2x128",
+        "equilibrium",
+        "graph-spec",
+        "simulate-3-5-3-8",
+        "k8-csv",
+        "real-2x128-csv",
+        "real-2x2048",
+    ],
 )
 def test_stdout_matches_pinned_digest(argv, stdin, digest, tmp_path, monkeypatch, capsys):
     state = tmp_path / "state.json"

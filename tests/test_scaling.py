@@ -12,7 +12,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from circjoin import JoinSpec, full_spectrum
-from circjoin.cli import _report_rows, main
+from circjoin.cli import main, report_rows
 from circjoin.errors import NumericalError
 
 
@@ -45,12 +45,13 @@ def test_k8_document_scaled_by_1e_minus_10(monkeypatch, capsys):
 
 
 def report_of(spec):
-    """(diagonalizable, report rows), or the error type it raises."""
+    """(diagonalizable, report rows as (mean, multiplicity, provenance)
+    tuples), or the error type it raises."""
     try:
         dec = full_spectrum(spec)
     except NumericalError as exc:
         return type(exc)
-    return dec.diagonalizable, _report_rows(dec)
+    return dec.diagonalizable, list(zip(*report_rows(dec)))
 
 
 def assert_same_report(plain, scaled, scale):

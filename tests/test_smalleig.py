@@ -317,8 +317,8 @@ def test_report_clustering_loops_only_over_values_with_a_near_neighbour(monkeypa
     counts = count_loop_values(monkeypatch)
     rng = np.random.default_rng(2048)
     block = rng.uniform(-1.0, 1.0, 2048)
-    rows = cli._report_rows(full_spectrum(JoinSpec([block], [[0.5]])))
-    assert len(rows) == 2048
+    mean, mult, provenance = cli.report_rows(full_spectrum(JoinSpec([block], [[0.5]])))
+    assert len(mean) == len(mult) == len(provenance) == 2048
     assert counts == [0]  # 2047 block values, all proved singletons
     # a symmetric ring has every eigenvalue twice (j and k - j), so the
     # loop visits every value with another within R, and only those
