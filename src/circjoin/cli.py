@@ -8,14 +8,15 @@ Subcommands:
 
 Join documents are JSON objects with keys ``blocks`` (list of defining
 vectors), ``couplings`` (d x d table) and optional ``labels``; numbers
-are bare reals or [re, im] pairs.  Exit codes: 0 success, 2 parse
-error, 3 precondition error, 4 numerical error.
+are bare reals or [re, im] pairs.  Exit codes: 0 success, 1 stdout
+closed early, 2 parse error, 3 precondition error, 4 numerical error.
 """
 
 import argparse
 import functools
 import json
 import math
+import os
 import sys
 from itertools import chain
 
@@ -193,33 +194,35 @@ def report_rows(decomposition):
     the values scaled down by a power of two, which is exact, so it is
     finite whenever every part is, and the distance is 1e-9 times the
     plain maximum wherever that is finite.  Clustering depends only on
-    the values' bits and the distance, so each distinct group of values,
-    such as the spectrum shared by equal blocks, is clustered once and
-    its rows are copied to every group with those bits.  One stable
-    lexsort orders the rows by (Re, Im), -0.0 equal to 0.0, and then by
-    provenance, the condensed matrix first.
+    the values' bits and the distance, so one `_finite_clusters` call
+    takes each distinct group of values once, as one segment, and every
+    provenance copies its segment's rows by index.  With the rows in
+    provenance order, the condensed matrix first, one stable sort orders
+    them by (Re, Im), -0.0 equal to 0.0, and then by provenance.
     """
     chains = decomposition.condensed_chains
     condensed = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
-    # provenance rank: 0 for the condensed matrix, b for block b
-    groups = [*enumerate(decomposition.block_eigenvalues, 1), (0, condensed)]
-    values = np.concatenate([vals for _, vals in groups])
+    groups = [condensed, *decomposition.block_eigenvalues]  # in provenance order
+    values = np.concatenate(groups)
     t = max(_scale_exponent(float(np.abs(values.view(np.float64)).max())), 0)
     scale = math.ldexp(1.0, -t)
     biggest = float(np.hypot(values.real * scale, values.imag * scale).max())
     delta = math.ldexp(REPORT_CLUSTER_SCALE * biggest, t)
-    alike = {}
-    for rank, vals in groups:
-        alike.setdefault(vals.tobytes(), (vals, []))[1].append(rank)
-    rows = []
-    for vals, ranks in alike.values():
-        clusters = _finite_clusters(vals, delta)
-        rows += [(mean, mult, rank) for rank in ranks for mean, mult, _ in clusters]
+    distinct = {}
+    which = [distinct.setdefault(g.tobytes(), (len(distinct), g))[0] for g in groups]
+    segments = [g for _, g in distinct.values()]
+    labels = np.repeat(np.arange(len(segments)), list(map(len, segments)))
+    mean, mult, perm, cut = _finite_clusters(np.concatenate(segments), delta, labels)
+    # _cluster puts each segment's clusters together, in segment order
+    bounds = np.searchsorted(labels[perm[cut[:-1]]], np.arange(len(segments) + 1))
+    sizes = (bounds[1:] - bounds[:-1])[which]
+    stops = sizes.cumsum()
+    pick = np.arange(stops[-1]) + np.repeat(bounds[which] - stops + sizes, sizes)
     # _cluster's own means: a singleton's is w / 1, which sets zero signs
-    mean, mult, rank = map(np.array, zip(*rows))
-    order = np.lexsort((rank, mean.imag, mean.real))
+    mean = mean[pick]
+    order = mean.argsort(kind="stable")
     names = np.array(["condensed", *range(1, len(groups))], dtype=object)
-    return mean[order], mult[order], names[rank[order]]
+    return mean[order], mult[pick[order]], np.repeat(names, sizes)[order]
 
 
 def decomposition_residual(join, decomposition):
@@ -732,7 +735,14 @@ def main(argv=None):
 
 
 def main_entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # so that the interpreter's final flush of stdout cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

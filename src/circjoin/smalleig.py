@@ -22,18 +22,15 @@ characteristic polynomial with a certified error bound per coefficient
 relative to the matrix's inf-norm, so scaling the input scales the
 results.
 
-The clustering (`_cluster`, also used for the spectrum report's rows)
-first proves which values stay alone, from a bound on how far a greedy
-cluster can spread, and emits them directly; only the others go through
-the greedy merge loop.
+The clustering (`_cluster`, also one call for all the groups of values
+of a spectrum report) proves with array operations which values stay
+alone, from a bound on how far a greedy cluster can spread, and emits
+them directly; only the others go through the greedy merge loop.
 """
 
-import cmath
 import math
 from functools import cache
 from itertools import compress
-from math import hypot
-from operator import itemgetter, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -89,46 +86,50 @@ _ETA = 2.0**-1075
 _NEIGHBOURS = 8
 
 
-def _cluster(values, delta):
-    """Greedily merge values within delta of a cluster mean.
+def _cluster(values, delta, groups):
+    """Greedily merge values within delta of a cluster mean, apart in
+    each group of equal integer labels in `groups`.
 
-    Returns (mean, multiplicity, members) triples sorted by (Re, Im),
-    where members is the tuple of indices into `values` merged into the
-    cluster; multiplicities sum to len(values).  Deterministic: values
-    are visited in (Re, Im) order and ties go to the nearest existing
-    cluster, the oldest among equals; clusters with equal means keep the
-    order in which they were created.
+    Returns the columns (mean, multiplicity, perm, offsets), one entry
+    per cluster sorted by (group, Re, Im): cluster c holds the indices
+    perm[offsets[c]:offsets[c + 1]] into `values`, in joining order.
+    Values are visited in (group, Re, Im) order and ties go to the
+    nearest existing cluster, the oldest among equals; clusters with
+    equal means keep the order in which they were created.
 
-    Values that provably stay alone (see `_crowded`) are emitted directly as
-    (value / 1, 1, (index,)): the loop's mean of a one-member cluster is
-    its sum divided by 1, a complex division that can flip the sign of a
-    zero part, so they take the same division.  Removing them changes no
-    merge and no tie, because no other value ever comes within delta of
-    them.  Only the rest go through the loop.
+    Values that provably stay alone (see `_crowded`) are emitted directly,
+    with one array division value / 1: the loop's mean of a one-member
+    cluster is its sum divided by 1, a complex division that can flip the
+    sign of a zero part.  Removing them changes no merge and no tie,
+    because no other value ever comes within delta of them.
 
     In the loop, a cluster's mean moves only when it absorbs a value, so
     once the visited real part runs more than 2*delta past it (the
     factor 2 covers rounding in the distance) it can never match again.
-    Such clusters are dropped from the front of the window, and each
-    value is compared with the rest in one vectorized distance
-    computation.  Distances use hypot, as abs() of a complex scalar
-    does, so merges are exactly those of a one-by-one scan over all
-    clusters.
+    Such clusters are dropped from the front of the window, all of them
+    when a group starts, and each value is compared with the rest in one
+    vectorized distance computation.  Distances use hypot, as abs() of a
+    complex scalar does, so merges are exactly those of a one-by-one scan
+    over all clusters of the group.
     """
     values = np.asarray(values, dtype=np.complex128)
-    order = values.argsort(kind="stable")  # by (Re, Im), NaNs last
+    order = np.lexsort((values, groups))  # by (group, Re, Im), NaNs last
     ordered = values[order]
-    index = order.tolist()
-    z = ordered.tolist()
-    rest = _crowded(ordered, delta) if len(z) > 1 else []
-    if not rest:
-        # the sort's order is the (Re, Im) order of the means
-        return [(w / 1, 1, (i,)) for w, i in zip(z, index)]
+    label = np.asarray(groups)[order]
+    n = len(ordered)
+    rest = _crowded(ordered, delta, label)
+    mean = ordered / 1  # a singleton's mean
+    if not len(rest):  # the sort's order is the order of the means
+        return mean, np.ones(n, dtype=np.intp), order, np.arange(n + 1)
     sums = []
     members = []
+    joined = []  # the cluster that each visited value joins
     means = np.empty(len(rest), dtype=np.complex128)
     lo = 0
-    for p, v in zip(rest, ordered[rest]):
+    group = None
+    for p, v, g in zip(rest.tolist(), ordered[rest], label[rest].tolist()):
+        if g != group:  # no cluster of another group can match
+            lo, group = len(sums), g
         while lo < len(sums) and v.real - means[lo].real > 2.0 * delta:
             lo += 1
         best = -1
@@ -146,83 +147,93 @@ def _cluster(values, delta):
             sums[best] += v
             members[best].append(p)
         means[best] = sums[best] / len(members[best])
-    # every cluster keyed by its first member's position, which is the
-    # order of creation, then sorted stably by mean
-    keyed = [
-        (group[0], (mean, len(group), tuple([index[p] for p in group])))
-        for mean, group in zip(means.tolist(), members)
-    ]
-    if len(rest) < len(z):
-        lone = set(range(len(z))).difference(rest)
-        keyed += [(p, (z[p] / 1, 1, (index[p],))) for p in lone]
-        keyed.sort()
-    out = [cluster for _, cluster in keyed]
-    out.sort(key=lambda c: (c[0].real, c[0].imag))
-    return out
+        joined.append(best)
+    # each value's cluster mean and first member, the cluster's order of
+    # creation; members share both and keep their order, the joining order
+    mean[rest] = means[joined]
+    first = np.arange(n)
+    first[rest] = [members[c][0] for c in joined]
+    key = np.lexsort((first, mean, label))
+    head = first[key]
+    offsets = np.flatnonzero(np.concatenate(([True], head[1:] != head[:-1], [True])))
+    return mean[key[offsets[:-1]]], np.diff(offsets), order[key], offsets
 
 
-def _crowded(ordered, delta):
-    """Positions in `ordered`, values sorted by (Re, Im), of the values
-    that `_cluster` cannot prove to stay alone, in increasing order; all
-    the others are singletons of the greedy loop.
+def _crowded(ordered, delta, label):
+    """Positions in `ordered`, values sorted by (group, Re, Im) with the
+    sorted group labels `label`, of the values that `_cluster` cannot
+    prove to stay alone, in increasing order; all the others are
+    singletons of the greedy loop.
 
-    A value is proved alone when every other value lies further than R
-    from it, with
+    A value is proved alone when every other value of its group lies
+    further than R from it, with
         R = 2 (delta (1 + ln N) + 3 N (u M + eta)),
-    N values, M their largest |Re| or |Im|, u the unit roundoff and eta
-    half the smallest subnormal.  Suppose a cluster's members join in
-    the order x_1, x_2, ..., x_p.  Member x_(m+1) joins when its
-    computed distance to the computed mean of the first m is within
-    delta, so its true distance is within d = delta (1 + 4u) + 2 eta.
-    The computed mean of m members is within e_m = sqrt(2) ((m + 1) u M
-    + eta) of their exact average a_m (m - 1 additions and a product by
-    the rounded 1/m), and a_(m+1) - a_m = (x_(m+1) - a_m) / (m + 1).
-    Summing, |x_(m+1) - x_1| <= d H_m + e_m + sum_(j<m) e_j / (j + 1),
-    H_m the harmonic number, which is at most delta (1 + 4u) (1 + ln N)
-    + 3 N u M + 3 N eta.  So every member of a cluster of two or more
-    has another value (x_1, or x_2 for x_1) within (1 + 4u) R / 2.  R
-    keeps a factor-2 margin on the drift and on the rounding, which
-    covers that factor and the rounding of R and of the distances
+    N values in the group, M their largest |Re| or |Im|, u the unit
+    roundoff and eta half the smallest subnormal.  Suppose a cluster's
+    members join in the order x_1, x_2, ..., x_p.  Member x_(m+1) joins
+    when its computed distance to the computed mean of the first m is
+    within delta, so its true distance is within d = delta (1 + 4u) +
+    2 eta.  The computed mean of m members is within e_m = sqrt(2)
+    ((m + 1) u M + eta) of their exact average a_m (m - 1 additions and a
+    product by the rounded 1/m), and a_(m+1) - a_m = (x_(m+1) - a_m) /
+    (m + 1).  Summing, |x_(m+1) - x_1| <= d H_m + e_m + sum_(j<m) e_j /
+    (j + 1), H_m the harmonic number, which is at most delta (1 + 4u)
+    (1 + ln N) + 3 N u M + 3 N eta.  So every member of a cluster of two
+    or more has another value (x_1, or x_2 for x_1) within (1 + 4u) R /
+    2.  R keeps a factor-2 margin on the drift and on the rounding,
+    which covers that factor and the rounding of R and of the distances
     measured here.
 
     A real block has lambda_(k-j) = conj(lambda_j), so real parts alone
     prove nothing and distances are complex.  Only pairs whose real
     parts lie within R can be near.  Those at most _NEIGHBOURS apart in
-    sorted order are measured with hypot.  A pair further apart, with
-    real parts within R, has both of its values among the ends of some
-    pair exactly _NEIGHBOURS + 1 apart with real parts within R, and
-    those ends go to the loop unmeasured.  Every test is "further than
-    R", so a NaN proves nothing, and values that are not finite, or so
-    large that the sum of their parts overflows, all go to the loop.
+    sorted order are measured with hypot, one array per step.  A pair
+    further apart, with real parts within R, has both of its values
+    among the ends of some pair exactly _NEIGHBOURS + 1 apart with real
+    parts within R, and those ends go to the loop unmeasured.  Every
+    test is "further than R", so a NaN proves nothing, and a group with
+    values that are not finite, or so large that the sum of their parts
+    overflows, goes to the loop whole; as 2N parts of at most M sum to
+    at most 2 N M, only a group with 2 N M > 2^1023 is summed to see.
     """
     n = len(ordered)
-    flat = ordered.view(np.float64).tolist()
-    if not math.isfinite(sum(flat)):
-        return list(range(n))
-    re = flat[0::2]
-    im = flat[1::2]
-    radius = _isolation_radius(n, delta, max(-re[0], re[-1], max(im), -min(im)))
-    # pairs (i, i + step), from step 1 on, whose real parts lie within R
-    near = [i for i, gap in enumerate(map(sub, re[1:], re)) if not gap > radius]
-    if not near:
-        return []
-    crowded = [False] * n
-    ends = near + [i + 1 for i in near]  # every value of such a pair
+    re, im = ordered.real, ordered.imag
+    apart = label[1:] != label[:-1]
+    # pairs (i, i + step) of a group, from step 1 on, whose real parts
+    # lie within R; step 1 takes those within the R of all n values, which
+    # bounds every group's R, as a pair further apart fails hypot anyway
+    top = float(np.abs(ordered.view(np.float64)).max())
+    bound = _isolation_radius(n, delta, top) if 2.0 * n * top <= 2.0**1023 else math.nan
+    near = (~(apart | (re[1:] - re[:-1] > bound))).nonzero()[0]
+    if not len(near):
+        return near
+    cut = apart.nonzero()[0] + 1
+    starts = np.concatenate(([0], cut))
+    size = np.concatenate((cut, [n])) - starts
+    top = np.maximum.reduceat(np.abs(ordered.view(np.float64)), 2 * starts)
+    radius = [
+        _isolation_radius(k, delta, m)
+        if 2.0 * k * m <= 2.0**1023
+        or math.isfinite(sum(ordered[s : s + k].view(np.float64).tolist()))
+        else math.nan
+        for s, k, m in zip(starts.tolist(), size.tolist(), top.tolist())
+    ]
+    radius = np.repeat(radius, size)
+    end = np.repeat(starts + size, size)
+    paired = np.concatenate((near, near + 1))  # holds both values of any later pair
+    crowded = np.zeros(n, dtype=bool)
     step = 1
-    while near and not all(map(crowded.__getitem__, ends)):
-        if step > _NEIGHBOURS:
-            for i in near:  # too far apart in sorted order to be measured
-                crowded[i] = crowded[i + step] = True
+    while len(near) and not crowded[paired].all():
+        far = near + step
+        if step > _NEIGHBOURS:  # too far apart in sorted order to be measured
+            crowded[near] = crowded[far] = True
             break
-        for i in near:
-            j = i + step
-            if crowded[i] and crowded[j]:
-                continue
-            if not hypot(re[j] - re[i], im[j] - im[i]) > radius:
-                crowded[i] = crowded[j] = True
+        close = ~(np.hypot(re[far] - re[near], im[far] - im[near]) > radius[near])
+        crowded[near[close]] = crowded[far[close]] = True
         step += 1
-        near = [i for i in near if i + step < n and not re[i + step] - re[i] > radius]
-    return list(compress(range(n), crowded))
+        near = near[near + step < end[near]]
+        near = near[~(re[near + step] - re[near] > radius[near])]
+    return crowded.nonzero()[0]
 
 
 def _isolation_radius(n, delta, top):
@@ -230,10 +241,10 @@ def _isolation_radius(n, delta, top):
     return 2.0 * (delta * (1.0 + math.log(n)) + 3.0 * n * (_U * top + _ETA))
 
 
-def _finite_clusters(values, delta):
+def _finite_clusters(values, delta, groups):
     """_cluster, with an overflowing cluster mean as NumericalError."""
-    clusters = _cluster(values, delta)
-    if not all(map(cmath.isfinite, map(itemgetter(0), clusters))):
+    clusters = _cluster(values, delta, groups)
+    if not np.isfinite(clusters[0]).all():
         raise NumericalError("an eigenvalue cluster mean overflows")
     return clusters
 
@@ -292,12 +303,15 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
     sigma_tol = _tolerance("sigma_tol", sigma_tol, 1e-8 * norm)
     twins, w, x, fit = _solve(a, norm)
     p, t = len(w), fit[0]
-    clusters = _finite_clusters(np.concatenate([w, twins.values]), cluster_delta)
+    values = np.concatenate([w, twins.values])
+    groups = np.zeros(len(values), dtype=int)
+    means, mults, perm, offsets = _finite_clusters(values, cluster_delta, groups)
     helmert = twins.helmert()
     vectors = twins.lift(x.T)
     certified = _certified(w, fit, sigma_tol)
     out = []
-    for lam, mult, members in clusters:
+    for lam, mult, lo, hi in zip(means.tolist(), mults.tolist(), offsets, offsets[1:]):
+        members = perm[lo:hi].tolist()
         if min(members) >= p:
             chains = [helmert[i - p][None] for i in sorted(members)]
         elif max(members) >= p:

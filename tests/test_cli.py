@@ -4,7 +4,10 @@ import copy
 import io
 import json
 import math
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1094,3 +1097,23 @@ def test_fuzzed_command_lines_exit_with_a_documented_code(argv, document):
     assert parse_args_outcome(cli._parser(), argv) == parse_args_outcome(
         build_parser(), argv
     )
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the reader takes 10 bytes of a 131 kB report and closes the pipe,
+    # so a later write of the console script meets a broken pipe
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["graph", "ring", "--k", "2048", "--m", "5", "--emit", "spectrum"]
+    script = "from circjoin.cli import main_entry; main_entry()"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script, *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "n": 2'
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (1, b"")

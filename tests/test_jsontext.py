@@ -21,6 +21,7 @@ from corpus import (
     lifted_chains,
     padded_fourier_mode,
     structured_corpus,
+    unit_disk,
 )
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1e-300, 1e308, -1e308, 2.0, 1e16, 0.1]
@@ -455,6 +456,14 @@ def mixed_join_doc():
     return json.dumps({"blocks": blocks, "couplings": couplings})
 
 
+def complex_join_doc(d=128):
+    """d complex blocks of random sizes 2 to 8 and complex couplings, all
+    entries on the unit disk, seeded by d: a report of d + 1 groups."""
+    rng = np.random.default_rng(d)
+    blocks = [unit_disk(rng, k) for k in rng.integers(2, 9, d).tolist()]
+    return emit_join_document(JoinSpec(blocks, unit_disk(rng, (d, d))))
+
+
 # sha256 of stdout as the json.dumps(indent=2) writer printed it, on
 # x86-64 Linux with numpy 2.4 (OpenBLAS, pocketfft).  FFT, exp and LAPACK
 # rounding elsewhere may move last digits; the byte-identity tests above
@@ -478,6 +487,16 @@ PINNED = [
     # the shape of the slowest spectrum-large-k job: a table of 4096 rows
     (["spectrum", "-"], real_join_doc(2048),
      "d647e25eff6db8409d4bed694d3c4953fc4468f9867c7b00e3d9e3cb6bc5c81d"),
+    # every value has a near twin (j and k - j), so all go to the greedy loop
+    (["graph", "ring", "--k", "2048", "--m", "5", "--emit", "spectrum"], "",
+     "c3b415ba2351c2d7b071dfdcbeb2f1285ab5cb39d1a4f756555e388d42f6efb7"),
+    # twin blocks, merged rows and equal groups
+    (["graph", "join", "ring:5:1", "ring:6:1", "complete:4", "complete:4", "cycle:5",
+      "--emit", "spectrum"], "",
+     "fff5222e5f72500eaf4514ee1471738f3fbd80bae1965820cd4efe6c0d77a26e"),
+    # 129 groups of 1 to 8 values, the shape of a spectrum-large-d job
+    (["spectrum", "-"], complex_join_doc(),
+     "a6c0053def349b6c83c6276829d87bb8c64cb7b4d098be80b88d53623fe7cf4f"),
 ]
 
 
@@ -493,6 +512,9 @@ PINNED = [
         "k8-csv",
         "real-2x128-csv",
         "real-2x2048",
+        "ring-2048-5",
+        "join-twins",
+        "complex-d128",
     ],
 )
 def test_stdout_matches_pinned_digest(argv, stdin, digest, tmp_path, monkeypatch, capsys):

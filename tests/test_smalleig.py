@@ -127,9 +127,50 @@ def test_inf_norm_overflow_is_a_numerical_error():
         eigenvalues(m)
 
 
+def clusters_of(values, delta, groups=None):
+    """_cluster's columns as (mean, multiplicity, members) triples, the
+    form of `reference_cluster`, after checking that they fit together:
+    the members of every cluster, one permutation of the indices, are
+    cut at the offsets, whose differences are the multiplicities.
+    Without `groups`, all values are one group."""
+    values = np.asarray(values, dtype=np.complex128)
+    if groups is None:
+        groups = np.zeros(len(values), dtype=int)
+    mean, mult, perm, offsets = smalleig._cluster(values, delta, groups)
+    assert mean.dtype == np.complex128
+    assert offsets[0] == 0 and np.array_equal(np.diff(offsets), mult)
+    assert sorted(perm.tolist()) == list(range(len(values)))
+    bounds = offsets.tolist()
+    return [
+        (m, k, tuple(perm[lo:hi].tolist()))
+        for m, k, lo, hi in zip(mean.tolist(), mult.tolist(), bounds, bounds[1:])
+    ]
+
+
 def test_cluster_merges_nearby_values():
-    clusters = smalleig._cluster(np.array([5.0, 1.0 + 1e-9, 1.0]), 1e-7)
+    clusters = clusters_of(np.array([5.0, 1.0 + 1e-9, 1.0]), 1e-7)
     assert clusters == [((1.0 + 5e-10) + 0.0j, 2, (2, 1)), (5.0 + 0.0j, 1, (0,))]
+
+
+def test_cluster_keeps_groups_apart():
+    # 1 and 1 + 1e-9 merge within group 7 but not across groups 3 and 7;
+    # clusters come in order of group, then of mean
+    values = [1.0, 5.0, 1.0 + 1e-9, 1.0, 2.0]
+    clusters = clusters_of(values, 1e-7, [7, 3, 7, 3, 3])
+    assert clusters == [
+        (1.0 + 0.0j, 1, (3,)),
+        (2.0 + 0.0j, 1, (4,)),
+        (5.0 + 0.0j, 1, (1,)),
+        ((1.0 + 5e-10) + 0.0j, 2, (0, 2)),
+    ]
+
+
+def complex_order(z):
+    """numpy's sort key of a complex value: (Re, Im) with -0.0 equal to
+    0.0, then values with a NaN imaginary part by Re, then values with a
+    NaN real part by Im, then NaN + NaN j."""
+    re_nan, im_nan = math.isnan(z.real), math.isnan(z.imag)
+    return (re_nan, im_nan, 0.0 if re_nan else z.real, 0.0 if im_nan else z.imag)
 
 
 def reference_cluster(values, delta):
@@ -157,18 +198,33 @@ def reference_cluster(values, delta):
         (complex(sums[i] / len(members[i])), len(members[i]), tuple(members[i]))
         for i in range(len(sums))
     ]
-    out.sort(key=lambda c: (c[0].real, c[0].imag))
+    out.sort(key=lambda c: complex_order(c[0]))
     return out
 
 
-def assert_cluster_matches_reference(values, delta):
-    got = smalleig._cluster(values, delta)
-    want = reference_cluster(values, delta)
+def segmented_reference(values, delta, groups):
+    """`reference_cluster` of each group, groups in increasing order of
+    label, members as indices into all the values."""
+    values = np.asarray(values, dtype=np.complex128)
+    groups = np.asarray(groups)
+    out = []
+    for g in sorted(set(groups.tolist())):
+        index = np.flatnonzero(groups == g)
+        out += [
+            (mean, mult, tuple(index[list(members)].tolist()))
+            for mean, mult, members in reference_cluster(values[index], delta)
+        ]
+    return out
+
+
+def assert_cluster_matches_reference(values, delta, groups=None):
+    if groups is None:
+        got, want = clusters_of(values, delta), reference_cluster(values, delta)
+    else:
+        got = clusters_of(values, delta, groups)
+        want = segmented_reference(values, delta, groups)
     # repr tells signed zeros apart, so this is a bit-for-bit comparison
     assert repr(got) == repr(want)
-    assert sorted(i for _, _, members in got for i in members) == list(
-        range(len(values))
-    )
 
 
 def cluster_corpus():
@@ -269,10 +325,70 @@ def test_cluster_matches_reference_scan_on_adversarial_cases():
             assert_cluster_matches_reference(values, delta)
 
 
+def test_segmented_cluster_matches_reference_scan_per_group_on_adversarial_cases():
+    # each case split into three groups that interleave in real part, with
+    # labels out of order, next to a bit-equal copy of the whole case
+    with np.errstate(over="ignore", invalid="ignore"):
+        for values, delta in adversarial_cluster_cases():
+            values = np.asarray(values, dtype=np.complex128)
+            split = np.array([5, -2, 11])[np.arange(len(values)) % 3]
+            both = np.concatenate([values, values])
+            groups = np.concatenate([split, np.full(len(values), 4)])
+            assert_cluster_matches_reference(both, delta, groups)
+
+
+GRID_PARTS = st.sampled_from([-0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 1.0])
+VALUES = st.one_of(
+    st.builds(complex, GRID_PARTS, GRID_PARTS),
+    st.builds(complex, st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+NANS = st.sampled_from(
+    [complex(math.nan, 0.0), complex(0.5, math.nan), complex(math.nan, math.nan)]
+)
+
+
+@settings(max_examples=300)
+@given(
+    st.lists(st.lists(VALUES, min_size=1, max_size=12), min_size=1, max_size=5),
+    st.booleans(),
+    st.none() | NANS,
+    st.sampled_from([0.0, 1e-9, 0.1, 0.25, 0.3, 1.0]),
+    st.randoms(use_true_random=False),
+)
+def test_segmented_cluster_matches_reference_scan_per_group(
+    groups, copy, nan, delta, random
+):
+    # groups of grid and random values, which interleave in real part; a
+    # bit-equal copy of the first group, a NaN in the last, and the values
+    # of all groups shuffled together under labels that are not in order
+    if copy:
+        groups.append(list(groups[0]))
+    if nan is not None:
+        groups[-1].append(nan)
+    labels = random.sample(range(-3, 3 * len(groups)), len(groups))
+    pairs = [(z, label) for vals, label in zip(groups, labels) for z in vals]
+    random.shuffle(pairs)
+    values = np.array([z for z, _ in pairs], dtype=np.complex128)
+    assert_cluster_matches_reference(values, delta, [label for _, label in pairs])
+
+
+def test_array_division_by_one_keeps_the_bits_of_complex_division():
+    # singletons take their mean as one array division by 1, which must
+    # give the bits of the loop's complex w / 1 on every value
+    parts = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 3.0]
+    parts += [1e300, 1.7e308, 1.7976931348623157e308]
+    parts += [-x for x in parts]
+    zs = [complex(a, b) for a in parts for b in parts]
+    got = np.asarray(zs) / 1
+    want = np.array([z / 1 for z in zs])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def crowded(values, delta):
     """_crowded's positions, as the sorted values they stand for."""
     ordered = np.sort(np.asarray(values, dtype=np.complex128), kind="stable")
-    return [complex(ordered[p]) for p in smalleig._crowded(ordered, delta)]
+    label = np.zeros(len(ordered), dtype=int)
+    return [complex(ordered[p]) for p in smalleig._crowded(ordered, delta, label)]
 
 
 def test_singleton_proof_takes_what_it_can_prove_and_nothing_else():
@@ -299,13 +415,37 @@ def test_singleton_proof_takes_what_it_can_prove_and_nothing_else():
     assert crowded([x, m, 3.0], 0.0) == [x, m]
 
 
+def test_singleton_proof_uses_each_groups_own_radius():
+    # in each group, pairs apart in real part by just inside and just
+    # outside the R of that group's own N and M; group 2's R is about
+    # twice group 1's, and R of all the values together more again
+    delta = 1e-9
+    values, labels, inside = [], [], []
+    for label, (scale, margin) in enumerate([(1.0, 1e-6), (1e6, 5e-2)]):
+        base = scale * np.linspace(-0.5, 0.5, 6) + 0.5j
+        radius = smalleig._isolation_radius(13, delta, scale)
+        partner = base + radius * np.where(np.arange(6) % 2, 1 + margin, 1 - margin)
+        near = (partner - base).real <= radius
+        assert near.tolist() == [True, False] * 3
+        values += [*base, *partner, scale]
+        labels += [label] * 13
+        inside += [*base[near], *partner[near]]
+    values = np.array(values)
+    order = np.lexsort((values, labels))
+    positions = smalleig._crowded(values[order], delta, np.array(labels)[order])
+    assert sorted(values[order][positions].tolist(), key=complex_order) == sorted(
+        inside, key=complex_order
+    )
+    assert_cluster_matches_reference(values, delta, labels)
+
+
 def count_loop_values(monkeypatch):
     """Record how many values each _cluster call sends to the greedy loop."""
     counts = []
     crowded_positions = smalleig._crowded
 
-    def counted(ordered, delta):
-        rest = crowded_positions(ordered, delta)
+    def counted(ordered, delta, label):
+        rest = crowded_positions(ordered, delta, label)
         counts.append(len(rest))
         return rest
 
@@ -314,12 +454,15 @@ def count_loop_values(monkeypatch):
 
 
 def test_report_clustering_loops_only_over_values_with_a_near_neighbour(monkeypatch):
-    counts = count_loop_values(monkeypatch)
     rng = np.random.default_rng(2048)
     block = rng.uniform(-1.0, 1.0, 2048)
-    mean, mult, provenance = cli.report_rows(full_spectrum(JoinSpec([block], [[0.5]])))
+    decomposition = full_spectrum(JoinSpec([block], [[0.5]]))
+    counts = count_loop_values(monkeypatch)
+    mean, mult, provenance = cli.report_rows(decomposition)
     assert len(mean) == len(mult) == len(provenance) == 2048
-    assert counts == [0]  # 2047 block values, all proved singletons
+    # one call for the report: 2047 block values, all proved singletons,
+    # and the condensed eigenvalue
+    assert counts == [0]
     # a symmetric ring has every eigenvalue twice (j and k - j), so the
     # loop visits every value with another within R, and only those
     counts.clear()
@@ -327,7 +470,7 @@ def test_report_clustering_loops_only_over_values_with_a_near_neighbour(monkeypa
     v[[1, 2, 3, -3, -2, -1]] = 1.0
     lam = np.fft.fft(v)[1:]
     delta = 1e-9 * (1.0 + np.abs(lam).max())
-    smalleig._cluster(lam, delta)
+    smalleig._cluster(lam, delta, np.zeros(len(lam), dtype=int))
     radius = smalleig._isolation_radius(2047, delta, np.abs(lam.view(np.float64)).max())
     with_near = 0
     for start in range(0, 2047, 256):  # 256 rows of distances at a time
@@ -650,7 +793,7 @@ def undeflated_structure(m):
     w = np.linalg.eigvals(m)
     return structure(
         (lam, mult, smalleig.jordan_chains(m, lam, mult, sigma_tol=1e-8 * norm))
-        for lam, mult, _ in smalleig._cluster(w, 1e-7 * norm)
+        for lam, mult, _ in clusters_of(w, 1e-7 * norm)
     )
 
 

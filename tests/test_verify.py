@@ -256,8 +256,8 @@ def test_spectrum_work_per_distinct_block_size(
     spec, distinct_spectra, monkeypatch, capsys
 ):
     # one eigenvalue FFT and one --verify FFT per distinct block size, and
-    # report clustering once per distinct block spectrum plus once for the
-    # condensed eigenvalues
+    # one report clustering call whose groups are the distinct block
+    # spectra and the condensed eigenvalues, each exactly once
     ffts, clusterings = [], []
     fft, finite_clusters = np.fft.fft, cli._finite_clusters
 
@@ -265,9 +265,9 @@ def test_spectrum_work_per_distinct_block_size(
         ffts.append((np.shape(a), n))
         return fft(a, n, *args, **kwargs)
 
-    def counted_clusters(values, delta):
-        clusterings.append(len(values))
-        return finite_clusters(values, delta)
+    def counted_clusters(values, delta, groups):
+        clusterings.append((values, groups))
+        return finite_clusters(values, delta, groups)
 
     monkeypatch.setattr(np.fft, "fft", counted_fft)
     monkeypatch.setattr(cli, "_finite_clusters", counted_clusters)
@@ -279,8 +279,16 @@ def test_spectrum_work_per_distinct_block_size(
     assert ffts == [(shape, None) for shape in stacks] + [
         (shape, 2 * k) for shape, k in zip(stacks, sizes)
     ]
-    assert len(clusterings) == distinct_spectra + 1
-    assert clusterings[-1] == spec.d
+    assert len(clusterings) == 1
+    values, groups = clusterings[0]
+    segments = [values[groups == g].tobytes() for g in sorted(set(groups.tolist()))]
+    decomposition = full_spectrum(spec)
+    chains = decomposition.condensed_chains
+    condensed = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
+    spectra = [condensed, *decomposition.block_eigenvalues]
+    assert len(segments) == distinct_spectra + 1
+    assert sorted(segments) == sorted({vals.tobytes() for vals in spectra})
+    assert len(condensed) == spec.d
 
 
 def test_verify_of_a_large_join_needs_no_cap(monkeypatch, capsys):
