@@ -360,9 +360,9 @@ def reduced_char_poly(join):
     eigenvalues of the join: the characteristic polynomial of the
     condensed matrix.  Coefficients are returned highest degree first.
 
-    One `smalleig.char_poly` call: np.poly of the twin values and the
-    eigenvalues of one `eig` of the quotient, O(q^3), and O(d^2) after
-    it, with no Jordan chains.  A real
+    One `smalleig.char_poly` call: one Vieta recurrence over the twin
+    values and the eigenvalues of one `eig` of the quotient, O(q^3),
+    and O(d^2) after it, with no Jordan chains.  A real
     join gets real coefficients.  When the condensed matrix has
     Gaussian-integer entries, as for graph joins, a coefficient is
     exact wherever its certified error bound is below 1/2; the others

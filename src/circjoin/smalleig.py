@@ -18,9 +18,11 @@ that the SVD rank test would find one chain of length 1.  Repeated or
 uncertified eigenvalues get their Jordan chains from SVD null spaces of
 powers of (M - lambda*I) (`jordan_chains`).  The same eig gives the
 characteristic polynomial with a certified error bound per coefficient
-(`char_poly`), in O(d^2) after the solve.  Default tolerances are
-relative to the matrix's inf-norm, so scaling the input scales the
-results.
+(`char_poly`), one Vieta recurrence for both, in O(d^2) after the
+solve.  Default tolerances are relative to the matrix's inf-norm, and
+the work is done on the scale of its power of two, so scaling the
+input by a power of two scales the results, bit for bit where
+LAPACK's eig does.
 
 The clustering (`_cluster`, also one call for all the groups of values
 of a spectrum report) proves with array operations which values stay
@@ -28,9 +30,10 @@ alone, from a bound on how far a greedy cluster can spread, and emits
 them directly; only the others go through the greedy merge loop.
 """
 
+import cmath
 import math
+import numbers
 from functools import cache
-from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -43,20 +46,19 @@ from .errors import (
 )
 
 
-def _as_square(matrix):
+def _checked(matrix):
+    """`matrix` as a complex square array, and its inf-norm.  Entries
+    that are not finite are looked for only when the norm is not."""
     a = np.asarray(matrix, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise PreconditionError("expected a square matrix of size >= 1")
-    if not np.all(np.isfinite(a)):
-        raise PreconditionError("matrix entries must be finite")
-    return a
-
-
-def _inf_norm(a):
-    norm = float(np.abs(a).sum(axis=1).max())
-    if not np.isfinite(norm):
+    with np.errstate(over="ignore"):
+        norm = float(np.maximum.reduce(np.add.reduce(np.abs(a), 1)))
+    if not norm < math.inf:
+        if not np.isfinite(a).all():
+            raise PreconditionError("matrix entries must be finite")
         raise NumericalError("the inf-norm of the matrix overflows")
-    return norm
+    return a, norm
 
 
 def _tolerance(name, value, default):
@@ -84,6 +86,8 @@ _ETA = 2.0**-1075
 # how many neighbours on each side, in (Re, Im) order, a value is
 # measured against when `_crowded` looks for values near it
 _NEIGHBOURS = 8
+# what `_crowded` returns when every value is proved alone
+_ALONE = np.zeros(0, dtype=np.intp)
 
 
 def _cluster(values, delta, groups):
@@ -198,13 +202,16 @@ def _crowded(ordered, delta, label):
     """
     n = len(ordered)
     re, im = ordered.real, ordered.imag
-    apart = label[1:] != label[:-1]
     # pairs (i, i + step) of a group, from step 1 on, whose real parts
     # lie within R; step 1 takes those within the R of all n values, which
     # bounds every group's R, as a pair further apart fails hypot anyway
-    top = float(np.abs(ordered.view(np.float64)).max())
+    top = float(np.maximum.reduce(np.abs(ordered.view(np.float64))))
     bound = _isolation_radius(n, delta, top) if 2.0 * n * top <= 2.0**1023 else math.nan
-    near = (~(apart | (re[1:] - re[:-1] > bound))).nonzero()[0]
+    far = re[1:] - re[:-1] > bound
+    if np.count_nonzero(far) == len(far):
+        return _ALONE
+    apart = label[1:] != label[:-1]
+    near = (~(apart | far)).nonzero()[0]
     if not len(near):
         return near
     cut = apart.nonzero()[0] + 1
@@ -244,7 +251,7 @@ def _isolation_radius(n, delta, top):
 def _finite_clusters(values, delta, groups):
     """_cluster, with an overflowing cluster mean as NumericalError."""
     clusters = _cluster(values, delta, groups)
-    if not np.isfinite(clusters[0]).all():
+    if np.count_nonzero(np.isfinite(clusters[0])) < len(clusters[0]):
         raise NumericalError("an eigenvalue cluster mean overflows")
     return clusters
 
@@ -297,32 +304,31 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
     NumericalError when an eigenvalue overflows, and as `jordan_chains`
     does.
     """
-    a = _as_square(matrix)
-    norm = _inf_norm(a)
+    a, norm = _checked(matrix)
     cluster_delta = _tolerance("cluster_delta", cluster_delta, 1e-7 * norm)
     sigma_tol = _tolerance("sigma_tol", sigma_tol, 1e-8 * norm)
-    twins, w, x, fit = _solve(a, norm)
-    p, t = len(w), fit[0]
+    twins, t, w, x, ws, fit = _solve(a, norm)
+    p = len(w)
     values = np.concatenate([w, twins.values])
     groups = np.zeros(len(values), dtype=int)
     means, mults, perm, offsets = _finite_clusters(values, cluster_delta, groups)
-    helmert = twins.helmert()
-    vectors = twins.lift(x.T)
-    certified = _certified(w, fit, sigma_tol)
+    vectors = twins.lift(x).T[:, None]  # each a chain of length 1
+    certified = _certified(ws, fit, math.ldexp(sigma_tol, -t))
+    perm, offsets = perm.tolist(), offsets.tolist()
     out = []
     for lam, mult, lo, hi in zip(means.tolist(), mults.tolist(), offsets, offsets[1:]):
-        members = perm[lo:hi].tolist()
+        members = perm[lo:hi]
         if min(members) >= p:
-            chains = [helmert[i - p][None] for i in sorted(members)]
+            chains = [twins.helmert[i - p][None] for i in sorted(members)]
         elif max(members) >= p:
             chains = _jordan_chains(a, lam, mult, sigma_tol, t)
         elif mult == 1 and certified[members[0]]:
-            chains = [vectors[members[0]][None]]
+            chains = [vectors[members[0]]]
         else:
             chains = _jordan_chains(twins.quotient, lam, mult, sigma_tol, t)
-            chains = [twins.lift(chain) for chain in chains]
+            chains = [twins.lift(chain.T).T for chain in chains]
         out.append((lam, mult, chains))
-    return Eigensystem(out, *_char_poly(a, twins, w, x, fit))
+    return Eigensystem(out, *_char_poly(a, twins, t, ws, fit))
 
 
 def char_poly(matrix):
@@ -330,9 +336,10 @@ def char_poly(matrix):
     the error of each; one np.linalg.eig of the q x q quotient (see the
     module docstring), O(q^3), and O(d^2) after it.
 
-    The coefficients are np.poly of the eigenvalues: the eigenvalues w
-    of the quotient Q and the twin values lambda_c, each m_c - 1 times.
-    A lambda_c = C_ii - C_ij is exact up to the rounding of that one
+    The coefficients are those of prod (x - r) over the eigenvalues r:
+    the eigenvalues w of the quotient Q and the twin values lambda_c,
+    each m_c - 1 times, all from one Vieta recurrence (`_vieta`).  A
+    lambda_c = C_ii - C_ij is exact up to the rounding of that one
     difference, which is 0 when the difference is exact (tested by
     TwoSum).  For the w, the eigenvectors X, R = Q X - X W (W = diag(w))
     and the singular values of X are the certificate:
@@ -347,88 +354,77 @@ def char_poly(matrix):
       <= 2 q rho.  This holds for repeated eigenvalues too.
     * Moving each root by at most its radius r moves e_i, the i-th
       elementary symmetric function, by at most e_i(|w| + r) - e_i(|w|);
-      np.poly's own rounding adds at most gamma_4d * e_i(|w|).  The bound
-      is twice their sum, which covers the rounding of the bound itself.
-    * e_i(|w|) and e_i(|w| + r) come from one Vieta recurrence over
-      both root vectors (`_elementary`).  Every term is nonnegative, so
-      each is within gamma_2g of its value, relatively, g the number of
-      roots, and e_0 = 1 is exact.  For i >= 1 their difference D_i is
+      the recurrence's own rounding adds at most gamma_4d * e_i(|w|), as
+      each root adds a complex product (error at most sqrt(2) gamma_2)
+      and sum (at most u) to every term.  The bound is twice their sum,
+      which covers the rounding of the bound itself.
+    * e_i(|w|) and e_i(|w| + r) are two more columns of the same
+      recurrence.  Every term is nonnegative, so each is within
+      gamma_2g of its value, relatively, g the number of roots, and
+      e_0 = 1 is exact.  For i >= 1 their difference D_i is
       at least sum_j r_j e_(i-1)(|w| without w_j) >= c i e_i(|w|) when
       every r_j >= c |w_j|.  Without twins, g = d and every r_j is at
       least 4 d (d + 4) u max|w| from the rounding term of ||R||, so
       the rounding of the two terms, gamma_2d (2 e_i(|w|) + D_i), is
       about D_i / (d + 4) or less, which the factor 2 covers too.  With
-      twins, the recurrence runs over the w and the inexact lambda_c,
-      all with the radius rho above, raised to 4 g (g + 4) u max|w_j|
-      if that is larger, for the same argument (an inexact lambda_c is
-      within u |lambda_c| of its value); the exact lambda_c have radius
-      0, and the product of their (x + |lambda_c|)^(m_c - 1) multiplies
-      the bound after it, a convolution of nonnegative terms whose
-      rounding the factor 2 covers as well.  Without twins, g = d and
-      rho is never raised.
+      twins, the w and the inexact lambda_c come first, all with the
+      radius rho above, raised to 4 g (g + 4) u max|w_j| if that is
+      larger, for the same argument (an inexact lambda_c is within
+      u |lambda_c| of its value); the exact lambda_c have radius 0 and
+      come after the bound is formed, multiplying it by x + |lambda_c|,
+      nonnegative terms whose rounding the factor 2 covers as well.
+      Without twins, g = d and rho is never raised.
 
     A bound is inf when X is not finite, its SVD fails or X is
-    numerically singular.  A real M gets real coefficients.  When every
-    entry of M is a Gaussian integer, so is every coefficient, and each
-    one whose bound is below 1/2 is rounded to it and is then exact;
-    the others stay unrounded.  A coefficient that overflows is returned
-    as inf or nan.  Raises ConvergenceError when LAPACK does not
-    converge and NumericalError when the inf-norm of M overflows.
+    numerically singular.  A real M gets real coefficients; a complex M
+    keeps them as computed, also when its eigenvalues come out closed
+    under conjugation, which is then rounding luck.  When every entry
+    of M is a Gaussian integer, so is every coefficient, and each one
+    whose bound is below 1/2 is rounded to it and is then exact; the
+    others stay unrounded.  A coefficient that overflows is returned as
+    inf or nan.  Raises ConvergenceError when LAPACK does not converge
+    and NumericalError when the inf-norm of M overflows.
     """
-    a = _as_square(matrix)
-    return _char_poly(a, *_solve(a, _inf_norm(a)))
+    a, norm = _checked(matrix)
+    twins, t, _, _, ws, fit = _solve(a, norm)
+    return _char_poly(a, twins, t, ws, fit)
 
 
 class _Twins(NamedTuple):
     """The twin classes of a matrix C and its quotient (see `_deflate`).
 
-    `classes` lists the members of each class of two or more, in
-    increasing order, classes by first member.  `quotient` is the
-    q x q matrix of C on the normalized class indicators, one per
-    class and per index in no class, in order of first member, and
-    `error` bounds the Frobenius norm of the rounding of forming it, on
-    the scale 2^-t of `_fit` (0 when the quotient is C itself).
+    `quotient` is the q x q matrix of C on the normalized class
+    indicators, one per class and per index in no class, in order of
+    first member, and `error` bounds the Frobenius norm of the rounding
+    of forming it, on the scale 2^-t of `_solve` (0 when the quotient is
+    C itself).
     `values` holds each class's eigenvalue C_ii - C_ij, m - 1 times,
-    class by class.  For `_char_poly`, on the same scale: `loose` holds
-    |C_ii - C_ij| of the classes where that difference is inexact, m - 1
-    times, and `fixed` the coefficients of the product of
-    (x + |C_ii - C_ij|)^(m - 1) over the others, highest degree first.
-    Index i of C lies in the class of quotient coordinate `index[i]`,
-    whose normalized indicator has the entry `weight[i]` = 1 / sqrt(m)
-    there.
+    class by class, and `helmert` their Helmert vectors (see `_deflate`),
+    one row each, in the same order.  For `_char_poly`, on the same
+    scale: `roots` holds (-lambda_c, |lambda_c|) for each twin value
+    lambda_c, the `loose` ones of the classes where C_ii - C_ij is
+    inexact first.  Index i of C lies in the class of quotient
+    coordinate `index[i]`, whose normalized indicator has the entry
+    `weight[i, 0]` = 1 / sqrt(m) there.
     """
 
-    classes: list
     quotient: np.ndarray
     error: float
     values: np.ndarray
-    loose: np.ndarray
-    fixed: np.ndarray
+    helmert: np.ndarray
+    roots: tuple
+    loose: int
     index: np.ndarray
     weight: np.ndarray
 
-    def lift(self, chain):
-        """A chain of the quotient, rows in C^q, as a chain of C.  Both
-        parts are scaled by the real weights, so a weight of 1 keeps
-        every bit, signed zeros and non-finite entries included."""
-        out = chain[:, self.index]
-        out.real *= self.weight
-        out.imag *= self.weight
-        return out
-
-    def helmert(self):
-        """The Helmert vectors of every class, as the rows of a
-        (len(values), d) array in the order of `values`: for members
-        i_1 < ... < i_m, row r = 1..m - 1 of the class is
-        (e_(i_1) + ... + e_(i_r) - r e_(i_(r+1))) / sqrt(r (r + 1))."""
-        out = np.zeros((len(self.values), len(self.index)), dtype=np.complex128)
-        start = 0
-        for members in self.classes:
-            r = np.arange(1, len(members))
-            h = np.tri(len(r), len(members))
-            h[r - 1, r] = -r
-            out[start : start + len(r), members] = h / np.sqrt(r * (r + 1))[:, None]
-            start += len(r)
+    def lift(self, columns):
+        """Vectors of the quotient, the columns of a (q, k) array, as
+        vectors of C, the columns of a (d, k) array.  Both parts are
+        scaled by the real weights, so a weight of 1 keeps every bit,
+        signed zeros and non-finite entries included."""
+        out = columns[self.index]
+        parts = out.view(np.float64)
+        parts *= self.weight
         return out
 
 
@@ -499,13 +495,15 @@ def _deflate(a, t):
     quotient Q_cc' = sqrt(m_c m_c') C_(r_c r_c') for c != c' and
     Q_cc = C_(r_c r_c) + (m_c - 1) C_ij.  With U the orthonormal basis
     of Helmert vectors and indicators, C = U (diag(lambda) (+) Q) U*.
+    For members i_1 < ... < i_m, Helmert vector r = 1..m - 1 of the
+    class is (e_(i_1) + ... + e_(i_r) - r e_(i_(r+1))) / sqrt(r (r + 1)).
 
     Q_cc is at most the inf-norm of C, but Q_cc' only sqrt(m_c / m_c')
     times it, so near the float range Q can overflow where C does not;
     such a matrix is left undeflated.
     """
     d = len(a)
-    undeflated = _Twins([], a, 0.0, *_untwinned(d))
+    undeflated = _Twins(a, 0.0, *_untwinned(d))
     classes = _twin_classes(a)
     if not classes:
         return undeflated
@@ -541,56 +539,55 @@ def _deflate(a, t):
     yv = lam - x
     exact = ((x - (lam - yv)) + (y - yv) == 0.0).tolist()
     repeat = [len(c) - 1 for c in classes]
-    mags = np.abs(lam) * scale
-    fixed = np.ones(1)
-    for n, mag in zip(compress(repeat, exact), compress(mags, exact)):
-        # C(n, i) |lambda_c|^i, i = 0..n, by one running product
-        k = np.arange(1.0, n + 1.0)
-        fixed = np.convolve(fixed, np.cumprod(np.concatenate([[1.0], mag * (n + 1.0 - k) / k])))
-    inexact = [not e for e in exact]
+    helmert = np.zeros((d - len(reps), d), dtype=np.complex128)
+    start = 0
+    for members in classes:
+        r = np.arange(1, len(members))
+        h = np.tri(len(r), len(members))
+        h[r - 1, r] = -r
+        helmert[start : start + len(r), members] = h / np.sqrt(r * (r + 1))[:, None]
+        start += len(r)
+    # the inexact classes' roots first, each class's m - 1 times
+    order = sorted(range(len(classes)), key=exact.__getitem__)
+    rows = np.repeat(order, [repeat[c] for c in order])
+    lam_s, mags = (-lam * scale)[rows], (np.abs(lam) * scale)[rows]
     return _Twins(
-        classes,
         quotient,
         error,
         np.repeat(lam, repeat),
-        np.repeat(mags[inexact], list(compress(repeat, inexact))),
-        fixed,
+        helmert,
+        tuple(zip(lam_s.tolist(), mags.tolist())),
+        sum(n for n, e in zip(repeat, exact) if not e),
         index,
-        1.0 / np.sqrt(size[reps])[index],
+        (1.0 / np.sqrt(size[reps])[index])[:, None],
     )
 
 
 @cache
 def _untwinned(d):
     """The `_Twins` fields from `values` on of a d x d matrix without
-    twins: no twin values, the polynomial 1, and the identity lift.
-    They are read-only, as every call shares them."""
-    fields = (
-        np.zeros(0, dtype=np.complex128),
-        np.zeros(0),
-        np.ones(1),
-        np.arange(d),
-        np.ones(d),
-    )
-    for field in fields:
+    twins: no twin values, Helmert vectors or roots, and the identity
+    lift.  They are read-only, as every call shares them."""
+    values = np.zeros(0, dtype=np.complex128)
+    helmert = np.zeros((0, d), dtype=np.complex128)
+    index, weight = np.arange(d), np.ones((d, 1))
+    for field in (values, helmert, index, weight):
         field.flags.writeable = False
-    return fields
+    return values, helmert, (), 0, index, weight
 
 
 def _solve(a, norm):
-    """(twins, w, x, fit): the `_deflate` of `a`, the eigenpairs (w, x)
-    of its quotient and their `_fit`, on the scale of `a`'s norm."""
+    """(twins, t, w, x, ws, fit): the `_Twins` of `a` on the scale 2^-t of
+    its inf-norm `norm`, the eigenpairs (w, x) of their quotient,
+    ws = w / 2^t and their `_fit`."""
     t = _scale_exponent(norm)
     twins = _deflate(a, t)
-    w, x = _eig(twins.quotient)
-    return twins, w, x, _fit(twins.quotient, w, x, t)
-
-
-def _eig(a):
     try:
-        return np.linalg.eig(a)
+        w, x = np.linalg.eig(twins.quotient)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"LAPACK eigenvalue solver: {exc}") from exc
+    ws = w * math.ldexp(1.0, -t)
+    return twins, t, w, x, ws, _fit(twins.quotient, ws, x, t)
 
 
 def _gamma(k):
@@ -598,26 +595,31 @@ def _gamma(k):
     return k * _U / (1.0 - k * _U)
 
 
-def _fit(a, w, x, t):
-    """(t, r, sv) for the eigenpairs (w_i, x_i) of `a`: r = (M X - X W)
-    / 2^t and sv the singular values of X, largest first, with 2^t the
-    power of two just above the inf-norm of the matrix that `a` is the
-    quotient of.  Working on M / 2^t keeps r from overflowing or
-    underflowing with the scale of M.  r and sv are None when X is not
-    finite or its SVD fails."""
-    if not np.all(np.isfinite(x)):
-        return t, None, None
+def _fit(q, ws, x, t):
+    """For the eigenpairs (w_i, x_i) of `q`, ws = w / 2^t, and R = Q X -
+    X W (W = diag(w)), on the scale 2^-t that keeps R from overflowing
+    or underflowing: the largest and the smallest singular value of X,
+    each ||R e_i||, ||R||_F, ||X||_F and ||Q / 2^t||_F, all formed once;
+    or None when X is not finite or its SVD fails."""
     try:
-        sv = np.linalg.svd(x, compute_uv=False)
-    except np.linalg.LinAlgError:
-        return t, None, None
-    scale = math.ldexp(1.0, -t)
-    return t, (a * scale) @ x - x * (w * scale), sv
+        sv = np.linalg.svd(x, compute_uv=False).tolist()
+    except np.linalg.LinAlgError:  # as for a nan in X
+        return None
+    if not math.isfinite(sum(sv)):  # as for an inf in X
+        return None
+    qs = q * math.ldexp(1.0, -t)
+    r = qs @ x
+    r -= x * ws
+    squares = np.add.reduce((r.conj() * r).real, 0)
+    r_norm = math.sqrt(sum(squares.tolist()))
+    x_norm, q_norm = math.sqrt(np.vdot(x, x).real), math.sqrt(np.vdot(qs, qs).real)
+    return sv[0], sv[-1], np.sqrt(squares), r_norm, x_norm, q_norm
 
 
-def _certified(w, fit, sigma_tol):
+def _certified(ws, fit, tol):
     """Boolean mask over the eigenpairs (w_i, x_i) of M, unit-norm x_i,
-    from their `_fit`: True where
+    from ws = w / 2^t, their `_fit` and tol = sigma_tol / 2^t: True
+    where
     sigma_d(M - w_i I) <= sigma_tol < sigma_(d-1)(M - w_i I)
     is proven with a factor-2 margin on each side, so that jordan_chains
     at w_i would find nullity 1, that is, one chain of length 1.
@@ -635,85 +637,78 @@ def _certified(w, fit, sigma_tol):
     neither overflow nor underflow with the scale of M.  Nothing is
     certified when X is not finite or its SVD fails.
     """
-    t, r, sv = fit
-    if r is None:
-        return np.zeros(len(w), dtype=bool)
-    scale = math.ldexp(1.0, -t)
-    tol = sigma_tol * scale
-    ws = w * scale
-    dist = np.abs(ws[:, None] - ws[None, :])
-    np.fill_diagonal(dist, np.inf)
-    bound = dist.min(axis=1) * sv[-1] ** 2 / sv[0] - np.linalg.norm(r)
-    return (np.linalg.norm(r, axis=0) <= tol / 2) & (bound > 2 * tol * sv[-1])
+    if fit is None:
+        return [False] * len(ws)
+    s_max, s_min, residuals, r_norm = fit[:4]
+    dist = np.abs(ws[:, None] - ws)
+    dist.flat[:: len(ws) + 1] = np.inf
+    gaps = np.minimum.reduce(dist, 1).tolist()
+    return [
+        r <= tol / 2 and gap * (s_min * s_min) / s_max - r_norm > 2 * tol * s_min
+        for r, gap in zip(residuals.tolist(), gaps)
+    ]
 
 
-def _char_poly(a, twins, w, x, fit):
-    """`char_poly` of `a` from its `_solve`: the twins of `a`, the
-    eigenpairs (w, X) of their quotient and their `_fit`.
+def _char_poly(a, twins, t, ws, fit):
+    """`char_poly` of `a` from its `_solve`.
 
-    Both the coefficients and the bound are formed for M / 2^t and
-    coefficient i is then scaled by 2^(t i), so a coefficient overflows
-    to inf only when its value is out of range."""
-    d, p = len(a), len(w)
-    t, r, sv = fit
-    scale = math.ldexp(1.0, -t)
-    ws = np.concatenate([w, twins.values]) * scale
-    mags = np.abs(ws[:p])
-    loose = np.concatenate([mags, twins.loose])
-    g, top = len(loose), loose.max()
-    radius = np.inf
-    if r is not None:
+    The roots, the coefficients and the bound are formed for M / 2^t,
+    and coefficient i is then scaled by 2^(t i), so a coefficient
+    overflows to inf only when its value is out of range."""
+    d, p = len(a), len(ws)
+    # (-r, |r|) for each root r: the w, then the twin values, the g that
+    # get a radius first (see `char_poly`), and the largest |r| of those
+    roots = [(-z, abs(z)) for z in ws.tolist()]
+    roots += twins.roots
+    g = p + twins.loose
+    top = max(m for _, m in roots[:g])
+    radius = math.inf
+    if fit is not None:
         # sigma_min is lowered by the SVD's own error, and ||R|| raised by
         # the rounding of each entry: a complex dot product of length q, a
         # product and a difference, and of forming the quotient
-        s_min = sv[-1] - _gamma(4 * p) * sv[0]
-        r_norm = np.linalg.norm(r) + 2.0 * _gamma(p + 4) * np.linalg.norm(x) * (
-            np.linalg.norm(twins.quotient * scale) + top
-        )
-        r_norm += twins.error * sv[0]
+        s_max, s_min, _, r_norm, x_norm, q_norm = fit
+        s_min -= _gamma(4 * p) * s_max
+        r_norm += 2.0 * _gamma(p + 4) * x_norm * (q_norm + top) + twins.error * s_max
         if s_min > 0.0:
-            radius = 2.0 * p * r_norm * sv[0] / s_min**2
-    # the recurrence runs over the w and the inexact twin values, all
-    # with the radius above or, where that is smaller, the
-    # 4 g (g + 4) u max|w_j| of the argument in `char_poly`, which also
-    # covers the rounding of C_ii - C_ij.  The exact twin values
-    # (radius 0) multiply the bound after it, as `fixed`, so that the
-    # spread is a difference of two close terms only where every root
-    # has at least that radius.  All terms are >= 0, so a nan is an inf
-    # times 0
+            radius = 2.0 * p * r_norm * s_max / s_min**2
+    # or, where that is smaller, the 4 g (g + 4) u max|w_j| of the
+    # argument in `char_poly`, which also covers the rounding of
+    # C_ii - C_ij; the exact twin values' last column is never read
     radius = max(radius, 4.0 * g * (g + 4) * _U * top)
-    e, shifted = _elementary(np.array([loose, loose + radius]))
-    bound = np.convolve(2.0 * (shifted - e + _gamma(4 * d) * e), twins.fixed)
-    bound[np.isnan(bound)] = np.inf
-    poly = np.poly(ws)
-    k = t * np.arange(d + 1)
-    coeffs = np.empty(d + 1, dtype=np.complex128)
-    with np.errstate(over="ignore"):
-        coeffs.real = np.ldexp(poly.real, k)
-        # a real matrix has a real characteristic polynomial
-        coeffs.imag = np.ldexp(poly.imag, k) if a.imag.any() else 0.0
-        bound = np.ldexp(bound, k)
-    if np.array_equal(a, np.round(a)):
+    roots = np.array([(z, m, m + radius) for z, m in roots], dtype=np.complex128)
+    # columns: the coefficients, 2 c e_i(|w|) and 2 e_i(|w| + r), with
+    # 1 - c exact and at least gamma_4d, so that their difference is the
+    # bound, 2 (e_i(|w| + r) - e_i(|w|) + (1 - c) e_i(|w|)).  An infinite
+    # radius makes inf times 0 in the imaginary parts of the real
+    # columns, and so nans where a real recurrence holds inf (see below)
+    coeffs = np.zeros((d + 1, 3), dtype=np.complex128)
+    coeffs[0] = 1.0, 2.0 * math.nextafter(1.0 - _gamma(4 * d), 0.0), 2.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        _vieta(coeffs, roots[:g])
+        # the bound, in place of 2 c e_i(|w|), before the exact twin values
+        np.subtract(coeffs[:, 2], coeffs[:, 1], out=coeffs[:, 1])
+        _vieta(coeffs, roots[g:])
+        scaled = np.ldexp(coeffs.view(np.float64), t * np.arange(d + 1)[:, None])
+    # every term of the bound is >= 0, so a nan is an inf times 0
+    bound = np.fmin(scaled[:, 2], math.inf)
+    if not np.count_nonzero(a.imag):  # a real matrix has a real characteristic polynomial
+        scaled[:, 1] = 0.0
+    coeffs = scaled.view(np.complex128)[:, 0]
+    if not np.count_nonzero(np.rint(a) != a):
         exact = bound < 0.5
-        coeffs[exact] = np.round(coeffs[exact]) + 0.0  # + 0.0 makes -0.0 0.0
+        coeffs[exact] = np.rint(coeffs[exact]) + 0.0  # + 0.0 makes -0.0 0.0
     return coeffs, bound
 
 
-def _elementary(roots):
-    """e_0, ..., e_d of each row of an (m, d) array of roots, as an
-    (m, d + 1) array: row r holds the coefficients of
-    prod_j (x + roots[r, j]), highest degree first.
-
-    One Vieta recurrence for all rows: the coefficients after root j are
-    those before it plus root j times those before it, shifted by one
-    degree, so d array updates in all.
-    """
-    m, d = roots.shape
-    e = np.zeros((m, d + 1))
-    e[:, 0] = 1.0
-    for j in range(d):
-        e[:, 1 : j + 2] += roots[:, j : j + 1] * e[:, : j + 1]
-    return e
+def _vieta(coeffs, roots):
+    """Multiply the polynomial in each column c of `coeffs`, highest
+    degree first and padded with zeros, by prod_j (x + roots[j, c]), in
+    place: one Vieta recurrence for all columns, each root two array
+    operations over the whole of them, the padding taking root j times 0."""
+    head, tail = coeffs[1:], coeffs[:-1]
+    for root in roots:
+        head += root * tail
 
 
 def _nullspace(a, tol):
@@ -743,17 +738,22 @@ def jordan_chains(matrix, eigenvalue, multiplicity, *, sigma_tol=None):
     M, scaling M by a power of two scales the chains' links and leaves
     their structure unchanged.
 
-    Raises IllConditionedError when the nullity sequence is inconsistent
+    Raises PreconditionError when the multiplicity is not an integer in
+    [1, d] (a bool is none) or the eigenvalue is not finite, and
+    IllConditionedError when the nullity sequence is inconsistent
     with the requested multiplicity, when the chain vectors fail the
     independence floor or underflow, or when LAPACK's SVD or QR does not
     converge; perturbing the input to separate eigenvalue clusters
     usually resolves this.
     """
-    a = _as_square(matrix)
-    d = a.shape[0]
+    a, norm = _checked(matrix)
+    d = len(a)
+    if isinstance(multiplicity, bool) or not isinstance(multiplicity, numbers.Integral):
+        raise PreconditionError(f"multiplicity must be an integer, got {multiplicity!r}")
     if not 1 <= multiplicity <= d:
         raise PreconditionError(f"multiplicity {multiplicity} out of range [1, {d}]")
-    norm = _inf_norm(a)
+    if not cmath.isfinite(eigenvalue := complex(eigenvalue)):
+        raise PreconditionError(f"eigenvalue must be finite, got {eigenvalue!r}")
     sigma_tol = _tolerance("sigma_tol", sigma_tol, 1e-8 * norm)
     return _jordan_chains(a, eigenvalue, multiplicity, sigma_tol, _scale_exponent(norm))
 

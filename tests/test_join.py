@@ -640,35 +640,53 @@ def char_poly_bound_cases():
 
 @pytest.mark.parametrize("index", range(len(char_poly_bound_cases())))
 def test_char_poly_bound_recurrence_matches_np_poly(index, monkeypatch):
-    # The bound's e_i(|w|) and e_i(|w| + r) come from one Vieta recurrence
-    # over both rows.  np.poly of each row is also within gamma_2d of the
-    # exact values, so the two agree within 4 gamma_2d, and so do the
-    # bounds built from them, up to the rounding of the bound formula.
+    # One Vieta recurrence forms the coefficients and the bound's
+    # e_i(|w|) and e_i(|w| + r), as three columns started at 1 and at
+    # about 2 (row 0 holds the start values): its first call runs over
+    # the g roots with a radius, and its second, over the exact twin
+    # values, takes the coefficients on to degree d.
+    # np.poly of each bound column is also within gamma_2g of the exact
+    # values, so the two agree within 4 gamma_2g, and so do the bounds
+    # built from them, up to the rounding of the bound formula.  Each of
+    # the two forms of the coefficients is within about gamma_2d e_i(|w|)
+    # of the exact ones.
     seen = []
-    elementary = smalleig._elementary
+    vieta = smalleig._vieta
 
-    def spy(roots):
-        seen.append((roots, elementary(roots)))
-        return seen[-1][1]
+    def spy(coeffs, roots):
+        vieta(coeffs, roots)
+        seen.append((roots.copy(), coeffs.copy()))
 
-    monkeypatch.setattr(smalleig, "_elementary", spy)
+    monkeypatch.setattr(smalleig, "_vieta", spy)
     reduced_char_poly(char_poly_bound_cases()[index])
-    [(roots, e)] = seen
-    d = roots.shape[1]
-    reference = np.array([np.poly(-row) for row in roots])
+    [(loose, e), (exact, coeffs)] = seen
+    g = len(loose)
+    d = g + len(exact)
+    assert e.shape == coeffs.shape == (d + 1, 3)
+    assert np.all(loose[:, 1:].imag == 0.0) and np.all(e[:, 1:].imag == 0.0)
+
+    roots = -np.concatenate([loose[:, 0], exact[:, 0]])
+    reference = np.poly(roots)
+    magnitudes = np.poly(-np.abs(roots))
+    assert np.all(np.isfinite(coeffs[:, 0])) and np.all(np.isfinite(reference))
+    error = np.abs(coeffs[:, 0] - reference)
+    assert np.all(error <= 4 * smalleig._gamma(2 * d) * magnitudes)
+
+    e = (e[: g + 1, 1:] / e[0, 1:]).real.T
+    reference = np.array([np.poly(-column) for column in loose[:, 1:].real.T])
     finite = np.isfinite(reference)
     assert np.array_equal(np.isfinite(e), finite)
     error = np.abs(e - reference)[finite]
-    assert np.all(error <= 4 * smalleig._gamma(2 * d) * reference[finite])
+    assert np.all(error <= 4 * smalleig._gamma(2 * g) * reference[finite])
 
     def bound(e):
-        return 2.0 * (e[1] - e[0] + smalleig._gamma(4 * d) * e[0])
+        return 2.0 * (e[1] - e[0] + smalleig._gamma(4 * g) * e[0])
 
     new, old = bound(e), bound(reference)
     finite = np.isfinite(old)
     assert np.array_equal(np.isfinite(new), finite)
     scale = (reference[1] + reference[0])[finite]
-    assert np.all(np.abs(new - old)[finite] <= 4 * smalleig._gamma(2 * d + 4) * scale)
+    assert np.all(np.abs(new - old)[finite] <= 4 * smalleig._gamma(2 * g + 4) * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -496,7 +496,10 @@ PINNED = [
      "fff5222e5f72500eaf4514ee1471738f3fbd80bae1965820cd4efe6c0d77a26e"),
     # 129 groups of 1 to 8 values, the shape of a spectrum-large-d job
     (["spectrum", "-"], complex_join_doc(),
-     "a6c0053def349b6c83c6276829d87bb8c64cb7b4d098be80b88d53623fe7cf4f"),
+     "eb229e4e63f6529c620dc8cf1f377570115a618d18002051f021433af4c95ee2"),
+    # a 5 x 5 complex condensed solve, the shape of a small-jobs spectrum job
+    (["spectrum", "-", "--verify"], complex_join_doc(5),
+     "88dbcdf895e10551eeb3156986a6fa74f0a29d67f7219b00a4c522cdb0a9a1ab"),
 ]
 
 
@@ -515,6 +518,7 @@ PINNED = [
         "ring-2048-5",
         "join-twins",
         "complex-d128",
+        "complex-d5",
     ],
 )
 def test_stdout_matches_pinned_digest(argv, stdin, digest, tmp_path, monkeypatch, capsys):

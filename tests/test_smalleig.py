@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from circjoin import JoinSpec, cli, full_spectrum, smalleig
 from circjoin.errors import (
@@ -125,6 +125,14 @@ def test_inf_norm_overflow_is_a_numerical_error():
     m = np.array([[1e308, 1e308], [0.0, -1e308]])
     with np.errstate(over="ignore"), pytest.raises(NumericalError, match="inf-norm"):
         eigenvalues(m)
+
+
+@pytest.mark.parametrize("call", [smalleig.eigensystem, smalleig.char_poly])
+def test_inf_norm_overflow_raises_without_a_warning(call):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="inf-norm"):
+            call(np.full((2, 2), 1e308))
 
 
 def clusters_of(values, delta, groups=None):
@@ -372,6 +380,22 @@ def test_segmented_cluster_matches_reference_scan_per_group(
     assert_cluster_matches_reference(values, delta, [label for _, label in pairs])
 
 
+def test_clusters_with_equal_means_keep_their_order_of_creation():
+    # With delta 0 a value joins only a cluster whose mean it equals.
+    # Five copies of x sum to a mean one ulp above x, so the sixth copy
+    # starts a second cluster at x; x + ulp then joins the first, whose
+    # mean comes back to x.  The two clusters of one group end with
+    # bit-equal means and members that interleave in visiting order, so
+    # only the creation-order key of the final sort keeps each one whole.
+    x = 1.7619154420895458
+    values = [x] * 6 + [math.nextafter(x, 2.0)]
+    assert clusters_of(values, 0.0) == [
+        (complex(x), 6, (0, 1, 2, 3, 4, 6)),
+        (complex(x), 1, (5,)),
+    ]
+    assert_cluster_matches_reference(values, 0.0)
+
+
 def test_array_division_by_one_keeps_the_bits_of_complex_division():
     # singletons take their mean as one array division by 1, which must
     # give the bits of the loop's complex w / 1 on every value
@@ -576,6 +600,27 @@ def test_jordan_inconsistent_multiplicity_errors():
 def test_jordan_rejects_bad_multiplicity():
     with pytest.raises(PreconditionError):
         smalleig.jordan_chains(np.eye(2), 1.0, 3)
+
+
+@pytest.mark.parametrize("multiplicity", [1.5, 1.0, True, np.True_, 0, -1])
+def test_jordan_multiplicity_must_be_an_integer_in_range(multiplicity):
+    with pytest.raises(PreconditionError, match="multiplicity"):
+        smalleig.jordan_chains(np.eye(2), 1.0, multiplicity)
+
+
+def test_jordan_accepts_numpy_integer_multiplicities():
+    chains = smalleig.jordan_chains(np.eye(2), 1.0, np.int64(2))
+    assert sorted(len(c) for c in chains) == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "eigenvalue", [math.nan, math.inf, -math.inf, complex(0.0, math.nan), complex(1.0, -math.inf)]
+)
+def test_jordan_rejects_a_non_finite_eigenvalue(eigenvalue):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PreconditionError, match="eigenvalue"):
+            smalleig.jordan_chains(np.eye(2), eigenvalue, 1)
 
 
 @pytest.mark.parametrize("tol", [-1.0, -5e-324, math.nan, math.inf])
@@ -898,17 +943,18 @@ def test_deflation_matches_exact_similarities_with_planted_twins(case, seed):
 
 
 @st.composite
-def twin_structured(draw):
+def twin_structured(draw, entry=None, max_classes=5):
     """A matrix with planted twin classes (sizes 1-4), entries on a
-    grid of eighths or arbitrary floats, and a quotient that is upper
-    triangular in class order, so that LAPACK's balancing isolates its
-    eigenvalues, which are then exact whatever the order of the rows;
-    plus a permutation of the indices."""
-    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
-    entry = st.one_of(
-        st.integers(-8, 8).map(lambda v: v / 8.0),
-        st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
-    )
+    grid of eighths or arbitrary floats (or drawn from `entry`), and a
+    quotient that is upper triangular in class order, so that LAPACK's
+    balancing isolates its eigenvalues, which are then exact whatever
+    the order of the rows; plus a permutation of the indices."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=max_classes))
+    if entry is None:
+        entry = st.one_of(
+            st.integers(-8, 8).map(lambda v: v / 8.0),
+            st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False),
+        )
     q = len(sizes)
     alpha = draw(st.lists(entry, min_size=q, max_size=q))
     beta = draw(st.lists(entry, min_size=q, max_size=q))
@@ -976,3 +1022,110 @@ def test_quotient_chains_are_thresholded_on_the_scale_of_the_whole_matrix():
     want = [(0, 2, [2]), (2**-8, 1, [1]), (1, 15, [1] * 15), (17, 1, [1])]
     assert_same_structure(got, want, 1e-9)
     assert_same_structure(got, undeflated_structure(m), 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# power-of-two scaling, bit for bit
+# ---------------------------------------------------------------------------
+
+# entries on a grid of eighths, which repeat and so give twins and
+# repeated eigenvalues, or floats far enough from 0 to keep every bit at
+# 2^-150 times their size
+scalable_entry = st.one_of(
+    st.integers(-8, 8).map(lambda v: v / 8.0),
+    st.builds(math.copysign, st.floats(2.0**-20, 2.0), st.sampled_from([1.0, -1.0])),
+)
+
+
+@st.composite
+def scalable_matrices(draw):
+    """A real or complex d x d matrix, d <= 6: dense, mostly without
+    twins, or with planted twin classes."""
+    if draw(st.booleans()):
+        m, _ = draw(twin_structured(scalable_entry, max_classes=3))
+        m = m[:6, :6]
+        if draw(st.booleans()):
+            m = m * (1.0 + 1.0j)  # exact
+        return m
+    d = draw(st.integers(1, 6))
+    parts = st.lists(scalable_entry, min_size=d * d, max_size=d * d)
+    m = np.array(draw(parts), dtype=np.complex128).reshape(d, d)
+    if draw(st.booleans()):
+        m = m + 1j * np.array(draw(parts)).reshape(d, d)
+    return m
+
+
+def is_gaussian_integer(m):
+    return np.array_equal(m, np.round(m))
+
+
+def same_bits(x, y):
+    x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+def lapack_scales(m, s):
+    """Whether LAPACK's eig of the twin quotient of 2^s M gives 2^s times
+    the eigenvalues of that of M and the same eigenvectors, bit for bit.
+    Its eigenvector solver moves an exactly singular pivot by an absolute
+    amount, so this fails on some matrices with exact zeros."""
+    q = smalleig._deflate(m, 0).quotient
+    w, x = np.linalg.eig(q)
+    w2, x2 = np.linalg.eig(q * 2.0**s)
+    return (
+        same_bits(w2.real, np.ldexp(w.real, s))
+        and same_bits(w2.imag, np.ldexp(w.imag, s))
+        and same_bits(x2.real, x.real)
+        and same_bits(x2.imag, x.imag)
+    )
+
+
+@settings(max_examples=300)
+@given(scalable_matrices(), st.integers(-150, 150))
+def test_char_poly_scales_bit_for_bit_with_powers_of_two(m, s):
+    # at 2^s M, coefficient and bound i are 2^(s i) times those at M:
+    # both are formed on the scale 2^-t, and t moves with s.  Gaussian-
+    # integer coefficients are rounded where the bound is below 1/2,
+    # which scaling does not commute with
+    scaled = m * 2.0**s
+    assume(not is_gaussian_integer(m) and not is_gaussian_integer(scaled))
+    assume(lapack_scales(m, s))
+    coeffs, bound = smalleig.char_poly(m)
+    got, got_bound = smalleig.char_poly(scaled)
+    k = s * np.arange(len(coeffs))
+    assert np.isfinite(got).all() and np.isfinite(coeffs).all()
+    assert same_bits(got.real, np.ldexp(coeffs.real, k))
+    assert same_bits(got.imag, np.ldexp(coeffs.imag, k))
+    assert same_bits(got_bound, np.ldexp(bound, k))
+
+
+def eigensystem_clusters(m):
+    try:
+        return smalleig.eigensystem(m).clusters
+    except IllConditionedError as exc:
+        return type(exc)
+
+
+@settings(max_examples=300)
+@given(scalable_matrices(), st.integers(-150, 150))
+def test_eigensystem_scales_bit_for_bit_with_powers_of_two(m, s):
+    # cluster means scale by 2^s (repr tells signed zeros apart), and a
+    # chain of length 1, formed on the scale 2^-t, keeps every bit.  Row
+    # r of a chain of length L > 1 scales by 2^(s (L - 1 - r)) before the
+    # chain is normalized again, which rounds
+    assume(lapack_scales(m, s))
+    plain, scaled = eigensystem_clusters(m), eigensystem_clusters(m * 2.0**s)
+    if isinstance(plain, type) or isinstance(scaled, type):
+        assert plain == scaled
+        return
+    assert len(plain) == len(scaled)
+    for (lam, mult, chains), (mu, k, got) in zip(plain, scaled):
+        assert repr(mu) == repr(complex(math.ldexp(lam.real, s), math.ldexp(lam.imag, s)))
+        assert k == mult and [len(c) for c in got] == [len(c) for c in chains]
+        for want, chain in zip(chains, got):
+            if len(want) == 1:
+                assert same_bits(chain.real, want.real) and same_bits(chain.imag, want.imag)
+            else:
+                expect = want * np.ldexp(1.0, s * np.arange(len(want)))[::-1, None]
+                expect /= np.linalg.norm(expect, axis=1).max()
+                assert np.abs(chain - expect).max() <= 1e-15
