@@ -71,18 +71,19 @@ def _entry_to_complex(entry, where):
     raise ParseError(f"{where}: expected a number or [re, im] pair, got {entry!r}")
 
 
-_REAL = (int, float)  # the JSON number types; bool is its own type
+_REAL = frozenset((int, float))  # the JSON number types; bool is its own type
 
 
 def _number_array(raw, where):
     """The entries of one document list (a block or a coupling row) as a
-    complex128 array.  The entry types are checked in one pass; a list
-    of reals is converted by one np.array, and one with [re, im] pairs
-    by one np.fromiter.  A list that fails the check or the conversion
-    is walked again by `_entry_to_complex`, which raises that entry's
+    complex128 array.  A list of reals is recognized by the set of its
+    entry types, one C-level pass, and converted by one np.array; one
+    with [re, im] pairs is checked entry by entry and converted by one
+    np.fromiter.  A list that fails both checks or the conversion is
+    walked again by `_entry_to_complex`, which raises that entry's
     error."""
     try:
-        if all(type(e) in _REAL for e in raw):
+        if set(map(type, raw)) <= _REAL:
             return np.array(raw, dtype=np.float64).astype(np.complex128)
         if all(
             type(e) in _REAL
@@ -250,7 +251,7 @@ def decomposition_residual(join, decomposition):
     # per size group, (-residual, block, Fourier index) of its first
     # largest residual in block order, so the least is the offender
     offenders = []
-    for ids, rows, eigenvalues in layout.groups:
+    for ids, rows, eigenvalues, _ in layout.groups:
         k = rows.shape[1]
         claimed = eigenvalues.copy()  # index 0 is the row sum
         claimed[:, 1:] = [lams[i] for i in ids.tolist()]
@@ -581,8 +582,8 @@ def cmd_kuramoto_equilibrium(args):
     flag, residual = check_equilibrium(system, state.theta, tol=args.tol)
     report = {
         "fourier_index": state.fourier_index,
-        "phi": [float(p) for p in state.phis],
-        "theta0": [float(t) for t in state.theta],
+        "phi": state.phis.tolist(),
+        "theta0": state.theta.tolist(),
         "residual": residual,
         "equilibrium": flag,
     }

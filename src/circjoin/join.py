@@ -35,13 +35,15 @@ from . import smalleig
 class BlockGroup(NamedTuple):
     """The g blocks of one size k in a join: their indices `ids` (g,)
     in block order, the (g, k) indices `rows` of their rows in the join,
-    and their read-only (g, k) stacked `eigenvalues` (Fourier index
-    j = 0..k-1 along each row).  The group's defining vectors are
-    `JoinSpec.vector[rows]`."""
+    their read-only (g, k) stacked `eigenvalues` (Fourier index
+    j = 0..k-1 along each row), and `column`, a (g, 1) view of `ids`
+    that gathers a per-block quantity as a column to broadcast along
+    the rows.  The group's defining vectors are `JoinSpec.vector[rows]`."""
 
     ids: np.ndarray
     rows: np.ndarray
     eigenvalues: np.ndarray
+    column: np.ndarray
 
 
 class BlockLayout(NamedTuple):
@@ -139,7 +141,7 @@ class JoinSpec:
         layout = self.layout()
         cross = self.couplings @ np.add.reduceat(x, layout.offsets)
         out = np.empty_like(x)
-        for ids, rows, lam in layout.groups:
+        for _, rows, lam, column in layout.groups:
             # The transforms run in place on fresh arrays, which skips
             # np.fft's output allocation.  The product is lam * spec on a
             # named array: numpy's complex multiply is not bit-commutative,
@@ -149,7 +151,7 @@ class JoinSpec:
             np.fft.fft(spec, axis=1, out=spec)
             conv = lam * spec
             np.fft.ifft(conv, axis=1, out=conv)
-            conv += cross[ids][:, None]
+            conv += cross[column]
             out[rows] = conv
         return out
 
@@ -178,7 +180,7 @@ class JoinSpec:
                 lam = np.fft.fft(self.vector[rows], axis=1)
                 lam.setflags(write=False)
                 sums[ids] = lam[:, 0]
-                groups.append(BlockGroup(ids, rows, lam))
+                groups.append(BlockGroup(ids, rows, lam, ids[:, None]))
             sums.setflags(write=False)
             self._layout = BlockLayout(sums, offsets, tuple(groups))
         return self._layout
@@ -193,7 +195,7 @@ class JoinSpec:
         tolerances that `kuramoto check` prints.
         """
         sums = np.empty(self.d)
-        for ids, rows, _ in self.layout().groups:
+        for ids, rows, *_ in self.layout().groups:
             sums[ids] = np.abs(self.vector[rows]).sum(axis=1)
         return float((sums + np.abs(self.couplings) @ self.block_sizes).max())
 

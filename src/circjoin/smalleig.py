@@ -25,9 +25,11 @@ input by a power of two scales the results, bit for bit where
 LAPACK's eig does.
 
 The clustering (`_cluster`, also one call for all the groups of values
-of a spectrum report) proves with array operations which values stay
-alone, from a bound on how far a greedy cluster can spread, and emits
-them directly; only the others go through the greedy merge loop.
+of a spectrum report) proves with array operations, from a bound on how
+far a greedy cluster can spread, which values stay alone and which runs
+of equal values, such as the m - 1 copies of a twin value, form one
+cluster of their own, and emits them directly, a run's mean with the
+bits of the loop's; only the others go through the greedy merge loop.
 """
 
 import cmath
@@ -101,11 +103,11 @@ def _cluster(values, delta, groups):
     nearest existing cluster, the oldest among equals; clusters with
     equal means keep the order in which they were created.
 
-    Values that provably stay alone (see `_crowded`) are emitted directly,
-    with one array division value / 1: the loop's mean of a one-member
-    cluster is its sum divided by 1, a complex division that can flip the
-    sign of a zero part.  Removing them changes no merge and no tie,
-    because no other value ever comes within delta of them.
+    The clusters that `_crowded` proves without the loop are emitted
+    directly: a value that provably stays alone, and a run of copies of
+    one value that provably forms one cluster of its own, with the mean
+    the loop would give it.  Removing them changes no merge and no tie,
+    because no other value ever comes within delta of their means.
 
     In the loop, a cluster's mean moves only when it absorbs a value, so
     once the visited real part runs more than 2*delta past it (the
@@ -121,10 +123,12 @@ def _cluster(values, delta, groups):
     ordered = values[order]
     label = np.asarray(groups)[order]
     n = len(ordered)
-    rest = _crowded(ordered, delta, label)
     mean = ordered / 1  # a singleton's mean
-    if not len(rest):  # the sort's order is the order of the means
-        return mean, np.ones(n, dtype=np.intp), order, np.arange(n + 1)
+    rest, first = _crowded(ordered, delta, label, mean)
+    if first is None:
+        if not len(rest):  # the sort's order is the order of the means
+            return mean, np.ones(n, dtype=np.intp), order, np.arange(n + 1)
+        first = np.arange(n)
     sums = []
     members = []
     joined = []  # the cluster that each visited value joins
@@ -155,50 +159,73 @@ def _cluster(values, delta, groups):
     # each value's cluster mean and first member, the cluster's order of
     # creation; members share both and keep their order, the joining order
     mean[rest] = means[joined]
-    first = np.arange(n)
     first[rest] = [members[c][0] for c in joined]
     key = np.lexsort((first, mean, label))
     head = first[key]
-    offsets = np.flatnonzero(np.concatenate(([True], head[1:] != head[:-1], [True])))
-    return mean[key[offsets[:-1]]], np.diff(offsets), order[key], offsets
+    offsets = np.concatenate(([True], head[1:] != head[:-1], [True])).nonzero()[0]
+    return mean[key[offsets[:-1]]], offsets[1:] - offsets[:-1], order[key], offsets
 
 
-def _crowded(ordered, delta, label):
-    """Positions in `ordered`, values sorted by (group, Re, Im) with the
-    sorted group labels `label`, of the values that `_cluster` cannot
-    prove to stay alone, in increasing order; all the others are
-    singletons of the greedy loop.
+def _crowded(ordered, delta, label, mean):
+    """The clusters of `_cluster` that need no greedy loop, for the
+    values `ordered`, sorted by (group, Re, Im), with the sorted group
+    labels `label` and their singleton means `mean`.  Returns (rest,
+    first): the positions of the values that the loop must visit, in
+    increasing order, and for every other position the first position
+    of its cluster, or None when each of those values is alone; the
+    mean of a run that forms one cluster (see below) is written into
+    `mean` at its positions.
 
-    A value is proved alone when every other value of its group lies
-    further than R from it, with
+    A run is a maximal set of copies (==) of one value v in one group;
+    they are adjacent in sorted order, and a value without copies is a
+    run of one.  A run is proved isolated when every value of its group
+    that is not a copy of v lies further than R from v, with
         R = 2 (delta (1 + ln N) + 3 N (u M + eta)),
-    N values in the group, M their largest |Re| or |Im|, u the unit
-    roundoff and eta half the smallest subnormal.  Suppose a cluster's
-    members join in the order x_1, x_2, ..., x_p.  Member x_(m+1) joins
-    when its computed distance to the computed mean of the first m is
-    within delta, so its true distance is within d = delta (1 + 4u) +
-    2 eta.  The computed mean of m members is within e_m = sqrt(2)
-    ((m + 1) u M + eta) of their exact average a_m (m - 1 additions and a
-    product by the rounded 1/m), and a_(m+1) - a_m = (x_(m+1) - a_m) /
-    (m + 1).  Summing, |x_(m+1) - x_1| <= d H_m + e_m + sum_(j<m) e_j /
-    (j + 1), H_m the harmonic number, which is at most delta (1 + 4u)
-    (1 + ln N) + 3 N u M + 3 N eta.  So every member of a cluster of two
-    or more has another value (x_1, or x_2 for x_1) within (1 + 4u) R /
-    2.  R keeps a factor-2 margin on the drift and on the rounding,
-    which covers that factor and the rounding of R and of the distances
-    measured here.
+    N values in the group, copies included, M their largest |Re| or
+    |Im|, u the unit roundoff and eta half the smallest subnormal.
+    Suppose a cluster's members join in the order x_1, x_2, ..., x_p.
+    Member x_(m+1) joins when its computed distance to the computed mean
+    of the first m is within delta, so its true distance is within d =
+    delta (1 + 4u) + 2 eta.  The computed mean of m members is within
+    e_m = sqrt(2) ((m + 1) u M + eta) of their exact average a_m (m - 1
+    additions and a product by the rounded 1/m), and a_(m+1) - a_m =
+    (x_(m+1) - a_m) / (m + 1).  Summing, |x_(m+1) - x_1| <= d H_m + e_m +
+    sum_(j<m) e_j / (j + 1), H_m the harmonic number, which is at most
+    delta (1 + 4u) (1 + ln N) + 3 N u M + 3 N eta; this holds for any
+    value within delta of the mean of the first m, joining or not.  So a
+    value within delta of a cluster's mean lies within (1 + 4u) R / 2 of
+    the cluster's first member, and R keeps a factor-2 margin on the
+    drift and on the rounding, which covers that factor and the rounding
+    of R and of the distances measured here.  Hence a copy of an
+    isolated v never comes within delta of a cluster begun by another
+    value, and no other value within delta of a cluster begun by a copy
+    of v: the mean of a run's cluster stays within R / 2 of v, and its
+    copies form clusters of their own.
+
+    A run of one is then a singleton, whose mean in the loop is value /
+    1, a complex division that can flip the sign of a zero part.  The
+    loop visits the copies of a longer run one after another, and they
+    form one cluster exactly when each copy is within delta of the mean
+    of the copies before it.  That is measured as the loop measures it:
+    the running sums added in visiting order (np.add.accumulate, never a
+    pairwise sum), each divided by the member count as the loop's
+    np.complex128 division does, and the distance taken with hypot.  A
+    run that fails (as at delta 0, where the rounded mean can move off
+    v) goes to the loop whole, and so does every run of a value that is
+    not finite, whose mean is not.
 
     A real block has lambda_(k-j) = conj(lambda_j), so real parts alone
     prove nothing and distances are complex.  Only pairs whose real
-    parts lie within R can be near.  Those at most _NEIGHBOURS apart in
-    sorted order are measured with hypot, one array per step.  A pair
-    further apart, with real parts within R, has both of its values
-    among the ends of some pair exactly _NEIGHBOURS + 1 apart with real
-    parts within R, and those ends go to the loop unmeasured.  Every
-    test is "further than R", so a NaN proves nothing, and a group with
-    values that are not finite, or so large that the sum of their parts
-    overflows, goes to the loop whole; as 2N parts of at most M sum to
-    at most 2 N M, only a group with 2 N M > 2^1023 is summed to see.
+    parts lie within R can be near.  Those at most _NEIGHBOURS runs
+    apart in sorted order are measured with hypot, one array per step.
+    A pair further apart, with real parts within R, has both of its runs
+    among the ends of some pair exactly _NEIGHBOURS + 1 runs apart with
+    real parts within R, and those ends go to the loop unmeasured.
+    Every test is "further than R", so a NaN proves nothing, and a group
+    with values that are not finite, or so large that the sum of their
+    parts overflows, goes to the loop whole; as 2N parts of at most M
+    sum to at most 2 N M, only a group with 2 N M > 2^1023 is summed to
+    see.
     """
     n = len(ordered)
     re, im = ordered.real, ordered.imag
@@ -209,11 +236,11 @@ def _crowded(ordered, delta, label):
     bound = _isolation_radius(n, delta, top) if 2.0 * n * top <= 2.0**1023 else math.nan
     far = re[1:] - re[:-1] > bound
     if np.count_nonzero(far) == len(far):
-        return _ALONE
+        return _ALONE, None
     apart = label[1:] != label[:-1]
     near = (~(apart | far)).nonzero()[0]
     if not len(near):
-        return near
+        return near, None
     cut = apart.nonzero()[0] + 1
     starts = np.concatenate(([0], cut))
     size = np.concatenate((cut, [n])) - starts
@@ -225,10 +252,23 @@ def _crowded(ordered, delta, label):
         else math.nan
         for s, k, m in zip(starts.tolist(), size.tolist(), top.tolist())
     ]
-    radius = np.repeat(radius, size)
-    end = np.repeat(starts + size, size)
-    paired = np.concatenate((near, near + 1))  # holds both values of any later pair
-    crowded = np.zeros(n, dtype=bool)
+    # from here on, a run is measured once, at its first copy: lead marks
+    # those, and run numbers each position's run; without copies, every
+    # run is one value and the positions stay those of the values
+    copy = ordered[near] == ordered[near + 1]
+    lead = None
+    if np.count_nonzero(copy):
+        lead = np.ones(n, dtype=bool)
+        lead[near[copy] + 1] = False
+        run = lead.cumsum() - 1
+        near, starts = run[near[~copy]], run[starts]
+        size = np.concatenate((starts[1:], run[-1:] + 1)) - starts
+        re, im = re[lead], im[lead]
+    crowded = np.zeros(len(re), dtype=bool)
+    if len(near):
+        radius = np.repeat(radius, size)
+        end = np.repeat(starts + size, size)
+        paired = np.concatenate((near, near + 1))  # holds both runs of any later pair
     step = 1
     while len(near) and not crowded[paired].all():
         far = near + step
@@ -240,7 +280,25 @@ def _crowded(ordered, delta, label):
         step += 1
         near = near[near + step < end[near]]
         near = near[~(re[near + step] - re[near] > radius[near])]
-    return crowded.nonzero()[0]
+    if lead is None:
+        return crowded.nonzero()[0], None
+    at = lead.nonzero()[0]
+    length = np.bincount(run)
+    loop = crowded[run]
+    # the isolated runs of two or more copies, those of one length at a
+    # time: each is one cluster when every copy lies within delta of the
+    # running mean before it, and goes to the loop otherwise
+    isolated = ~crowded & (length > 1)
+    firsts, length = at[isolated], length[isolated]
+    for k in set(length.tolist()):
+        pos = firsts[length == k, None] + np.arange(k)
+        copies = ordered[pos]
+        means = np.add.accumulate(copies, 1) / np.arange(1, k + 1)
+        gap = copies[:, 1:] - means[:, :-1]
+        one = np.logical_and.reduce(np.hypot(gap.real, gap.imag) <= delta, 1)
+        mean[pos[one]] = means[one, -1:]
+        loop[pos] = ~one[:, None]
+    return loop.nonzero()[0], at[run]
 
 
 def _isolation_radius(n, delta, top):
@@ -319,7 +377,7 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
     for lam, mult, lo, hi in zip(means.tolist(), mults.tolist(), offsets, offsets[1:]):
         members = perm[lo:hi]
         if min(members) >= p:
-            chains = [twins.helmert[i - p][None] for i in sorted(members)]
+            chains = list(twins.helmert[np.subtract(sorted(members), p), None])
         elif max(members) >= p:
             chains = _jordan_chains(a, lam, mult, sigma_tol, t)
         elif mult == 1 and certified[members[0]]:

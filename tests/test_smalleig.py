@@ -412,7 +412,8 @@ def crowded(values, delta):
     """_crowded's positions, as the sorted values they stand for."""
     ordered = np.sort(np.asarray(values, dtype=np.complex128), kind="stable")
     label = np.zeros(len(ordered), dtype=int)
-    return [complex(ordered[p]) for p in smalleig._crowded(ordered, delta, label)]
+    rest, _ = smalleig._crowded(ordered, delta, label, np.empty_like(ordered))
+    return [complex(ordered[p]) for p in rest]
 
 
 def test_singleton_proof_takes_what_it_can_prove_and_nothing_else():
@@ -456,7 +457,10 @@ def test_singleton_proof_uses_each_groups_own_radius():
         inside += [*base[near], *partner[near]]
     values = np.array(values)
     order = np.lexsort((values, labels))
-    positions = smalleig._crowded(values[order], delta, np.array(labels)[order])
+    ordered = values[order]
+    positions, _ = smalleig._crowded(
+        ordered, delta, np.array(labels)[order], np.empty_like(ordered)
+    )
     assert sorted(values[order][positions].tolist(), key=complex_order) == sorted(
         inside, key=complex_order
     )
@@ -468,10 +472,10 @@ def count_loop_values(monkeypatch):
     counts = []
     crowded_positions = smalleig._crowded
 
-    def counted(ordered, delta, label):
-        rest = crowded_positions(ordered, delta, label)
+    def counted(ordered, delta, label, mean):
+        rest, first = crowded_positions(ordered, delta, label, mean)
         counts.append(len(rest))
-        return rest
+        return rest, first
 
     monkeypatch.setattr(smalleig, "_crowded", counted)
     return counts
@@ -487,8 +491,10 @@ def test_report_clustering_loops_only_over_values_with_a_near_neighbour(monkeypa
     # one call for the report: 2047 block values, all proved singletons,
     # and the condensed eigenvalue
     assert counts == [0]
-    # a symmetric ring has every eigenvalue twice (j and k - j), so the
-    # loop visits every value with another within R, and only those
+    # a symmetric ring has every eigenvalue twice (j and k - j), mostly
+    # not bit for bit, so the loop visits every value with another value
+    # within R that is not a copy of it, and only those; bit-equal pairs
+    # are runs that form one cluster without it
     counts.clear()
     v = np.zeros(2048)
     v[[1, 2, 3, -3, -2, -1]] = 1.0
@@ -498,10 +504,153 @@ def test_report_clustering_loops_only_over_values_with_a_near_neighbour(monkeypa
     radius = smalleig._isolation_radius(2047, delta, np.abs(lam.view(np.float64)).max())
     with_near = 0
     for start in range(0, 2047, 256):  # 256 rows of distances at a time
-        dist = np.abs(lam[start : start + 256, None] - lam[None, :])
-        dist[np.arange(len(dist)), np.arange(start, start + len(dist))] = np.inf
+        rows = lam[start : start + 256, None]
+        dist = np.where(rows == lam[None, :], np.inf, np.abs(rows - lam[None, :]))
         with_near += int(np.count_nonzero(dist.min(axis=1) <= radius))
     assert counts == [with_near]
+    assert 0 < with_near < len(lam) - 50
+
+
+def test_run_means_keep_the_bits_of_the_loops_sums_and_divisions():
+    # a run's running sums are one np.add.accumulate along its copies, and
+    # its running means one array division by the member counts; both must
+    # give the bits of the loop's np.complex128 sums and divisions, copies
+    # that differ only in the signs of zero parts included
+    parts = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.1, 1.0, 3.0]
+    parts += [1e300, 1.7e308, 1.7976931348623157e308]
+    parts += [-x for x in parts]
+    zs = np.array([complex(a, b) for a in parts for b in parts])
+    counts = np.arange(1, 71)
+    rng = np.random.default_rng(35)
+    copies = np.repeat(zs[:, None], len(counts), axis=1)
+    both = copies.view(np.float64)
+    both[both == 0.0] *= rng.choice([1.0, -1.0], np.count_nonzero(both == 0.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = np.add.accumulate(copies, 1)
+        means = sums / counts
+        want_sums, want_means = [], []
+        for row in copies:
+            total = row[0]
+            for k, c in enumerate(row):
+                if k:
+                    total = total + c
+                want_sums.append(total)
+                want_means.append(total / (k + 1))
+    assert np.array_equal(sums.ravel().view(np.uint64), np.array(want_sums).view(np.uint64))
+    assert np.array_equal(means.ravel().view(np.uint64), np.array(want_means).view(np.uint64))
+
+
+def test_runs_longer_than_the_measured_neighbours_need_no_loop(monkeypatch):
+    # runs of 3 to 41 equal values on a grid whose columns share real
+    # parts, so a run hides everything beyond _NEIGHBOURS + 1 values from
+    # a position-by-position measurement; each run is one cluster
+    grid = (np.arange(36) % 6 + 1j * (np.arange(36) // 6)) / 4.0
+    values = np.concatenate([np.repeat(grid[::5], [9, 10, 17, 25, 40, 2, 12, 3]), grid])
+    counts = count_loop_values(monkeypatch)
+    for delta in (0.0, 1e-12, 1e-9, 1e-3):
+        assert_cluster_matches_reference(values, delta)
+    assert counts == [0, 0, 0, 0]
+    assert sorted(m for _, m, _ in clusters_of(values, 1e-9)) == [1] * 28 + [
+        3, 4, 10, 11, 13, 18, 26, 41
+    ]
+
+
+def test_runs_that_rounding_splits_go_to_the_loop_whole(monkeypatch):
+    # At delta 0 five copies of x sum to a mean one ulp above x, so the
+    # sixth copy starts a second cluster: the run is not one cluster and
+    # goes to the loop whole.  At a delta of 1e-12 it is one cluster.
+    x = 1.7619154420895458
+    values = [x] * 9 + [5.0, -3.0 + 1j]
+    counts = count_loop_values(monkeypatch)
+    assert_cluster_matches_reference(values, 0.0)
+    assert_cluster_matches_reference(values, 1e-12)
+    assert counts == [9, 0]
+    # the second cluster's mean, x, sorts before the first's
+    assert [m for _, m, _ in clusters_of(values, 0.0)] == [1, 4, 5, 1]
+
+
+def test_a_run_is_measured_against_the_radius_of_its_whole_group():
+    # 30 copies of a and one b apart in real part by just inside and just
+    # outside the R of all 31 values: R counts the copies, so the run and
+    # b are proved apart only outside it (R of two values is less than
+    # half of it); and b within delta of the run's mean joins its cluster
+    delta = 1e-9
+    a = 0.3 + 0.2j
+    radius = smalleig._isolation_radius(31, delta, 0.3)
+    assert smalleig._isolation_radius(2, delta, 0.3) < radius / 2
+    for gap in (radius * (1 - 1e-6), radius * (1 + 1e-6), 1.5 * delta, 0.5 * delta):
+        values = [a] * 30 + [a + gap]
+        assert_cluster_matches_reference(values, delta)
+        assert len(crowded(values, delta)) == (31 if gap < radius else 0)
+    assert [m for _, m, _ in clusters_of([a] * 30 + [a + delta / 2], delta)] == [31]
+
+
+def test_equal_runs_in_different_groups_stay_apart(monkeypatch):
+    # one value in four groups, runs of 3, 12, 1 and 4 copies, shuffled
+    # together; in group 5 a near value sends its run to the loop
+    v = 0.25 - 0.5j
+    values = [v] * 20 + [v + 1e-10, 2.0]
+    groups = [2] * 3 + [0] * 12 + [7] + [5] * 4 + [5, 0]
+    order = np.random.default_rng(37).permutation(len(values))
+    values, groups = np.array(values)[order], np.array(groups)[order]
+    counts = count_loop_values(monkeypatch)
+    assert_cluster_matches_reference(values, 1e-9, groups)
+    assert counts == [5]
+    assert [m for _, m, _ in clusters_of(values, 1e-9, groups)] == [12, 1, 3, 5, 1]
+
+
+def test_a_run_of_signed_zeros_keeps_the_loops_zero_signs(monkeypatch):
+    # 0.0 == -0.0, so values that differ only in the signs of zero parts
+    # are copies of one run, visited in the order of the input; the
+    # signs of its sums and mean are those of the loop
+    zeros = [complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]
+    ones = [complex(-0.0, 1.0), complex(0.0, 1.0)]
+    rng = np.random.default_rng(38)
+    counts = count_loop_values(monkeypatch)
+    for size in (1, 2, 3, 5, 12):
+        for _ in range(8):
+            values = list(rng.choice(zeros, size)) + list(rng.choice(ones, size)) + [2.0]
+            for delta in (0.0, 1e-9):
+                assert_cluster_matches_reference(values, delta)
+    assert counts == [0] * 80
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(
+        st.tuples(VALUES, st.integers(1, 70), st.integers(-1, 2)), min_size=1, max_size=6
+    ),
+    st.sampled_from([0.0, 1e-9, 0.1, 0.25, 1.0]),
+    st.randoms(use_true_random=False),
+)
+def test_repeated_values_match_reference_scan_per_group(draws, delta, random):
+    # each drawn value repeated 1 to 70 times in one of four groups, all
+    # shuffled together: runs of copies beside each other, across groups,
+    # of grid values with signed zeros and next to near values
+    pairs = [(z, label) for z, times, label in draws for _ in range(times)]
+    random.shuffle(pairs)
+    values = np.array([z for z, _ in pairs], dtype=np.complex128)
+    assert_cluster_matches_reference(values, delta, [label for _, label in pairs])
+
+
+def test_a_twin_class_costs_the_solve_and_the_report_no_loop_visit(monkeypatch):
+    # 64 rings ring(6, 1) joined with couplings 1: the twin value -4 is
+    # 63 bit-equal copies, one run beside 380, in the solve and in the
+    # report, whose 69 values are those and the 5 of the one distinct
+    # block; only the block's -1 and its near copy reach the loop
+    ring = [0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    join = JoinSpec([ring] * 64, np.ones((64, 64)))
+    counts = count_loop_values(monkeypatch)
+    decomposition = full_spectrum(join)
+    assert counts == [0]
+    assert [(ch.eigenvalue, len(ch)) for ch in decomposition.condensed_chains[-2:]] == [
+        (-4.0, 1),
+        (380.0, 1),
+    ]
+    mean, mult, provenance = cli.report_rows(decomposition)
+    assert counts == [0, 2]
+    assert sum(mult[provenance == "condensed"]) + sum(mult[provenance == 1]) == 69
+    assert mean[0] == -4.0 and mult[0] == 63
 
 
 def chain_relations_hold(m, lam, chains, tol):
