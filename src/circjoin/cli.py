@@ -18,7 +18,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .graphs import (
     remove_cycle_from_complete,
     ring_graph,
 )
-from .join import JoinSpec, full_spectrum, tensor_expand
+from .join import JoinSpec, full_spectrum
 from .kuramoto import (
     KuramotoSystem,
     build_twisted_equilibrium,
@@ -280,52 +280,35 @@ def decomposition_residual(join, decomposition):
     return max(worst, 0.0), tag
 
 
-def _pair_texts(table, index):
-    """The vectors table[index[r]], one per row r, as jsontext values of
-    [re, im] pairs: each table entry is formatted once and every vector
-    is joined from those texts."""
-    table = jsontext.PairTable(table.tolist())
-    return [table.list(row) for row in index.tolist()]
-
-
 def _eigenvectors(decomposition):
-    """The report's "eigenvectors" section.
+    """The report's "eigenvectors" section, as the arrays its vectors are
+    built from: `O(n + d^2)` numbers, where the text holds n^2 [re, im]
+    pairs (n - d Fourier modes and d chain links, each an n-vector).
 
-    Every vector in it is a gather from a short table.  The zero-padded
-    Fourier vector of block b at index j holds root (m*j) % k of the
-    block's k roots of unity at row m of the block and an exact zero
-    elsewhere; a lifted chain vector repeats its d condensed coordinates.
+    The zero-padded Fourier vector of block b at index j holds root
+    (m*j) % k of the block's k roots of unity at row m of the block and
+    an exact zero elsewhere (`jsontext.FourierModes`, given each block's
+    number, first row, eigenvalues and roots).  A lifted chain vector
+    repeats its d condensed coordinates, coordinate i k_i times
+    (`jsontext.LiftedChains`, given the chains' links in C^d).
     """
-    n, d = decomposition.n, decomposition.d
-    sizes = decomposition.block_sizes
-    circulant = []
-    offset = 0
-    for b, (k, lams) in enumerate(zip(sizes, decomposition.block_eigenvalues), 1):
-        table = np.append(root_of_unity_powers(k), 0.0)  # entry k is the zero
-        index = np.full((k - 1, n), k)
-        index[:, offset : offset + k] = np.outer(np.arange(1, k), np.arange(k)) % k
-        vectors = _pair_texts(table, index)
-        circulant += [
-            {
-                "block": b,
-                "fourier_index": j,
-                "eigenvalue": [z.real, z.imag],
-                "vector": vector,
-            }
-            for j, z, vector in zip(range(1, k), lams.tolist(), vectors)
-        ]
-        offset += k
-    lift = tensor_expand(np.arange(d), sizes)
-    condensed = [
-        {
-            "eigenvalue": [ch.eigenvalue.real, ch.eigenvalue.imag],
-            "chain": _pair_texts(
-                ch.vectors.ravel(), lift + d * np.arange(len(ch))[:, None]
-            ),
-        }
-        for ch in decomposition.condensed_chains
+    sizes = list(decomposition.block_sizes)
+    starts = [0, *accumulate(sizes)]
+    blocks = [
+        (b, start, lams, root_of_unity_powers(k))
+        for b, (start, k, lams) in enumerate(
+            zip(starts, sizes, decomposition.block_eigenvalues), 1
+        )
     ]
-    return {"circulant": circulant, "condensed": condensed}
+    chains = decomposition.condensed_chains
+    return {
+        "circulant": jsontext.FourierModes(decomposition.n, blocks),
+        "condensed": jsontext.LiftedChains(
+            sizes,
+            np.array([ch.eigenvalue for ch in chains], dtype=np.complex128),
+            [ch.vectors for ch in chains],
+        ),
+    }
 
 
 def _spectrum(join, args):
@@ -370,16 +353,28 @@ def _spectrum(join, args):
     return report
 
 
-def _print_report(join, args):
+def _report_text(join, args):
     report = _spectrum(join, args)
     if args.output == "json":
-        print(jsontext.dumps(report))
-        return
+        return jsontext.dumps(report)
     table = report["eigenvalues"].columns
     rows = zip(table["re"], table["im"], table["multiplicity"], table["provenance"])
     header = "eigenvalue,multiplicity,provenance"
     template = header + "\n%.17g%+.17gi,%d,%s" * len(table["re"])
-    print(template % tuple(chain.from_iterable(rows)))
+    return template % tuple(chain.from_iterable(rows))
+
+
+def _print_report(join, args):
+    """Print the report, or nothing when its text cannot be allocated: a
+    report with --eigenvectors holds about n^2 [re, im] pairs."""
+    try:
+        text = _report_text(join, args)
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        raise PreconditionError(
+            f"the report of a join of size {join.n} does not fit in memory{detail}"
+        ) from exc
+    print(text)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,18 @@ json's ``indent`` mode runs its pure-Python encoder, several calls per
 value.  This writer fills one ``%``-template per homogeneous list
 instead: a list of numbers, a list of equal-length number lists (the
 ``[re, im]`` pairs of a report) and a `Table`, flat dicts given as
-columns (the eigenvalue rows).  Floats go through ``%r``, which is
-``float.__repr__``, json's own float encoder; ints through ``%r`` or
-``%d`` (both ``int.__repr__``); strings and keys through json's own
-``encode_basestring_ascii``.  Anything else is written value by value
-in json's order and layout.  Every part of the text is appended to one
-list, which is joined once, so a large report is copied once rather
-than once per nesting level.
+columns (the eigenvalue rows).  The eigenvector rows of a report,
+`FourierModes` and `LiftedChains`, are given by the few arrays their
+vectors are built from: each row is filled in from one template per
+section, and each vector is written from its runs, a run of equal
+entries as one repeated text and a Fourier mode's nonzero entries as
+one gather of its block's formatted roots.  Floats go through ``%r``,
+which is ``float.__repr__``, json's own float encoder; ints through
+``%r`` or ``%d`` (both ``int.__repr__``); strings and keys through
+json's own ``encode_basestring_ascii``.  Anything else is written value
+by value in json's order and layout.  Every part of the text is
+appended to one list, which is joined once, so a large report is copied
+once rather than once per nesting level or per vector.
 
 Every float must be finite.  json would write ``NaN`` or ``Infinity``,
 which is not JSON, so the writer raises NumericalError instead.
@@ -20,6 +25,9 @@ which is not JSON, so the writer raises NumericalError instead.
 import math
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
+from operator import mul
+
+import numpy as np
 
 from .errors import NumericalError
 
@@ -31,58 +39,127 @@ _NON_FINITE = "a non-finite number cannot be written as JSON"
 
 def dumps(obj):
     """The text json's ``dumps(obj, indent=2)`` returns, for str-keyed
-    dicts, lists, tuples, str, int, float, bool, None, PairTable lists
-    and Tables."""
+    dicts, lists, tuples, str, int, float, bool, None, Tables,
+    FourierModes and LiftedChains."""
     out = []
     _write(obj, "\n", out)
     return "".join(out)
 
 
-class PairTable:
-    """Complex values whose ``[re, im]`` texts many lists share.
+class FourierModes:
+    """Zero-padded Fourier modes as report rows: ``dumps`` writes
+    ``FourierModes(n, blocks)`` as the list of dicts ``{"block": b,
+    "fourier_index": j, "eigenvalue": [re, im], "vector": v}``, for each
+    ``(b, start, eigenvalues, roots)`` of `blocks`, with k = len(roots),
+    and j = 1..k-1: the eigenvalue is ``eigenvalues[j - 1]``, and v is
+    the n-vector of [re, im] pairs that holds ``roots[(m * j) % k]`` at
+    row ``start + m``, m < k, and 0 elsewhere.  `b` is an int, and
+    `eigenvalues` and `roots` are complex arrays.
 
-    ``table.list(index)`` is a value that ``dumps`` writes as the list
-    ``[[z.real, z.imag] for z in (values[i] for i in index)]``.  Each
-    entry of the table is formatted once per indent, however many lists
-    and positions repeat it, and the lists are written as references to
-    those texts.
+    Every row is written from one template.  A block's roots are
+    formatted once, and each of its vectors is written as two zero runs,
+    each one repeated text that the block's rows share, and one gather
+    of the root texts.
     """
 
-    __slots__ = ("_pairs", "_texts")
+    __slots__ = ("n", "blocks")
 
-    def __init__(self, values):
-        self._pairs = [(z.real, z.imag) for z in map(complex, values)]
-        self._texts = {}
+    def __init__(self, n, blocks):
+        self.n = n
+        self.blocks = blocks
 
-    def list(self, index):
-        """A dumps value: the pairs of the entries at `index`, a list of
-        ints."""
-        return _PairList(self, index)
-
-    def _write(self, index, nl, out):
-        if not index:
-            out.append("[]")
-            return
+    def _write(self, nl, out):
         inner = nl + _STEP
-        texts = self._texts.get(nl)
-        if texts is None:
-            deeper = inner + _STEP
-            pair = "[" + deeper + "%r," + deeper + "%r" + inner + "]"
-            last = [_checked(pair % p) for p in self._pairs]
-            sep = "," + inner
-            texts = self._texts[nl] = ([t + sep for t in last], last)
-        followed, last = texts
-        out.append("[" + inner)
-        out += map(followed.__getitem__, index[:-1])
-        out += (last[index[-1]], nl + "]")
+        field = inner + _STEP
+        entry = field + _STEP
+        sep = "," + entry
+        head = _row_head(field, ("block", "%d"), ("fourier_index", "%d"),
+                         ("eigenvalue", "%s"), ("vector", "[" + entry))
+        close = field + "]" + inner + "}"
+        zero = _pairs(np.zeros(1, np.complex128), entry)[0]
+        empty = len(out)
+        before = "[" + inner
+        for b, start, eigenvalues, roots in self.blocks:
+            k = len(roots)
+            last = _pairs(roots, entry)
+            followed = [t + sep for t in last]
+            lead = (zero + sep) * start
+            rest = self.n - start - k
+            # the last entry of a vector is a zero, or a root when the
+            # block ends the vector
+            m = np.arange(k if rest else k - 1)
+            tail = (zero + sep) * (rest - 1) + zero + close if rest else None
+            values = _pairs(eigenvalues, field)
+            for j, value in enumerate(values, 1):
+                out += (before, head % (b, j, value), lead)
+                out += map(followed.__getitem__, (m * j % k).tolist())
+                out.append(tail or last[k - j] + close)
+                before = "," + inner
+        out.append("[]" if len(out) == empty else nl + "]")
 
 
-class _PairList:
-    __slots__ = ("table", "index")
+class LiftedChains:
+    """Condensed chains lifted to a join as report rows: ``dumps`` writes
+    ``LiftedChains(sizes, eigenvalues, chains)`` as the list of dicts
+    ``{"eigenvalue": [re, im], "chain": [v, ...]}``, one per entry of the
+    complex array `eigenvalues`, whose chain is the matching
+    ``(length, d)`` complex array of `chains`: each link x is written as
+    the n-vector of [re, im] pairs that repeats x[i] sizes[i] times,
+    `sizes` a list of d ints >= 1.
 
-    def __init__(self, table, index):
-        self.table = table
-        self.index = index
+    Every row is written from one template.  A chain's links are
+    formatted once, and each lifted vector is written as d runs, each
+    one repeated text.
+    """
+
+    __slots__ = ("sizes", "eigenvalues", "chains")
+
+    def __init__(self, sizes, eigenvalues, chains):
+        self.sizes = sizes
+        self.eigenvalues = eigenvalues
+        self.chains = chains
+
+    def _write(self, nl, out):
+        inner = nl + _STEP
+        field = inner + _STEP
+        link = field + _STEP
+        entry = link + _STEP
+        sep = "," + entry
+        head = _row_head(field, ("eigenvalue", "%s"), ("chain", "["))
+        close = field + "]" + inner + "}"
+        d = len(self.sizes)
+        runs, last_run = self.sizes[:-1], self.sizes[-1] - 1
+        empty = len(out)
+        before = "[" + inner
+        for value, links in zip(_pairs(self.eigenvalues, field), self.chains):
+            last = _pairs(links.ravel(), entry)
+            followed = [t + sep for t in last]
+            out += (before, head % value)
+            opening = link + "[" + entry
+            for end in range(d, len(last) + 1, d):
+                out.append(opening)
+                out += map(mul, followed[end - d : end - 1], runs)
+                out += (followed[end - 1] * last_run, last[end - 1], link + "]")
+                opening = "," + link + "[" + entry
+            out.append(close)
+            before = "," + inner
+        out.append("[]" if len(out) == empty else nl + "]")
+
+
+def _row_head(nl, *fields):
+    """The %-template of a dict's opening up to its last value's opening,
+    at the indent after newline `nl`: `fields` are (key, value text)."""
+    return "{" + nl + ("," + nl).join(_key(k) + ": " + v for k, v in fields)
+
+
+def _pairs(values, nl):
+    """The texts of the [re, im] lists of the complex array `values`, at
+    the indent after newline `nl`."""
+    re, im = values.real.tolist(), values.imag.tolist()
+    if not all(map(math.isfinite, chain(re, im))):
+        raise NumericalError(_NON_FINITE)
+    inner = nl + _STEP
+    return list(map(("[" + inner + "%r," + inner + "%r" + nl + "]").__mod__, zip(re, im)))
 
 
 class Table:
@@ -129,6 +206,9 @@ class Table:
         out += ("[" + inner, text, nl + "]")
 
 
+_SECTIONS = {FourierModes, LiftedChains, Table}
+
+
 def _checked(numbers):
     """`numbers` holds only numbers and punctuation, so an "n" is part of
     "nan" or "inf"."""
@@ -144,9 +224,7 @@ def _write(obj, nl, out):
         _list(obj, nl, out)
     elif isinstance(obj, dict):
         _dict(obj, nl, out)
-    elif type(obj) is _PairList:
-        obj.table._write(obj.index, nl, out)
-    elif type(obj) is Table:
+    elif type(obj) in _SECTIONS:
         obj._write(nl, out)
     else:
         out.append(_scalar(obj))

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from circjoin.cli import (
     main,
     parse_join_document,
 )
-from circjoin import JoinSpec, ParseError, PreconditionError, join
+from circjoin import JoinSpec, ParseError, PreconditionError, full_spectrum, join
 from circjoin import remove_cycle_from_complete, ring_graph
 
 
@@ -124,6 +125,41 @@ def test_csv_output_builds_no_eigenvectors(tmp_path, capsys, monkeypatch):
     assert run(argv + ["--eigenvectors", "--verify"], capsys) == run(
         argv + ["--verify"], capsys
     )
+
+
+def test_eigenvector_section_keeps_no_dense_vectors():
+    # the section of a 2 x 512 join stands for 1022 vectors of 1024
+    # pairs; it holds their runs, a few kilobytes
+    rng = np.random.default_rng(512)
+    spec = JoinSpec([rng.uniform(-1.0, 1.0, 512) for _ in range(2)],
+                    rng.uniform(-1.0, 1.0, (2, 2)))
+    decomposition = full_spectrum(spec)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        section = cli._eigenvectors(decomposition)  # held while measured
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20, kept
+
+
+@pytest.mark.parametrize("where", ["build", "write"])
+def test_a_report_that_cannot_be_allocated_exits_3(where, tmp_path, capsys, monkeypatch):
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 298. GiB")
+
+    if where == "build":
+        monkeypatch.setattr(cli, "_eigenvectors", no_memory)
+    else:
+        monkeypatch.setattr(cli.jsontext.FourierModes, "_write", no_memory)
+    path = write(tmp_path, "k8.json", K8_DOC)
+    code, out, err = run(["spectrum", path, "--eigenvectors"], capsys)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == [
+        "circjoin: precondition error: the report of a join of size 8 does not fit"
+        " in memory: Unable to allocate 298. GiB"
+    ]
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):

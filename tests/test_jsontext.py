@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 from circjoin import JoinSpec, NumericalError, cli, full_spectrum
 from circjoin.cli import decomposition_residual, emit_join_document, main
-from circjoin.jsontext import PairTable, Table, dumps
+from circjoin.jsontext import FourierModes, LiftedChains, Table, dumps
 
 from corpus import (
     defective_joins,
@@ -110,36 +110,135 @@ def test_non_finite_float_raises_instead_of_printing(obj):
         dumps(obj)
 
 
-def test_pair_table_lists_match_nested_lists():
-    values = [1 + 2j, -0.0 + 5e-324j, complex(1e308, -1e-300), 0j]
-    table = PairTable(values)
-    for index in ([], [3], [0, 3, 3, 1, 2, 0]):
-        nested = [[values[i].real, values[i].imag] for i in index]
-        for wrap in (lambda v: v, lambda v: [v, {"vector": v}]):
-            assert dumps(wrap(table.list(index))) == oracle(wrap(nested))
+EDGE_VALUES = [1 + 2j, -0.0 + 5e-324j, complex(1e308, -1e-300), 0j, complex(-0.0, 0.1)]
 
 
-def test_deep_nesting_and_pair_tables_at_three_indents():
-    values = [1 + 2j, -0.0 + 5e-324j, complex(1e308, -1e-300), 0j]
-    table = PairTable(values)
+def fourier_rows(n, blocks):
+    """The rows FourierModes(n, blocks) stands for, built entry by entry."""
+    rows = []
+    for b, start, eigenvalues, roots in blocks:
+        k = len(roots)
+        for j, z in enumerate(eigenvalues.tolist(), 1):
+            vector = [[0.0, 0.0] for _ in range(n)]
+            for m in range(k):
+                root = complex(roots[(m * j) % k])
+                vector[start + m] = [root.real, root.imag]
+            rows.append(
+                {"block": b, "fourier_index": j, "eigenvalue": [z.real, z.imag],
+                 "vector": vector}
+            )
+    return rows
 
-    def report(vector):
-        # pair lists at nesting depths 1, 5 and 10, one table for all
+
+def lifted_rows(sizes, eigenvalues, chains):
+    """The rows LiftedChains(sizes, eigenvalues, chains) stands for."""
+    return [
+        {
+            "eigenvalue": [z.real, z.imag],
+            "chain": [
+                [[x.real, x.imag] for x, k in zip(link.tolist(), sizes) for _ in range(k)]
+                for link in links
+            ],
+        }
+        for z, links in zip(eigenvalues.tolist(), chains)
+    ]
+
+
+def edge_blocks(layout, rng):
+    """FourierModes blocks at the given (number, start, size), roots and
+    eigenvalues drawn from EDGE_VALUES."""
+    return [
+        (b, start, rng.choice(EDGE_VALUES, k - 1), rng.choice(EDGE_VALUES, k))
+        for b, start, k in layout
+    ]
+
+
+# block layouts (number, first row, size) of an n-vector: a size-1 block
+# between larger ones, blocks that start and end the vector (zero runs
+# of length 0), one block filling it, and size-1 blocks only (no rows)
+FOURIER_LAYOUTS = [
+    (9, [(1, 0, 4), (2, 4, 1), (3, 5, 4)]),
+    (5, [(1, 0, 5)]),
+    (7, [(1, 0, 1), (2, 1, 3), (3, 4, 2), (4, 6, 1)]),
+    (2, [(1, 0, 1), (2, 1, 1)]),
+    (0, []),
+]
+
+
+@pytest.mark.parametrize(
+    "n, layout", FOURIER_LAYOUTS, ids=["edges", "one-block", "size-1-ends", "size-1", "none"]
+)
+def test_fourier_modes_match_nested_lists(n, layout):
+    blocks = edge_blocks(layout, np.random.default_rng(n))
+    nested = fourier_rows(n, blocks)
+    for wrap in (lambda v: v, lambda v: [v, {"vector": v}]):
+        assert dumps(wrap(FourierModes(n, blocks))) == oracle(wrap(nested))
+
+
+@pytest.mark.parametrize(
+    "sizes, lengths", [([2, 1, 3], [1, 2, 3]), ([4], [1, 2]), ([1, 1], [2]), ([3], [])]
+)
+def test_lifted_chains_match_nested_lists(sizes, lengths):
+    rng = np.random.default_rng(len(sizes))
+    eigenvalues = rng.choice(EDGE_VALUES, len(lengths))
+    chains = [rng.choice(EDGE_VALUES, (length, len(sizes))) for length in lengths]
+    nested = lifted_rows(sizes, eigenvalues, chains)
+    section = LiftedChains(sizes, eigenvalues, chains)
+    for wrap in (lambda v: v, lambda v: [v, {"chain": v}]):
+        assert dumps(wrap(section)) == oracle(wrap(nested))
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=5),
+    st.lists(st.integers(min_value=1, max_value=3), max_size=3),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_eigenvector_sections_match_nested_lists_on_generated_joins(sizes, lengths, seed):
+    rng = np.random.default_rng(seed)
+    starts = np.cumsum([0, *sizes]).tolist()
+    n = starts[-1]
+    blocks = edge_blocks([(b, starts[b - 1], k) for b, k in enumerate(sizes, 1)], rng)
+    eigenvalues = rng.choice(EDGE_VALUES, len(lengths))
+    chains = [rng.choice(EDGE_VALUES, (length, len(sizes))) for length in lengths]
+    section = {
+        "circulant": FourierModes(n, blocks),
+        "condensed": LiftedChains(sizes, eigenvalues, chains),
+    }
+    nested = {
+        "circulant": fourier_rows(n, blocks),
+        "condensed": lifted_rows(sizes, eigenvalues, chains),
+    }
+    assert dumps({"eigenvectors": section}) == oracle({"eigenvectors": nested})
+
+
+def test_deep_nesting_and_sections_at_three_indents():
+    n, layout = FOURIER_LAYOUTS[0]
+    blocks = edge_blocks(layout, np.random.default_rng(3))
+    sizes, eigenvalues = [2, 1, 3], np.array(EDGE_VALUES[:2])
+    chains = [np.array([EDGE_VALUES[1:4]]), np.array([EDGE_VALUES[2:5], EDGE_VALUES[:3]])]
+
+    def report(modes, lifted):
+        # sections at nesting depths 1, 5 and 10
         return {
-            "top": vector([0, 1]),
-            "a": [{"b": {"c": [vector([2, 2, 3]), {"d": [[{"e": {"f": vector([3, 0])}}]]}]}}],
+            "top": modes(n, blocks),
+            "a": [{"b": {"c": [lifted(sizes, eigenvalues, chains),
+                               {"d": [[{"e": {"f": modes(n, blocks[2:])}}]]}]}}],
             "n": 7,
         }
 
-    nested = report(lambda index: [[values[i].real, values[i].imag] for i in index])
-    assert dumps(report(table.list)) == oracle(nested)
+    nested = report(fourier_rows, lifted_rows)
+    assert dumps(report(FourierModes, LiftedChains)) == oracle(nested)
 
 
-def test_pair_table_rejects_non_finite_entries():
-    # the table is formatted, and checked, as a whole on first write
+def test_eigenvector_sections_reject_non_finite_entries():
+    ok = np.array([1.0, 1j, -1.0])
     for bad in (complex(0.0, math.nan), complex(math.inf, 0.0)):
-        with pytest.raises(NumericalError):
-            dumps(PairTable([1.0, bad]).list([0]))
+        for roots, values in ((np.array([1.0, bad, -1.0]), ok[:2]), (ok, np.array([bad, 1.0]))):
+            with pytest.raises(NumericalError):
+                dumps(FourierModes(4, [(1, 1, values, roots)]))
+        for values, link in ((np.array([bad]), ok), (np.array([1.0]), np.array([1.0, 2.0, bad]))):
+            with pytest.raises(NumericalError):
+                dumps(LiftedChains([1, 2, 1], values, [np.array([ok, link])]))
 
 
 def test_unsupported_values_raise_type_error():
@@ -236,6 +335,22 @@ NEGATIVE_ZERO_DOC = json.dumps(
 SHARED_EIGENVALUE_DOC = json.dumps(
     {"blocks": [[0.0, 1.0], [-1.0]], "couplings": [[0.0, 0.0], [0.0, 0.0]]}
 )
+# edge cases of the eigenvector section, beside those of the corpus: a
+# chain of length 3 lifted through blocks of sizes 2, 1 and 3, so a
+# size-1 block sits between larger ones and the Fourier modes of the
+# first and last blocks have a zero run of length 0 on one side; a
+# one-block join, whose modes have no zero padding; and a join of
+# size-1 blocks only, whose "circulant" list is empty
+LIFTED_CHAIN_DOC = json.dumps(
+    {
+        "blocks": [[1.0, -1.0], [0.0], [0.5, -0.25, -0.25]],
+        "couplings": [[0.0, 1.0, 0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]],
+    }
+)
+ONE_BLOCK_DOC = json.dumps({"blocks": [[0.0, 1.0, -2.5, 0.0, 1.0]]})
+SIZE_ONE_DOC = json.dumps(
+    {"blocks": [[1.0], [-0.0], [2.5]], "couplings": [[0, 1, 0], [0.5, 0, -1], [0, 1, 0]]}
+)
 REPORT_DOCS = [
     *(
         emit_join_document(spec)
@@ -245,6 +360,9 @@ REPORT_DOCS = [
     ),
     NEGATIVE_ZERO_DOC,
     SHARED_EIGENVALUE_DOC,
+    LIFTED_CHAIN_DOC,
+    ONE_BLOCK_DOC,
+    SIZE_ONE_DOC,
 ]
 
 
@@ -320,6 +438,27 @@ def test_spectrum_stdout_is_json_dumps_of_spectrum_report(index, monkeypatch, ca
             ]
 
 
+def test_report_docs_cover_the_eigenvector_edge_cases():
+    # the shapes the runs of an eigenvector have at their edges, each
+    # present in REPORT_DOCS, so the byte-identity test above sees them
+    specs = [cli.parse_join_document(doc)[0] for doc in REPORT_DOCS]
+    sizes = [spec.block_sizes for spec in specs]
+    assert any(len(s) == 1 and s[0] > 1 for s in sizes)  # no zero padding
+    assert any(len(s) > 1 and max(s) == 1 for s in sizes)  # "circulant": []
+    assert any(  # a size-1 block between larger ones
+        any(s[i] == 1 and s[i - 1] > 1 and s[i + 1] > 1 for i in range(1, len(s) - 1))
+        for s in sizes
+    )
+    assert any(s[0] > 1 and s[-1] > 1 and len(s) > 1 for s in sizes)  # edge blocks
+    lifted = {  # lengths of chains lifted through a block of size > 1
+        len(ch)
+        for spec in specs
+        if max(spec.block_sizes) > 1
+        for ch in full_spectrum(spec).condensed_chains
+    }
+    assert {2, 3} <= lifted
+
+
 # a CSV eigenvalue field, "<re><im>i" with the sign of im always written
 CSV_COMPLEX = re.compile(r"(-?[0-9.]+(?:e[+-][0-9]+)?)([+-][0-9.]+(?:e[+-][0-9]+)?)i")
 
@@ -381,7 +520,9 @@ def test_a_non_finite_last_vector_prints_no_partial_report(monkeypatch, capsys):
 
     def last_vector_nan(decomposition):
         section = eigenvectors(decomposition)
-        section["condensed"][-1]["chain"][-1] = PairTable([complex(math.nan, 0.0)]).list([0])
+        chains = section["condensed"].chains
+        chains[-1] = chains[-1].copy()
+        chains[-1][-1, -1] = complex(math.nan, 0.0)
         return section
 
     monkeypatch.setattr(cli, "_eigenvectors", last_vector_nan)
@@ -500,6 +641,9 @@ PINNED = [
     # a 5 x 5 complex condensed solve, the shape of a small-jobs spectrum job
     (["spectrum", "-", "--verify"], complex_join_doc(5),
      "88dbcdf895e10551eeb3156986a6fa74f0a29d67f7219b00a4c522cdb0a9a1ab"),
+    # a chain of length 3 lifted through blocks of sizes 2, 1 and 3
+    (["spectrum", "-", "--eigenvectors", "--verify"], LIFTED_CHAIN_DOC,
+     "37029d6342aeb933ab9759a1b62166f28d62d777d4b1834ad6d3e6bd2290a202"),
 ]
 
 
@@ -519,6 +663,7 @@ PINNED = [
         "join-twins",
         "complex-d128",
         "complex-d5",
+        "lifted-chain-3",
     ],
 )
 def test_stdout_matches_pinned_digest(argv, stdin, digest, tmp_path, monkeypatch, capsys):
