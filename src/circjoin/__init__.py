@@ -26,7 +26,6 @@ from .join import (
     block_eigenpairs,
     full_spectrum,
     reduced_char_poly,
-    tensor_expand,
 )
 from .graphs import (
     CirculantGraph,
@@ -49,7 +48,7 @@ from .kuramoto import (
 )
 from . import smalleig
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "root_of_unity_powers",
@@ -57,7 +56,6 @@ __all__ = [
     "JordanChain",
     "SpectralDecomposition",
     "block_eigenpairs",
-    "tensor_expand",
     "full_spectrum",
     "reduced_char_poly",
     "CirculantGraph",

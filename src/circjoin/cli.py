@@ -201,10 +201,8 @@ def report_rows(decomposition):
     provenance order, the condensed matrix first, one stable sort orders
     them by (Re, Im), -0.0 equal to 0.0, and then by provenance.
     """
-    chains = decomposition.condensed_chains
-    condensed = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
-    groups = [condensed, *decomposition.block_eigenvalues]  # in provenance order
-    values = np.concatenate(groups)
+    values = decomposition.eigenvalues()  # in provenance order
+    groups = [values[: decomposition.d], *decomposition.block_eigenvalues]
     t = max(_scale_exponent(float(np.abs(values.view(np.float64)).max())), 0)
     scale = math.ldexp(1.0, -t)
     biggest = float(np.hypot(values.real * scale, values.imag * scale).max())
@@ -264,7 +262,7 @@ def decomposition_residual(join, decomposition):
     chains = decomposition.condensed_chains
     if chains:
         x = np.concatenate([ch.vectors for ch in chains])
-        lam = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
+        lam = decomposition.eigenvalues()[: decomposition.d]
         starts = np.cumsum([0] + [len(ch) for ch in chains[:-1]])
         prev = np.zeros_like(x)
         prev[1:] = x[:-1]
@@ -347,6 +345,11 @@ def _spectrum(join, args):
         ],
     }
     if args.eigenvectors and args.output == "json":
+        # the section's text holds n^2 [re, im] pairs, each four indented
+        # lines of at least 48 bytes; one untouched allocation of that
+        # size refuses, at once, a report that could only fail after
+        # most of its text is written
+        np.empty(min(48 * join.n**2, sys.maxsize), np.uint8)
         report["eigenvectors"] = _eigenvectors(decomposition)
     if args.verify:
         report["max_residual"] = residual

@@ -237,7 +237,7 @@ class SpectralDecomposition:
     is the Fourier mode v_{k,j} zero-padded to the block's rows, so it
     is never stored.  `condensed_chains` are the Jordan chains of the
     condensed matrix, with vectors in C^d.  The join's chains are their
-    tensor expansions, `tensor_expand(chain.vectors, block_sizes)`,
+    tensor expansions, `np.repeat(chain.vectors, block_sizes, axis=1)`,
     built by whoever needs them.  `char_poly` holds the coefficients of
     the condensed matrix's characteristic polynomial and
     `char_poly_bound` a certified bound on the error of each, both from
@@ -260,20 +260,13 @@ class SpectralDecomposition:
         return len(self.block_sizes)
 
     def eigenvalues(self):
-        """All n eigenvalues as (value, provenance) pairs sorted by
-        (Re, Im); provenance is a 1-based block index or 'condensed'."""
-        out = [
-            (v, b)
-            for b, lam in enumerate(self.block_eigenvalues, 1)
-            for v in lam.tolist()
-        ]
-        for chain in self.condensed_chains:
-            out.extend([(chain.eigenvalue, "condensed")] * len(chain))
-        out.sort(key=lambda t: (t[0].real, t[0].imag))
-        return out
-
-    def eigenvalue_multiset(self):
-        return [v for v, _ in self.eigenvalues()]
+        """All n eigenvalues as one (n,) complex array, in the report's
+        provenance order: each condensed chain's eigenvalue once per
+        link, chain by chain, then block b = 1..d at Fourier index
+        j = 1..k_b-1.  The first d entries are the condensed ones."""
+        chains = self.condensed_chains
+        condensed = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
+        return np.concatenate([condensed, *self.block_eigenvalues])
 
     def reduced_char_poly(self):
         """`char_poly`; raises NumericalError when a coefficient
@@ -305,19 +298,6 @@ def block_eigenpairs(join):
         for i, row in zip(group.ids.tolist(), lam):
             out[i] = row
     return tuple(out)
-
-
-def tensor_expand(v, sizes):
-    """Repeat coordinate i of v sizes[i] times, in block order.
-
-    `v` is one vector in C^d or a stack of them along the last axis, such
-    as a JordanChain's `vectors`; the stack is lifted by one np.repeat.
-    """
-    v = np.asarray(v)
-    sizes = tuple(int(s) for s in sizes)
-    if v.ndim < 1 or v.shape[-1] != len(sizes):
-        raise PreconditionError("vector length must match the number of blocks")
-    return np.repeat(v, sizes, axis=-1)
 
 
 def full_spectrum(join, *, cluster_delta=None, sigma_tol=None):

@@ -246,10 +246,6 @@ class Trajectory:
     def reduced(self):
         return reduce_phases(self.thetas)
 
-    @property
-    def steps(self):
-        return self.thetas.shape[0] - 1
-
 
 def integrate(system, theta0, dt, steps):
     """Fixed-step classical RK4 from theta0; samples every step.

@@ -16,7 +16,7 @@ into clusters with summed multiplicity, and a simple eigenvalue keeps
 LAPACK's eigenvector when a residual and separation certificate proves
 that the SVD rank test would find one chain of length 1.  Repeated or
 uncertified eigenvalues get their Jordan chains from SVD null spaces of
-powers of (M - lambda*I) (`jordan_chains`).  The same eig gives the
+powers of (M - lambda*I) (`_jordan_chains`).  The same eig gives the
 characteristic polynomial with a certified error bound per coefficient
 (`char_poly`), one Vieta recurrence for both, in O(d^2) after the
 solve.  Default tolerances are relative to the matrix's inf-norm, and
@@ -32,9 +32,7 @@ cluster of their own, and emits them directly, a run's mean with the
 bits of the loop's; only the others go through the greedy merge loop.
 """
 
-import cmath
 import math
-import numbers
 from functools import cache
 from typing import NamedTuple
 
@@ -330,10 +328,10 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
 
     Returns an `Eigensystem`.  Its clusters are (eigenvalue,
     multiplicity, chains) triples sorted by (Re, Im), multiplicities
-    summing to the matrix size; `chains` is what `jordan_chains` returns
-    for that cluster.  Eigenvalues within cluster_delta (default
-    1e-7 * inf-norm) are merged to their mean, and sigma_tol defaults to
-    1e-8 * inf-norm as in `jordan_chains`.
+    summing to the matrix size; `chains` are the cluster's Jordan chains
+    (see `_jordan_chains`).  Eigenvalues within cluster_delta (default
+    1e-7 * inf-norm) are merged to their mean, and sigma_tol, the
+    threshold of the chains' nullity test, defaults to 1e-8 * inf-norm.
 
     The matrix is first split into its twin eigenvalues and its q x q
     quotient (see the module docstring); without twins the quotient is
@@ -347,19 +345,19 @@ def eigensystem(matrix, *, cluster_delta=None, sigma_tol=None):
       sqrt(r (r + 1)), r = 1..m - 1, class by class in increasing
       order of members;
     * quotient values only: a simple eigenvalue whose eigenpair is
-      certified (see `_certified`) to pass jordan_chains' nullity test
+      certified (see `_certified`) to pass the chains' nullity test
       keeps its LAPACK eigenvector (unit norm, largest component real)
-      as its one chain; any other goes to `jordan_chains` of the
+      as its one chain; any other goes to `_jordan_chains` of the
       quotient.  Either is lifted to C^d through the normalized class
       indicators, which keeps norms and chain links;
-    * both: `jordan_chains` of the whole matrix, as without twins.
+    * both: `_jordan_chains` of the whole matrix, as without twins.
 
     The characteristic polynomial comes from the same eigenpairs, as in
     `char_poly`.  The cost is O(d^2) for the twin search (O(d) when the
     diagonal entries are distinct, O(d^3) at worst, see `_twin_classes`)
     and O(q^3) for the eig, plus O(q^3) or more per cluster that falls
     back.  Raises ConvergenceError when LAPACK does not converge,
-    NumericalError when an eigenvalue overflows, and as `jordan_chains`
+    NumericalError when an eigenvalue overflows, and as `_jordan_chains`
     does.
     """
     a, norm = _checked(matrix)
@@ -679,7 +677,7 @@ def _certified(ws, fit, tol):
     from ws = w / 2^t, their `_fit` and tol = sigma_tol / 2^t: True
     where
     sigma_d(M - w_i I) <= sigma_tol < sigma_(d-1)(M - w_i I)
-    is proven with a factor-2 margin on each side, so that jordan_chains
+    is proven with a factor-2 margin on each side, so that _jordan_chains
     at w_i would find nullity 1, that is, one chain of length 1.
 
     With R = M X - X W (W = diag(w)), M - w_i I = X (W - w_i I) X^-1 +
@@ -691,7 +689,7 @@ def _certified(ws, fit, tol):
     sigma_k(D) / kappa(X), and Weyl's inequality for R X^-1; the
     Frobenius norm bounds ||R||_2).  (b) is tested multiplied through
     by sigma_min(X), so a singular X fails it without a division.  The
-    quantities are those of M / 2^t, as in jordan_chains, so they
+    quantities are those of M / 2^t, as in _jordan_chains, so they
     neither overflow nor underflow with the scale of M.  Nothing is
     certified when X is not finite or its SVD fails.
     """
@@ -776,53 +774,34 @@ def _nullspace(a, tol):
     return vh[rank:].conj().T
 
 
-def jordan_chains(matrix, eigenvalue, multiplicity, *, sigma_tol=None):
-    """Jordan chains of `matrix` at `eigenvalue` with the given algebraic
-    multiplicity.
+def _jordan_chains(a, eigenvalue, multiplicity, sigma_tol, t):
+    """Jordan chains of the checked complex matrix `a` at `eigenvalue`,
+    of the given algebraic multiplicity (an int in [1, d]).
 
     Each chain is an array of shape (length, d) whose rows u_1, ..., u_m
     satisfy (M - lambda*I) u_1 ~ 0 and (M - lambda*I) u_r = u_{r-1}; the
     lengths sum to `multiplicity`, and each chain is scaled so that its
     longest vector has unit norm.  Chain structure is read off the
-    nullities of (M - lambda*I)^p thresholded at sigma_tol (default
-    1e-8 * inf-norm); chain tops are chosen orthogonal to the
-    lower-power null space and to taller chains, so the assembled chain
-    vectors stay well conditioned.
+    nullities of (M - lambda*I)^p thresholded at sigma_tol; chain tops
+    are chosen orthogonal to the lower-power null space and to taller
+    chains, so the assembled chain vectors stay well conditioned.
 
-    The work is done on e = (M - lambda*I) / 2^t with 2^t the power of
-    two just above the inf-norm, so powers of e cannot overflow: the
-    null space of e^p is thresholded at sigma_tol / 2^t, that is,
-    (M - lambda*I)^p at sigma_tol * 2^(t*(p-1)).  Since 2^t scales with
-    M, scaling M by a power of two scales the chains' links and leaves
-    their structure unchanged.
+    The work is done on e = (M - lambda*I) / 2^t, so powers of e cannot
+    overflow: the null space of e^p is thresholded at sigma_tol / 2^t,
+    that is, (M - lambda*I)^p at sigma_tol * 2^(t*(p-1)).  With 2^t the
+    power of two just above the inf-norm, scaling M by a power of two
+    scales the chains' links and leaves their structure unchanged.
+    `eigensystem` passes the t of the whole matrix for a quotient, so
+    that (Q - lambda I)^p is thresholded as (C - lambda I)^p would be:
+    the split is unitary, so the singular values of the latter are those
+    of the former and the |lambda_c - lambda|^p.
 
-    Raises PreconditionError when the multiplicity is not an integer in
-    [1, d] (a bool is none) or the eigenvalue is not finite, and
-    IllConditionedError when the nullity sequence is inconsistent
-    with the requested multiplicity, when the chain vectors fail the
-    independence floor or underflow, or when LAPACK's SVD or QR does not
-    converge; perturbing the input to separate eigenvalue clusters
-    usually resolves this.
+    Raises IllConditionedError when the nullity sequence is inconsistent
+    with the multiplicity, when the chain vectors fail the independence
+    floor or underflow, or when LAPACK's SVD or QR does not converge;
+    perturbing the input to separate eigenvalue clusters usually
+    resolves this.
     """
-    a, norm = _checked(matrix)
-    d = len(a)
-    if isinstance(multiplicity, bool) or not isinstance(multiplicity, numbers.Integral):
-        raise PreconditionError(f"multiplicity must be an integer, got {multiplicity!r}")
-    if not 1 <= multiplicity <= d:
-        raise PreconditionError(f"multiplicity {multiplicity} out of range [1, {d}]")
-    if not cmath.isfinite(eigenvalue := complex(eigenvalue)):
-        raise PreconditionError(f"eigenvalue must be finite, got {eigenvalue!r}")
-    sigma_tol = _tolerance("sigma_tol", sigma_tol, 1e-8 * norm)
-    return _jordan_chains(a, eigenvalue, multiplicity, sigma_tol, _scale_exponent(norm))
-
-
-def _jordan_chains(a, eigenvalue, multiplicity, sigma_tol, t):
-    """`jordan_chains` of the checked complex matrix `a`, on the scale
-    2^t in place of the one of its own inf-norm.  `eigensystem` passes
-    the t of the whole matrix for a quotient, so that (Q - lambda I)^p
-    is thresholded at sigma_tol * 2^(t (p - 1)) as (C - lambda I)^p
-    would be: the split is unitary, so the singular values of the
-    latter are those of the former and the |lambda_c - lambda|^p."""
     d = a.shape[0]
     e = (a - eigenvalue * np.eye(d, dtype=np.complex128)) * math.ldexp(1.0, -t)
     try:

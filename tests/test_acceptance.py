@@ -72,7 +72,7 @@ def test_criterion_1_main_theorem_oracle_suite():
         start = time.perf_counter()
         for spec in specs:
             dec = full_spectrum(spec)
-            assert len(dec.eigenvalue_multiset()) == spec.n
+            assert len(dec.eigenvalues()) == spec.n
             a = dense_join(spec)
             assert _max_residual(a, dec) <= 1e-8 * (1.0 + inf_norm(a))
             m = eigenbasis(dec)
@@ -91,7 +91,7 @@ def test_criterion_2_trace_identities(corpus500):
         for spec, dec in corpus500:
             a = dense_join(spec)
             tol = 1e-8 * (1.0 + inf_norm(a) ** 2)
-            vals = np.array(dec.eigenvalue_multiset())
+            vals = dec.eigenvalues()
             assert abs(vals.sum() - np.trace(a)) <= tol
             assert abs((vals**2).sum() - np.trace(a @ a)) <= tol
         ok = True
@@ -117,7 +117,7 @@ def test_criterion_3_two_block_closed_form():
             assert dec.diagonalizable
             cs, ds = (np.fft.fft(b)[0].real for b in spec.blocks)
             root = math.sqrt((cs - ds) ** 2 + 4.0 * k1 * k2)
-            condensed = [v for v, p in dec.eigenvalues() if p == "condensed"]
+            condensed = dec.eigenvalues()[: dec.d]
             multiset_match(
                 condensed, [(cs + ds + root) / 2.0, (cs + ds - root) / 2.0], 1e-10
             )
@@ -134,7 +134,7 @@ def test_criterion_4_worked_example_k8_minus_directed_triangle():
         lo = (5.0 - math.sqrt(69.0)) / 2.0
         w = np.exp(2j * np.pi / 3.0)
         expected = [hi, lo, w, w.conjugate(), -1.0, -1.0, -1.0, -1.0]
-        multiset_match(dec.eigenvalue_multiset(), expected, 1e-9)
+        multiset_match(dec.eigenvalues(), expected, 1e-9)
         ok = True
     finally:
         _report(4, "K8 minus directed 3-cycle spectrum", ok)
@@ -151,7 +151,7 @@ def test_criterion_5_ring_join_formula():
             k1 = int(rng.integers(2 * m1 + 2, 2 * m1 + 12))
             k2 = int(rng.integers(2 * m2 + 2, 2 * m2 + 12))
             dec = full_spectrum(join(ring_graph(k1, m1), ring_graph(k2, m2)))
-            condensed = [v for v, p in dec.eigenvalues() if p == "condensed"]
+            condensed = dec.eigenvalues()[: dec.d]
             root = math.sqrt((m1 - m2) ** 2 + k1 * k2)
             multiset_match(condensed, [m1 + m2 + root, m1 + m2 - root], 1e-9)
             done += 1

@@ -3,8 +3,10 @@
 Each workload of `circbench/workloads.py` is built at seed 0, every job
 runs through `cli.main` with its document on stdin, and
 `circbench/oracle.py` checks its exit code and stdout, so a wrong output
-fails here, before a benchmark run.  Both modules are loaded from their
-files and only read.
+fails here, before a benchmark run.  `circbench/tracer.py` is installed
+around one job, so a change to the modules it wraps that breaks the
+per-layer run fails here too.  The modules are loaded from their files
+and only read.
 """
 
 import contextlib
@@ -34,7 +36,7 @@ def load(name):
     return module
 
 
-workloads, oracle = load("workloads"), load("oracle")
+workloads, oracle, tracer = load("workloads"), load("oracle"), load("tracer")
 
 
 def run(job):
@@ -59,3 +61,18 @@ def test_seed_0_jobs_pass_the_benchmark_oracle(name):
         code, out = run(job)
         problems += [f"job {i} {job.argv}: {p}" for p in oracle.check(job, code, out)]
     assert not problems, problems[:5]
+
+
+def test_tracer_records_the_spans_of_a_spectrum_job():
+    job = next(j for j in workloads.build("small-jobs", 0) if j.argv[0] == "spectrum")
+    main = cli.main
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        code, out = run(job)
+    finally:
+        trace.remove()
+    assert cli.main is main
+    assert (code, oracle.check(job, code, out)) == (0, [])
+    names = {span[2] for span in trace.spans}
+    assert {"cli.main", "join.full_spectrum", "cli.report_rows"} <= names

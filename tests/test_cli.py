@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -160,6 +161,34 @@ def test_a_report_that_cannot_be_allocated_exits_3(where, tmp_path, capsys, monk
         "circjoin: precondition error: the report of a join of size 8 does not fit"
         " in memory: Unable to allocate 298. GiB"
     ]
+
+
+def test_an_oversized_eigenvector_report_exits_3_at_once():
+    # the text of n = 20000 holds n^2 pairs of at least 48 bytes, 19 GB;
+    # with 1 GB of address space the job must refuse it before writing
+    # rows, which would take several CPU seconds before failing; one BLAS
+    # thread keeps numpy's own address space well inside the limit
+    def limits():
+        resource.setrlimit(resource.RLIMIT_AS, (10**9, 10**9))
+        resource.setrlimit(resource.RLIMIT_CPU, (3, 3))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    argv = ["graph", "ring", "--k", "20000", "--m", "1", "--emit", "spectrum",
+            "--eigenvectors"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "from circjoin.cli import main_entry; main_entry()", *argv],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1"),
+        preexec_fn=limits,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr.startswith(
+        "circjoin: precondition error: the report of a join of size 20000 does not fit"
+        " in memory"
+    )
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_parse_errors_exit_2(tmp_path, capsys):

@@ -21,7 +21,6 @@ from circjoin import (
     integrate,
     reduced_char_poly,
     smalleig,
-    tensor_expand,
 )
 from circjoin.errors import PreconditionError
 from circjoin.join import BlockGroup
@@ -238,7 +237,7 @@ def test_every_exported_name_resolves():
         assert hasattr(circjoin, name), name
         assert namespace[name] is getattr(circjoin, name), name
     for name in ("DENSE_CAP", "SizeCapError", "dft_matrix", "fourier_modes",
-                 "fourier_vector", "eigenbasis_matrix"):
+                 "fourier_vector", "eigenbasis_matrix", "tensor_expand"):
         assert not hasattr(circjoin, name), name
     for owner, name in ((circjoin.JoinSpec, "dense"), (circjoin.JoinSpec, "offsets"),
                         (circjoin, "CirculantMatrix"), (circjoin.circulant, "CirculantMatrix"),
@@ -247,6 +246,9 @@ def test_every_exported_name_resolves():
                         (circjoin.CirculantGraph, "adjacency"),
                         (BlockGroup, "vectors"),
                         (circjoin.SpectralDecomposition, "condensed_vector_matrix"),
+                        (circjoin.SpectralDecomposition, "eigenvalue_multiset"),
+                        (circjoin.join, "tensor_expand"), (smalleig, "jordan_chains"),
+                        (circjoin.Trajectory, "steps"),
                         (cli, "spectrum_report"), (cli, "_pair_lists")):
         assert not hasattr(owner, name), (owner, name)
 
@@ -277,33 +279,13 @@ def test_version_matches_pyproject():
 # tensor expansion
 # ---------------------------------------------------------------------------
 
-def test_tensor_expand_examples():
-    assert np.array_equal(
-        tensor_expand(np.array([1.0, 2.0]), (2, 3)),
-        np.array([1.0, 1.0, 2.0, 2.0, 2.0]),
-    )
-    assert np.array_equal(tensor_expand(np.array([3.5]), (4,)), np.full(4, 3.5))
-    # a stack of vectors lifts row by row
-    stack = np.array([[1.0, 2.0], [3.0, 4.0j]])
-    assert np.array_equal(
-        tensor_expand(stack, (1, 2)),
-        np.array([tensor_expand(row, (1, 2)) for row in stack]),
-    )
-    with pytest.raises(PreconditionError):
-        tensor_expand(np.array([1.0, 2.0]), (2,))
-    with pytest.raises(PreconditionError):
-        tensor_expand(stack, (1, 2, 3))
-    with pytest.raises(PreconditionError):
-        tensor_expand(np.float64(1.0), (1,))
-
-
 def test_tensor_expand_lifts_condensed_eigenvectors():
     spec = k8_minus_directed_triangle()
     abar = spec.condensed()
     a = dense_join(spec)
     vals, vecs = np.linalg.eig(abar)
     for idx in range(2):
-        lifted = tensor_expand(vecs[:, idx], spec.block_sizes)
+        lifted = np.repeat(vecs[:, idx], spec.block_sizes)
         assert np.abs(a @ lifted - vals[idx] * lifted).max() <= 1e-9 * (
             1.0 + inf_norm(a)
         )
@@ -319,7 +301,7 @@ def test_full_spectrum_join_of_complete_graphs_is_complete():
         np.ones((2, 2)),
     )
     dec = full_spectrum(spec)
-    multiset_match(dec.eigenvalue_multiset(), [7.0] + [-1.0] * 7, 1e-10)
+    multiset_match(dec.eigenvalues(), [7.0] + [-1.0] * 7, 1e-10)
     assert dec.diagonalizable
 
 
@@ -329,9 +311,9 @@ def test_full_spectrum_k8_example():
     lo = (5.0 - math.sqrt(69.0)) / 2.0
     w = np.exp(2j * np.pi / 3)
     expected = [hi, lo, w, w.conjugate()] + [-1.0] * 4
-    multiset_match(dec.eigenvalue_multiset(), expected, 1e-9)
+    multiset_match(dec.eigenvalues(), expected, 1e-9)
     # provenance of the two condensed eigenvalues
-    condensed = [v for v, p in dec.eigenvalues() if p == "condensed"]
+    condensed = dec.eigenvalues()[: dec.d]
     multiset_match(condensed, [hi, lo], 1e-9)
 
 
@@ -340,14 +322,14 @@ def test_full_spectrum_defective_two_by_two():
         [[0.0], [0.0]], [[0.0, 1.0], [0.0, 0.0]]
     )
     dec = full_spectrum(spec)
-    assert dec.eigenvalue_multiset() == [0.0 + 0.0j, 0.0 + 0.0j]
+    assert dec.eigenvalues().tolist() == [0.0 + 0.0j, 0.0 + 0.0j]
     assert not dec.diagonalizable
     assert [len(ch) for ch in dec.condensed_chains] == [2]
 
 
 def count_jordan_chains(monkeypatch):
-    """Record the multiplicity of every Jordan chain computation, the
-    public smalleig.jordan_chains and the solve's own calls alike."""
+    """Record the multiplicity of every Jordan chain computation of the
+    condensed solve."""
     calls = []
     jordan_chains = smalleig._jordan_chains
 
@@ -430,7 +412,7 @@ def test_condensed_solve_mixing_defective_and_simple_is_warning_free(monkeypatch
 def test_full_spectrum_single_block_matches_fourier_decomposition():
     c = [0.5, 1.0, -0.25, 2.0]
     dec = full_spectrum(JoinSpec([c]))
-    multiset_match(dec.eigenvalue_multiset(), np.fft.fft(c), 1e-10)
+    multiset_match(dec.eigenvalues(), np.fft.fft(c), 1e-10)
     # row-sum mode arrives via the condensed path with a constant vector
     assert len(dec.condensed_chains) == 1
     lifted = lifted_chains(dec)[0].vectors[0]
@@ -562,7 +544,7 @@ def test_reduced_char_poly_of_the_64_ring_join():
 
 def test_reduced_char_poly_runs_one_eig_and_no_jordan_chains(monkeypatch):
     # the -1 of a complete join is repeated, so full_spectrum takes its
-    # chains from jordan_chains; the char poly needs none
+    # chains from _jordan_chains; the char poly needs none
     spec = join_graphs(*[complete_graph(k) for k in (3, 5, 4, 2)])
     eig_calls = []
     lapack_eig = np.linalg.eig
@@ -733,14 +715,14 @@ def test_residuals_and_counts_random(seed):
     spec = random_join(rng)
     dec = full_spectrum(spec)
     n = spec.n
-    assert len(dec.eigenvalue_multiset()) == n
+    assert len(dec.eigenvalues()) == n
     assert sum(len(lam) for lam in dec.block_eigenvalues) == n - spec.d
     assert sum(len(ch) for ch in dec.condensed_chains) == spec.d
     a = dense_join(spec)
     tau = 1e-8 * (1.0 + inf_norm(a))
     assert dense_decomposition_residual(a, dec) <= tau
     tol2 = 1e-8 * (1.0 + inf_norm(a) ** 2)
-    vals = np.array(dec.eigenvalue_multiset())
+    vals = dec.eigenvalues()
     assert abs(vals.sum() - np.trace(a)) <= tol2
     assert abs((vals**2).sum() - np.trace(a @ a)) <= tol2
 
@@ -760,7 +742,7 @@ def test_two_block_closed_form(seed):
     cs, ds = (np.fft.fft(b)[0].real for b in spec.blocks)
     disc = math.sqrt((cs - ds) ** 2 + 4.0 * k1 * k2)
     dec = full_spectrum(spec)
-    condensed = [v for v, p in dec.eigenvalues() if p == "condensed"]
+    condensed = dec.eigenvalues()[: dec.d]
     multiset_match(condensed, [(cs + ds + disc) / 2.0, (cs + ds - disc) / 2.0], 1e-10)
     assert dec.diagonalizable
 
@@ -807,9 +789,17 @@ def test_joinspec_accepts_raw_vectors():
     assert spec == k8_minus_directed_triangle()
 
 
-def test_eigenvalue_ordering_is_sorted():
+def test_eigenvalues_are_in_provenance_order():
+    # each condensed chain's eigenvalue once per link, chain by chain,
+    # then block 1..d at Fourier index 1..k-1, bit for bit
     rng = np.random.default_rng(77)
-    dec = full_spectrum(random_join(rng))
-    vals = dec.eigenvalues()
-    keys = [(v.real, v.imag) for v, _ in vals]
-    assert keys == sorted(keys)
+    corpus = [random_join(rng) for _ in range(6)] + defective_joins()
+    corpus.append(join_graphs(*[ring_graph(6, 1)] * 5))
+    for spec in corpus:
+        dec = full_spectrum(spec)
+        condensed = [ch.eigenvalue for ch in dec.condensed_chains for _ in range(len(ch))]
+        assert len(condensed) == dec.d
+        want = np.array(condensed + [v for lam in dec.block_eigenvalues for v in lam.tolist()])
+        vals = dec.eigenvalues()
+        assert vals.dtype == np.complex128 and vals.shape == (spec.n,)
+        assert vals.tobytes() == want.tobytes()

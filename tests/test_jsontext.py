@@ -411,6 +411,8 @@ def test_spectrum_stdout_is_json_dumps_of_spectrum_report(index, monkeypatch, ca
             assert report["max_residual"] == decomposition_residual(spec, dec)[0]
         if "--eigenvectors" not in flags:
             continue
+        # the lower bound that `cli._spectrum` allocates before the section
+        assert len(out) >= 48 * spec.n**2
         vectors = report["eigenvectors"]
         starts = np.cumsum([0, *spec.block_sizes]).tolist()
         expected = [

@@ -283,8 +283,7 @@ def test_spectrum_work_per_distinct_block_size(
     values, groups = clusterings[0]
     segments = [values[groups == g].tobytes() for g in sorted(set(groups.tolist()))]
     decomposition = full_spectrum(spec)
-    chains = decomposition.condensed_chains
-    condensed = np.repeat([ch.eigenvalue for ch in chains], [len(ch) for ch in chains])
+    condensed = decomposition.eigenvalues()[: decomposition.d]
     spectra = [condensed, *decomposition.block_eigenvalues]
     assert len(segments) == distinct_spectra + 1
     assert sorted(segments) == sorted({vals.tobytes() for vals in spectra})
