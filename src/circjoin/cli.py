@@ -72,36 +72,45 @@ def _entry_to_complex(entry, where):
 
 
 _REAL = frozenset((int, float))  # the JSON number types; bool is its own type
+_ENTRY = _REAL | {list}
 
 
-def _number_array(raw, where):
-    """The entries of one document list (a block or a coupling row) as a
-    complex128 array.  A list of reals is recognized by the set of its
-    entry types, one C-level pass, and converted by one np.array; one
-    with [re, im] pairs is checked entry by entry and converted by one
-    np.fromiter.  A list that fails both checks or the conversion is
-    walked again by `_entry_to_complex`, which raises that entry's
-    error."""
+def _whole_list(entries):
+    """The numbers of `entries`, all the entries of a document's blocks
+    or of its coupling table, as one array when every entry is real
+    (float64) or every entry is real or an [re, im] pair of reals
+    (complex128), and None otherwise.  Sets of types and lengths, a
+    chain of the pairs and one np.array; only a list that mixes reals
+    and pairs runs Python code per entry, to pair each real with 0.0."""
     try:
-        if set(map(type, raw)) <= _REAL:
-            return np.array(raw, dtype=np.float64).astype(np.complex128)
-        if all(
-            type(e) in _REAL
-            or (
-                type(e) is list
-                and len(e) == 2
-                and type(e[0]) in _REAL
-                and type(e[1]) in _REAL
-            )
-            for e in raw
-        ):
-            pairs = chain.from_iterable(e if type(e) is list else (e, 0.0) for e in raw)
-            return np.fromiter(pairs, np.float64, 2 * len(raw)).view(np.complex128)
+        types = set(map(type, entries))
+        if types <= _REAL:
+            return np.array(entries, dtype=np.float64)
+        if types <= _ENTRY:
+            if types != {list}:
+                entries = [e if type(e) is list else (e, 0.0) for e in entries]
+            if set(map(len, entries)) == {2}:
+                parts = list(chain.from_iterable(entries))
+                if set(map(type, parts)) <= _REAL:
+                    return np.array(parts, dtype=np.float64).view(np.complex128)
     except OverflowError:  # an integer literal beyond the float range
         pass
-    return np.array(
-        [_entry_to_complex(e, f"{where}[{i}]") for i, e in enumerate(raw)]
-    )
+    return None
+
+
+def _walk(rows, name, problem):
+    """The entries of the document lists `rows` as one complex128 array,
+    list by list and entry by entry, for what `_whole_list` does not
+    take.  Raises ParseError at the first list that `problem(i, row)`
+    describes or at the first entry that is not a number or pair, in
+    document order."""
+    values = []
+    for i, row in enumerate(rows):
+        message = problem(i, row)
+        if message:
+            raise ParseError(message)
+        values += (_entry_to_complex(e, f"{name}[{i}][{m}]") for m, e in enumerate(row))
+    return np.array(values, dtype=np.complex128)
 
 
 def _complex_to_entry(z):
@@ -129,28 +138,32 @@ def parse_join_document(text):
     raw_blocks = doc["blocks"]
     if not isinstance(raw_blocks, list) or not raw_blocks:
         raise ParseError("'blocks' must be a nonempty list of defining vectors")
-    blocks = []
-    for bi, raw in enumerate(raw_blocks):
-        if not isinstance(raw, list) or not raw:
-            raise ParseError(f"blocks[{bi}] must be a nonempty list")
-        blocks.append(_number_array(raw, f"blocks[{bi}]"))
-    d = len(blocks)
+    vector = None
+    if set(map(type, raw_blocks)) == {list} and all(raw_blocks):
+        vector = _whole_list(list(chain.from_iterable(raw_blocks)))
+    if vector is None:
+        vector = _walk(raw_blocks, "blocks", lambda i, row: (
+            None if isinstance(row, list) and row
+            else f"blocks[{i}] must be a nonempty list"
+        ))
+    d = len(raw_blocks)
     raw_couplings = doc.get("couplings")
+    couplings = None
     if raw_couplings is None:
         if d > 1:
             raise ParseError("document is missing 'couplings'")
-        couplings = np.zeros((1, 1), dtype=np.complex128)
     else:
         if not isinstance(raw_couplings, list) or len(raw_couplings) != d:
             raise ParseError(f"'couplings' must be a {d}x{d} table")
-        couplings = np.zeros((d, d), dtype=np.complex128)
-        for i, row in enumerate(raw_couplings):
-            if not isinstance(row, list) or len(row) != d:
-                raise ParseError(
-                    f"couplings[{i}] has {len(row) if isinstance(row, list) else '?'}"
-                    f" entries, expected {d} (ragged table)"
-                )
-            couplings[i] = _number_array(row, f"couplings[{i}]")
+        if set(map(type, raw_couplings)) == {list} and set(map(len, raw_couplings)) == {d}:
+            couplings = _whole_list(list(chain.from_iterable(raw_couplings)))
+        if couplings is None:
+            couplings = _walk(raw_couplings, "couplings", lambda i, row: (
+                None if isinstance(row, list) and len(row) == d
+                else f"couplings[{i}] has {len(row) if isinstance(row, list) else '?'}"
+                f" entries, expected {d} (ragged table)"
+            ))
+        couplings = couplings.reshape(d, d)
     labels = doc.get("labels")
     if labels is not None:
         if not isinstance(labels, list) or not all(
@@ -158,7 +171,7 @@ def parse_join_document(text):
         ):
             raise ParseError("'labels' must be a list of strings")
     try:
-        spec = JoinSpec(blocks, couplings)
+        spec = JoinSpec.from_vector(vector, map(len, raw_blocks), couplings)
     except PreconditionError as exc:
         raise ParseError(str(exc)) from exc
     return spec, labels
@@ -333,13 +346,15 @@ def _spectrum(join, args):
                 f"residual {residual:.3e} exceeds tolerance {tol:.3e} at {offender}"
             )
     mean, mult, provenance = report_rows(decomposition)
-    table = {
-        "re": mean.real, "im": mean.imag, "multiplicity": mult, "provenance": provenance
-    }
+    re, im = mean.real, mean.imag
+    if not join.is_real():
+        # no conjugate pairs to share texts, and float lists write faster
+        re, im = re.tolist(), im.tolist()
+    table = {"re": re, "im": im, "multiplicity": mult.tolist(), "provenance": provenance.tolist()}
     report = {
         "n": join.n,
         "diagonalizable": decomposition.diagonalizable,
-        "eigenvalues": jsontext.Table({key: c.tolist() for key, c in table.items()}),
+        "eigenvalues": jsontext.Table(table),
         "reduced_char_poly": [
             [float(c.real), float(c.imag)] for c in decomposition.reduced_char_poly()
         ],

@@ -68,6 +68,27 @@ def _defining_vector(values):
     return v
 
 
+def _real_fft(c):
+    """The DFT along the rows of the real (g, k) array `c`, as a (g, k)
+    complex array that keeps the symmetries of a real circulant's
+    spectrum exactly (Van Loan, Computational Frameworks for the FFT,
+    section 4.4).
+
+    Indices j = 0..k//2 are np.fft.rfft, whose j = 0 (and for even k,
+    j = k/2) entries have an imaginary part of exactly +0.0, and every
+    index j > k//2 is the exact conjugate of index k - j.  A row with
+    c_m == c_(k-m) for every m, a symmetric block, has a real spectrum:
+    its imaginary parts are set to +0.0.
+    """
+    half = np.fft.rfft(c, axis=1)
+    k, h = c.shape[1], half.shape[1]
+    lam = np.empty(c.shape, dtype=np.complex128)
+    lam[:, :h] = half
+    np.conjugate(half[:, k - h : 0 : -1], out=lam[:, h:])
+    lam.imag[(c[:, 1:] == c[:, :0:-1]).all(axis=1)] = 0.0
+    return lam
+
+
 class JoinSpec:
     """d circulant blocks, each given by its defining vector (first
     column), plus the d x d table of coupling constants.
@@ -75,7 +96,8 @@ class JoinSpec:
     The defining vectors are stored once, concatenated in the join's row
     order as the read-only (n,) array `vector`; `blocks` holds read-only
     views of it, one per block.  Coupling diagonal entries are unused
-    and stored as zero.
+    and stored as zero.  `JoinSpec.from_vector` builds the same join
+    from the concatenated vector and the block sizes.
     """
 
     __slots__ = ("vector", "blocks", "couplings", "d", "block_sizes", "n", "_layout")
@@ -84,11 +106,28 @@ class JoinSpec:
         parts = [_defining_vector(b) for b in blocks]
         if not parts:
             raise PreconditionError("a join needs at least one block")
-        vector = np.concatenate(parts)
+        self._store(np.concatenate(parts), tuple(v.shape[0] for v in parts), couplings)
+
+    @classmethod
+    def from_vector(cls, vector, sizes, couplings=None):
+        """The join of the blocks that cut a copy of the (n,) numeric
+        array `vector` into consecutive pieces of the given `sizes`, each
+        >= 1 and summing to n."""
+        sizes = tuple(sizes)
+        vector = np.array(vector, dtype=np.complex128)
+        if not sizes or min(sizes) < 1 or vector.shape != (sum(sizes),):
+            raise PreconditionError("block sizes must be >= 1 and cut the vector")
+        spec = cls.__new__(cls)
+        spec._store(vector, sizes, couplings)
+        return spec
+
+    def _store(self, vector, sizes, couplings):
+        """Check and keep the concatenated defining vectors, a fresh
+        complex128 array, and the couplings of blocks of `sizes`."""
         if not np.all(np.isfinite(vector)):
             raise PreconditionError("defining vector must be finite")
         vector.setflags(write=False)
-        d = len(parts)
+        d = len(sizes)
         if couplings is None:
             couplings = np.zeros((d, d))
         a = np.asarray(couplings, dtype=np.complex128)
@@ -101,7 +140,7 @@ class JoinSpec:
         a = a.copy()
         np.fill_diagonal(a, 0.0)
         a.setflags(write=False)
-        self.block_sizes = tuple(v.shape[0] for v in parts)
+        self.block_sizes = sizes
         ends = list(accumulate(self.block_sizes))
         self.vector = vector
         self.blocks = tuple(
@@ -162,9 +201,12 @@ class JoinSpec:
         Each group's eigenvalues are one FFT along the rows of its
         stacked defining vectors, gathered from `vector` as
         `vector[rows]`.  numpy transforms the rows one by one
-        with the plan of a single transform, so each row is bit for bit
-        np.fft.fft of the block's vector alone, and a join of d blocks
-        of s distinct sizes costs s FFT calls, however large d is.
+        with the plan of a single transform, so each row is the
+        transform of the block's vector alone, and a join of d blocks
+        of s distinct sizes costs s FFT calls, however large d is.  The
+        transform of a complex join is bit for bit np.fft.fft; that of
+        a join whose defining vectors are all real is `_real_fft`, which
+        keeps the conjugate symmetry of a real block's spectrum exactly.
         """
         if self._layout is None:
             by_size = {}
@@ -174,10 +216,14 @@ class JoinSpec:
             offsets = sizes.cumsum() - sizes
             sums = np.empty(self.d, dtype=np.complex128)
             groups = []
+            real = not self.vector.imag.any()
             for k in sorted(by_size):
                 ids = np.array(by_size[k])
                 rows = offsets[ids, None] + np.arange(k)
-                lam = np.fft.fft(self.vector[rows], axis=1)
+                if real:
+                    lam = _real_fft(self.vector.real[rows])
+                else:
+                    lam = np.fft.fft(self.vector[rows], axis=1)
                 lam.setflags(write=False)
                 sums[ids] = lam[:, 0]
                 groups.append(BlockGroup(ids, rows, lam, ids[:, None]))
@@ -200,9 +246,7 @@ class JoinSpec:
         return float((sums + np.abs(self.couplings) @ self.block_sizes).max())
 
     def is_real(self):
-        return bool(
-            np.all(self.vector.imag == 0.0) and np.all(self.couplings.imag == 0.0)
-        )
+        return not (self.vector.imag.any() or self.couplings.imag.any())
 
     def __eq__(self, other):
         if not isinstance(other, JoinSpec):

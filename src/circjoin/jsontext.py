@@ -11,7 +11,10 @@ vectors are built from: each row is filled in from one template per
 section, and each vector is written from its runs, a run of equal
 entries as one repeated text and a Fourier mode's nonzero entries as
 one gather of its block's formatted roots.  Floats go through ``%r``,
-which is ``float.__repr__``, json's own float encoder; ints through
+which is ``float.__repr__``, json's own float encoder, and a float64
+array column of a `Table` through ``float.__repr__`` once per run of
+equal magnitudes, a negative value taking "-" before its magnitude's
+text, as ``repr`` writes it; ints through
 ``%r`` or ``%d`` (both ``int.__repr__``); strings and keys through
 json's own ``encode_basestring_ascii``.  Anything else is written value
 by value in json's order and layout.  Every part of the text is
@@ -165,10 +168,11 @@ def _pairs(values, nl):
 class Table:
     """Flat dicts given as columns: ``dumps`` writes ``Table({key:
     column, ...})``, columns of equal length, as the list of dicts
-    ``{key: column[i], ...}``, every row from one template.  Floats are
-    written with %r, ints with %d, and any other column with %s from
-    per-value texts, made once per distinct value where equal values
-    cannot have different texts."""
+    ``{key: column[i], ...}``, every row from one template.  A float64
+    array column is written from `_float_texts`, all such columns in one
+    pass.  In a list column, floats are written with %r, ints with %d,
+    and any other values with %s from per-value texts, made once per
+    distinct value where equal values cannot have different texts."""
 
     __slots__ = ("columns",)
 
@@ -176,23 +180,32 @@ class Table:
         self.columns = columns
 
     def _write(self, nl, out):
+        arrays = {k: c for k, c in self.columns.items() if type(c) is np.ndarray}
+        floats = {}
+        if arrays:
+            flat = _float_texts(np.concatenate(list(arrays.values())))
+            step = len(flat) // len(arrays)
+            floats = {k: flat[i * step : (i + 1) * step] for i, k in enumerate(arrays)}
         fields, texts = [], []
         for key, column in self.columns.items():
-            types = set(map(type, column))
             form = "%s"
-            if types == {float}:
-                # checked here, since _checked cannot test a text with strings
-                if not all(map(math.isfinite, column)):
-                    raise NumericalError(_NON_FINITE)
-                form = "%r"
-            elif types == {int}:
-                form = "%d"
-            elif float in types or {bool, int} <= types:
-                # True == 1 == 1.0 and 0.0 == -0.0, but their texts differ
-                column = list(map(_scalar, column))
-            else:  # equal values have equal texts: format each once
-                once = {x: _scalar(x) for x in set(column)}
-                column = list(map(once.__getitem__, column))
+            if key in floats:
+                column = floats[key]
+            else:
+                types = set(map(type, column))
+                if types == {float}:
+                    # checked here, since _checked cannot test a text with strings
+                    if not all(map(math.isfinite, column)):
+                        raise NumericalError(_NON_FINITE)
+                    form = "%r"
+                elif types == {int}:
+                    form = "%d"
+                elif float in types or {bool, int} <= types:
+                    # True == 1 == 1.0 and 0.0 == -0.0, but their texts differ
+                    column = list(map(_scalar, column))
+                else:  # equal values have equal texts: format each once
+                    once = {x: _scalar(x) for x in set(column)}
+                    column = list(map(once.__getitem__, column))
             fields.append(_key(key).replace("%", "%%") + ": " + form)
             texts.append(column)
         values = tuple(chain.from_iterable(zip(*texts)))
@@ -204,6 +217,26 @@ class Table:
         row = "{" + deeper + ("," + deeper).join(fields) + inner + "}"
         text = _template(row, inner, len(values) // len(fields)) % values
         out += ("[" + inner, text, nl + "]")
+
+
+def _float_texts(values):
+    """The %r texts of the float64 array `values`, with each run of equal
+    magnitudes formatted once: repr(-x) is "-" + repr(x), -0.0 included.
+    A real join's eigenvalue table, in (Re, Im) order, holds each
+    conjugate pair's equal real parts and opposite imaginary parts side
+    by side, so its runs halve the floats to format.  Raises
+    NumericalError when a value is not finite."""
+    if not np.isfinite(values).all():
+        raise NumericalError(_NON_FINITE)
+    size = np.abs(values)
+    new = np.empty(len(size), dtype=bool)
+    new[:1] = True
+    np.not_equal(size[1:], size[:-1], out=new[1:])
+    texts = list(map(float.__repr__, size[new].tolist()))
+    index = new.cumsum() - 1
+    index[np.signbit(values)] += len(texts)
+    texts += ["-" + t for t in texts]
+    return list(map(texts.__getitem__, index.tolist()))
 
 
 _SECTIONS = {FourierModes, LiftedChains, Table}

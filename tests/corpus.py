@@ -39,6 +39,21 @@ def random_real_join(rng, dmax=5, kmax=8, unit_couplings=False):
     return JoinSpec(blocks, couplings)
 
 
+def real_spectrum(c):
+    """A real block's eigenvalues as a real join stores them, from the
+    block alone: np.fft.rfft(c) at Fourier indices j <= k // 2, the exact
+    conjugate of index k - j above, and, for a symmetric block
+    (c_m == c_(k-m) for every m), imaginary parts of +0.0."""
+    c = np.asarray(c).real
+    k = len(c)
+    half = np.fft.rfft(c)
+    upper = [np.conj(half[k - j]) for j in range(len(half), k)]
+    lam = np.concatenate([half, np.array(upper, dtype=np.complex128)])
+    if all(c[m] == c[k - m] for m in range(1, k)):
+        lam.imag = 0.0
+    return lam
+
+
 def lifted_chains(decomposition):
     """The join's Jordan chains: each condensed chain with every vector's
     coordinate i repeated k_i times."""

@@ -10,6 +10,7 @@ from corpus import (
     fourier_matrix,
     inf_norm,
     multiset_match,
+    real_spectrum,
     structured_corpus,
     unit_disk,
 )
@@ -128,6 +129,85 @@ def test_stacked_fft_is_the_per_row_fft_bit_for_bit(k):
         assert np.fft.fft(v, 2 * k, axis=1)[:, ::2].tobytes() == rows.tobytes()
 
 
+def real_joins():
+    """Every join of the corpus whose blocks are all real, and one with
+    blocks of sizes 1, 2, odd and even, symmetric and not, beside a
+    size group of 2048."""
+    rng = np.random.default_rng(800)
+    sizes = (1, 2, 7, 2048, 8, 2048, 9)
+    blocks = [rng.uniform(-1.0, 1.0, k) for k in sizes]
+    for c in blocks[4:]:
+        c[1:] += c[:0:-1].copy()  # symmetric: c_m == c_(k-m)
+    joins = [spec for spec in structured_corpus() if not spec.vector.imag.any()]
+    return [*joins, JoinSpec(blocks, np.ones((7, 7)))]
+
+
+def bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.uint64)
+
+
+def test_real_blocks_have_exact_conjugate_pairs():
+    # lambda_(k-j) == conj(lambda_j) bit for bit; the self-conjugate
+    # indices 0 and k/2, and every index of a symmetric block, have an
+    # imaginary part of +0.0
+    symmetric = 0
+    for spec in real_joins():
+        for group in spec.layout().groups:
+            lam = group.eigenvalues
+            k = lam.shape[1]
+            mirror = lam[:, (-np.arange(k)) % k]
+            assert np.array_equal(bits(mirror.real), bits(lam.real))
+            for c, row, back in zip(spec.vector[group.rows].real, lam, mirror):
+                if all(c[m] == c[k - m] for m in range(1, k)):
+                    symmetric += k > 2
+                    assert np.all(bits(row.imag) == 0)
+                    continue
+                paired = np.arange(k) * 2 % k != 0  # j != k - j
+                assert np.array_equal(bits(back.imag)[paired], bits(-row.imag)[paired])
+                assert bits(row[0].imag) == 0
+                assert k % 2 or bits(row[k // 2].imag) == 0
+    assert symmetric >= 4
+
+
+def test_real_blocks_match_the_complex_transform_within_ulps():
+    eps = np.finfo(np.float64).eps
+    for spec in real_joins():
+        for c, k in zip(spec.blocks, spec.block_sizes):
+            lam = JoinSpec([c]).layout().groups[0].eigenvalues[0]
+            tol = 2.0 * eps * k * np.abs(c).sum()
+            assert np.abs(lam - np.fft.fft(c)).max() <= tol
+            assert lam.tobytes() == real_spectrum(c).tobytes()
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 15])
+def test_real_blocks_match_mpmath(k):
+    rng = np.random.default_rng(900 + k)
+    plain = rng.uniform(-1.0, 1.0, k)
+    symmetric = plain.copy()
+    symmetric[1:] += plain[:0:-1]
+    got = layout_rows([plain, symmetric])
+    with mpmath.workdps(50):
+        for c, lam in zip((plain, symmetric), got):
+            tol = 1e-13 * np.abs(c).sum()
+            for j in range(k):
+                exact = mpmath.fsum(
+                    mpmath.mpf(float(c[m])) * mpmath.expjpi(mpmath.mpf(-2 * m * j) / k)
+                    for m in range(k)
+                )
+                assert abs(complex(exact) - lam[j]) <= tol
+    assert np.all(bits(got[1].imag) == 0)
+
+
+def test_complex_joins_are_the_complex_transform_bit_for_bit():
+    joins = [spec for spec in structured_corpus() if spec.vector.imag.any()]
+    # real blocks in a join with complex ones take the complex transform
+    joins.append(JoinSpec([[0.0, 1.0, 2.0], [1.0, 1j, 0.0], [4.0, 1.0, 1.0]]))
+    for spec in joins:
+        for group in spec.layout().groups:
+            for i, row in zip(group.ids.tolist(), group.eigenvalues):
+                assert row.tobytes() == np.fft.fft(spec.blocks[i]).tobytes()
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 64])
 def test_matvec_matches_dense(k):
     # a one-block join acts as its circulant block
@@ -212,3 +292,19 @@ def test_vector_is_read_only():
         assert np.array_equal(np.concatenate(spec.blocks), spec.vector)
         for block in spec.blocks:
             assert np.shares_memory(block, spec.vector)
+
+
+def test_from_vector_is_the_join_of_its_pieces():
+    for spec in structured_corpus():
+        vector = spec.vector.copy()
+        again = JoinSpec.from_vector(vector, spec.block_sizes, spec.couplings)
+        assert again == spec and again.block_sizes == spec.block_sizes
+        assert again.vector.tobytes() == spec.vector.tobytes()
+        assert not np.shares_memory(again.vector, vector)  # the join keeps a copy
+    real = JoinSpec.from_vector(np.array([0.0, 1.0, 2.0]), [2, 1], [[0, 1], [1, 0]])
+    assert real == JoinSpec([[0.0, 1.0], [2.0]], [[0, 1], [1, 0]])
+    for sizes in ([], [1, 1], [3, 0], [2, 2], [4, -1]):
+        with pytest.raises(PreconditionError):
+            JoinSpec.from_vector(np.zeros(3), sizes)
+    with pytest.raises(PreconditionError):
+        JoinSpec.from_vector([1.0, np.nan], [2])

@@ -316,6 +316,68 @@ def test_table_rejects_non_finite_floats():
             dumps(Table({"re": [1.0, bad], "provenance": ["condensed", 1]}))
 
 
+# float64 columns: +-0.0, adjacent +-x, magnitudes repeated apart from
+# each other and across the two columns, and the shortest-repr edges
+COLUMN_FLOATS = [
+    0.0, -0.0, 0.0, 0.5, -0.5, 0.5, 0.1, 2.5, 0.1, -0.1, 5e-324, -5e-324, 5e-324,
+    1e16, 9.999999999999999e15, -1e16, 1e-5, -1e-5, 0.1, -0.0, 2.5, -2.5, 2.5, 3.0,
+]
+
+
+def float_column_rows(re, im):
+    return [
+        {"re": x, "im": y, "multiplicity": i + 1, "provenance": i % 3 or "condensed"}
+        for i, (x, y) in enumerate(zip(re, im))
+    ]
+
+
+@pytest.mark.parametrize(
+    "re, im",
+    [
+        (COLUMN_FLOATS, COLUMN_FLOATS[::-1]),
+        (COLUMN_FLOATS, [-x for x in COLUMN_FLOATS]),
+        ([3.0] * 4, [-3.0, 3.0, -0.0, 0.0]),  # one run across the columns
+        ([-0.0], [5e-324]),
+        ([], []),
+    ],
+)
+def test_float64_columns_are_json_dumps_text(re, im):
+    rows = float_column_rows(re, im)
+    columns = {key: [row[key] for row in rows] for key in ("re", "im", "multiplicity", "provenance")}
+    columns["re"] = np.array(re, dtype=np.float64)
+    # a strided view, as the report passes a complex array's parts
+    columns["im"] = np.array([complex(0.0, y) for y in im], dtype=np.complex128).imag
+    for wrap in (lambda v: v, lambda v: {"rows": [v]}):
+        assert dumps(wrap(Table(columns))) == oracle(wrap(rows))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_float64_columns_reject_non_finite_values(bad):
+    for column in ("re", "im"):
+        columns = {"re": np.array([0.5, -0.5]), "im": np.array([0.0, 1.0]), "p": [1, 2]}
+        columns[column][1] = bad
+        with pytest.raises(NumericalError):
+            dumps(Table(columns))
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS),
+            st.booleans(),
+        ),
+        max_size=12,
+    )
+)
+def test_float64_columns_match_json_dumps_on_generated_pairs(values):
+    # a value, then its negation beside it or not, as conjugate pairs are
+    re = [x for x, _ in values for _ in (0, 1)]
+    im = [y for x, pair in values for y in ((-x, x) if pair else (x, 0.0))]
+    rows = [{"re": x, "im": y} for x, y in zip(re, im)]
+    table = Table({"re": np.array(re, dtype=np.float64), "im": np.array(im, dtype=np.float64)})
+    assert dumps(table) == oracle(rows)
+
+
 # ---------------------------------------------------------------------------
 # every CLI output is the text json.dumps writes
 # ---------------------------------------------------------------------------
@@ -485,6 +547,49 @@ def test_csv_rows_mirror_json_rows(index, monkeypatch, capsys):
         assert (int(mult), prov) == (row["multiplicity"], str(row["provenance"]))
 
 
+REAL_REPORTS = [
+    *(
+        (["spectrum", "-"], doc)
+        for doc in REPORT_DOCS
+        if cli.parse_join_document(doc)[0].is_real()
+    ),
+    (["graph", "ring", "--k", "2048", "--m", "5", "--emit", "spectrum"], ""),
+    (["graph", "join", "ring:7:2", "ring:9:3", "complete:5", "--emit", "spectrum"], ""),
+    (["graph", "join", "ring:5:1", "cycle:7", "--emit", "spectrum"], ""),
+]
+
+
+@pytest.mark.parametrize("argv, doc", REAL_REPORTS, ids=map(str, range(len(REAL_REPORTS))))
+def test_real_join_reports_print_exact_conjugate_pairs(argv, doc, monkeypatch, capsys):
+    # every block row of a real join's report is real with an imaginary
+    # part of +0.0, or has its exact conjugate in a row of the same block
+    # and multiplicity; a symmetric block's rows are all real
+    code, out, err = run(argv, doc, monkeypatch, capsys)
+    assert code == 0, err
+    if doc:
+        spec = cli.parse_join_document(doc)[0]
+    else:
+        spec = cli._build_graph(cli._parser().parse_args(argv))[0]
+    rows = [r for r in json.loads(out)["eigenvalues"] if r["provenance"] != "condensed"]
+    assert rows or max(spec.block_sizes) == 1
+    keys = {}
+    for r in rows:
+        key = (bits([r["re"]]), r["im"], r["multiplicity"], r["provenance"])
+        keys[key] = keys.get(key, 0) + 1
+    for (re_bits, im, mult, block), count in keys.items():
+        if im == 0.0:
+            assert bits([complex(0.0, im)]) == bits([0.0])
+        else:
+            assert keys.get((re_bits, -im, mult, block)) == count
+    symmetric = [
+        b for b, c in enumerate(spec.blocks, 1)
+        if np.array_equal(c[1:], c[:0:-1]) and len(c) > 2
+    ]
+    assert all(r["im"] == 0.0 for r in rows if r["provenance"] in symmetric)
+    if argv[:2] == ["graph", "ring"]:
+        assert len(rows) == 1024 and symmetric == [1]
+
+
 @pytest.mark.parametrize(
     "doc, expected",
     [
@@ -615,28 +720,28 @@ PINNED = [
     (["spectrum", "-", "--eigenvectors", "--verify"], K8_DOC,
      "8e8f2e7a08a497806c1c238f7c0925c8041e18423802e4ea5229357e8623de08"),
     (["spectrum", "-", "--eigenvectors", "--verify"], real_join_doc(),
-     "eca3d4c17ce6d0db65d0e17cf179f995a391ad53d4ea63e4d9262932190a0f73"),
+     "eb37e2dcc3780e12e1e49bc981994c3b45278d237a4fb754f1ab17b3e1742db5"),
     (["kuramoto", "equilibrium", "-", "--j", "1", "--phi=0.3,-1.2"], kuramoto_doc(),
      "033237e5f45a2fdd7d57de9bf55004b07502c0f00e3d374d31ad12e01657fb9b"),
     (["graph", "join", "ring:5:1", "complement:cycle:4", "--emit", "spec"], "",
      "8c915c44b8ac5f0656f31e15da1c91399a9826bf6a71cd6282bcf7df0b896a75"),
     # off equilibrium, so every row rests on the bits of the rates
     (["kuramoto", "simulate", "-", "--state", "STATE", "--steps", "50", "--drift"],
-     mixed_join_doc(), "48ced9224c2e146ceaba5c3513df9a3ff48d457458842c503e71f7b6cac50e8f"),
+     mixed_join_doc(), "b4fa7510e75b1565603595add38ec12e95b2ff5f576bcfc737237423cd22cec5"),
     (["spectrum", "-", "--output", "csv"], K8_DOC,
      "b898f39a443bdbc0f43d0f528ab102af9ba483f5b134a60d8db6cad0574f6e08"),
     (["spectrum", "-", "--output", "csv"], real_join_doc(),
-     "042a0fbfac74a758014d31a2d17932b1ccdfcb13a9e727b5dc87a3a8f25bbb86"),
+     "fb415c23bc1a80632465bcfcc5d2cb1f00364d89e106176267e9c780c5334b32"),
     # the shape of the slowest spectrum-large-k job: a table of 4096 rows
     (["spectrum", "-"], real_join_doc(2048),
-     "d647e25eff6db8409d4bed694d3c4953fc4468f9867c7b00e3d9e3cb6bc5c81d"),
-    # every value has a near twin (j and k - j), so all go to the greedy loop
+     "74f9a37e1ecceeb5914244211841a5d613ba0ce4debcf1a91bd84d943dd00a5f"),
+    # a symmetric block: every value has a bit-equal twin (j and k - j)
     (["graph", "ring", "--k", "2048", "--m", "5", "--emit", "spectrum"], "",
-     "c3b415ba2351c2d7b071dfdcbeb2f1285ab5cb39d1a4f756555e388d42f6efb7"),
+     "d1f2166dead6bea31796dcd0e23ea9214a961f8c569aa500cd61c6e1f89b4c99"),
     # twin blocks, merged rows and equal groups
     (["graph", "join", "ring:5:1", "ring:6:1", "complete:4", "complete:4", "cycle:5",
       "--emit", "spectrum"], "",
-     "fff5222e5f72500eaf4514ee1471738f3fbd80bae1965820cd4efe6c0d77a26e"),
+     "92d05446f482bc7f19675187a7cf4aa5748eb2e506e555b1e8eed5a25dde5a72"),
     # 129 groups of 1 to 8 values, the shape of a spectrum-large-d job
     (["spectrum", "-"], complex_join_doc(),
      "eb229e4e63f6529c620dc8cf1f377570115a618d18002051f021433af4c95ee2"),

@@ -126,15 +126,17 @@ def test_swapped_fourier_eigenvalues_fail_verification(monkeypatch, capsys):
     assert code == 4 and out == "" and "residual" in err
 
 
-def faulty_transform(j):
-    """np.fft.fft with entry j of every transform of more than j entries
-    wrong by +1 when it is called without a length: that is the cached
-    transform of every block, consistent everywhere it is read, so only
-    the independent length-2k transform of --verify can see it."""
-    fft = np.fft.fft
+def faulty_transform(name, j):
+    """np.fft's `name` transform with entry j of every transform of more
+    than j entries wrong by +1 when it is called without a length: that
+    is the cached transform of every block (np.fft.rfft for a join of
+    real blocks, np.fft.fft otherwise), consistent everywhere it is
+    read, so only the independent length-2k transform of --verify can
+    see it."""
+    transform = getattr(np.fft, name)
 
     def faulty(a, n=None, axis=-1, **kwargs):
-        lam = fft(a, n, axis, **kwargs)
+        lam = transform(a, n, axis, **kwargs)
         if n is None and j < lam.shape[axis]:
             np.moveaxis(lam, axis, -1)[..., j] += 1.0
         return lam
@@ -145,9 +147,19 @@ def faulty_transform(j):
 @pytest.mark.parametrize("j", [1, 0])
 def test_wrong_block_transform_fails_verification(j, monkeypatch, capsys):
     # block 2 has one entry, so only block 1 has index 1, and at index 0
-    # both blocks read an exact residual of 1 and the first one is named
-    doc = json.dumps({"blocks": [[0, 1, 0], [0]], "couplings": [[0, 1], [1, 0]]})
-    monkeypatch.setattr(np.fft, "fft", faulty_transform(j))
+    # both blocks read an exact residual of 1 and the first one is named;
+    # the blocks are real, so index 2 holds the conjugate of index 1
+    assert_wrong_transform_fails("rfft", [0, 1, 0], j, monkeypatch, capsys)
+
+
+@pytest.mark.parametrize("j", [1, 0])
+def test_wrong_complex_block_transform_fails_verification(j, monkeypatch, capsys):
+    assert_wrong_transform_fails("fft", [0, [1, 1], 0], j, monkeypatch, capsys)
+
+
+def assert_wrong_transform_fails(name, block, j, monkeypatch, capsys):
+    doc = json.dumps({"blocks": [block, [0]], "couplings": [[0, 1], [1, 0]]})
+    monkeypatch.setattr(np.fft, name, faulty_transform(name, j))
     code, out, err = run_spectrum(doc, ["--verify"], monkeypatch, capsys)
     assert (code, out) == (4, "")
     assert err.startswith("circjoin: numerical error: residual 1.000e+00")
@@ -255,29 +267,36 @@ def test_offender_is_the_lowest_block_then_index_across_size_groups(
 def test_spectrum_work_per_distinct_block_size(
     spec, distinct_spectra, monkeypatch, capsys
 ):
-    # one eigenvalue FFT and one --verify FFT per distinct block size, and
-    # one report clustering call whose groups are the distinct block
-    # spectra and the condensed eigenvalues, each exactly once
+    # one eigenvalue FFT (real, as the blocks are) and one complex
+    # --verify FFT per distinct block size, and one report clustering
+    # call whose groups are the distinct block spectra and the condensed
+    # eigenvalues, each exactly once
     ffts, clusterings = [], []
-    fft, finite_clusters = np.fft.fft, cli._finite_clusters
+    finite_clusters = cli._finite_clusters
 
-    def counted_fft(a, n=None, *args, **kwargs):
-        ffts.append((np.shape(a), n))
-        return fft(a, n, *args, **kwargs)
+    def counted(name):
+        transform = getattr(np.fft, name)
+
+        def counted_transform(a, n=None, *args, **kwargs):
+            ffts.append((name, np.shape(a), n))
+            return transform(a, n, *args, **kwargs)
+
+        return counted_transform
 
     def counted_clusters(values, delta, groups):
         clusterings.append((values, groups))
         return finite_clusters(values, delta, groups)
 
-    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    for name in ("fft", "rfft", "ifft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
     monkeypatch.setattr(cli, "_finite_clusters", counted_clusters)
     doc = emit_join_document(spec)
     code, _, err = run_spectrum(doc, ["--verify"], monkeypatch, capsys)
     assert (code, err) == (0, "")
     sizes = sorted(set(spec.block_sizes))
     stacks = [(spec.block_sizes.count(k), k) for k in sizes]
-    assert ffts == [(shape, None) for shape in stacks] + [
-        (shape, 2 * k) for shape, k in zip(stacks, sizes)
+    assert ffts == [("rfft", shape, None) for shape in stacks] + [
+        ("fft", shape, 2 * k) for shape, k in zip(stacks, sizes)
     ]
     assert len(clusterings) == 1
     values, groups = clusterings[0]
