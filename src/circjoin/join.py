@@ -70,23 +70,27 @@ def _defining_vector(values):
 
 def _real_fft(c):
     """The DFT along the rows of the real (g, k) array `c`, as a (g, k)
-    complex array that keeps the symmetries of a real circulant's
-    spectrum exactly (Van Loan, Computational Frameworks for the FFT,
-    section 4.4).
+    complex array that keeps the conjugate symmetry of a real
+    circulant's spectrum exactly (Van Loan, Computational Frameworks
+    for the FFT, section 4.4).
 
     Indices j = 0..k//2 are np.fft.rfft, whose j = 0 (and for even k,
     j = k/2) entries have an imaginary part of exactly +0.0, and every
-    index j > k//2 is the exact conjugate of index k - j.  A row with
-    c_m == c_(k-m) for every m, a symmetric block, has a real spectrum:
-    its imaginary parts are set to +0.0.
+    index j > k//2 is the exact conjugate of index k - j.
     """
     half = np.fft.rfft(c, axis=1)
     k, h = c.shape[1], half.shape[1]
     lam = np.empty(c.shape, dtype=np.complex128)
     lam[:, :h] = half
     np.conjugate(half[:, k - h : 0 : -1], out=lam[:, h:])
-    lam.imag[(c[:, 1:] == c[:, :0:-1]).all(axis=1)] = 0.0
     return lam
+
+
+def _hermitian(c):
+    """Which rows of the (g, k) array `c` define Hermitian circulants:
+    c_0 real and c_(k-m) == conj(c_m) for every m, tested by exact
+    equality.  A real row is Hermitian when it is symmetric."""
+    return (c[:, 0].imag == 0) & (c[:, 1:] == c[:, :0:-1].conj()).all(axis=1)
 
 
 class JoinSpec:
@@ -207,6 +211,10 @@ class JoinSpec:
         transform of a complex join is bit for bit np.fft.fft; that of
         a join whose defining vectors are all real is `_real_fft`, which
         keeps the conjugate symmetry of a real block's spectrum exactly.
+        A Hermitian block (`_hermitian`), such as a real symmetric one,
+        has a real spectrum, stored with imaginary parts of +0.0; its
+        real parts keep the bits of its join's transform.  Only a join
+        with a real c_0 in some block is tested for them.
         """
         if self._layout is None:
             by_size = {}
@@ -217,13 +225,18 @@ class JoinSpec:
             sums = np.empty(self.d, dtype=np.complex128)
             groups = []
             real = not self.vector.imag.any()
+            hermitian = not self.vector[offsets].imag.all()
             for k in sorted(by_size):
                 ids = np.array(by_size[k])
                 rows = offsets[ids, None] + np.arange(k)
                 if real:
-                    lam = _real_fft(self.vector.real[rows])
+                    c = self.vector.real[rows]
+                    lam = _real_fft(c)
                 else:
-                    lam = np.fft.fft(self.vector[rows], axis=1)
+                    c = self.vector[rows]
+                    lam = np.fft.fft(c, axis=1)
+                if hermitian:
+                    lam.imag[_hermitian(c)] = 0.0
                 lam.setflags(write=False)
                 sums[ids] = lam[:, 0]
                 groups.append(BlockGroup(ids, rows, lam, ids[:, None]))

@@ -2,10 +2,12 @@
 ``indent=2``.
 
 json's ``indent`` mode runs its pure-Python encoder, several calls per
-value.  This writer fills one ``%``-template per homogeneous list
-instead: a list of numbers, a list of equal-length number lists (the
-``[re, im]`` pairs of a report) and a `Table`, flat dicts given as
-columns (the eigenvalue rows).  The eigenvector rows of a report,
+value.  This writer fills one ``%``-template per list of numbers and
+per list of equal-length number lists (the ``[re, im]`` pairs of a
+report) instead.  A `Table`, flat dicts given as columns (the
+eigenvalue rows), is gathered from its columns' texts: each column's
+texts are made once, and its rows are written by interleaving them
+with one shared key text per column.  The eigenvector rows of a report,
 `FourierModes` and `LiftedChains`, are given by the few arrays their
 vectors are built from: each row is filled in from one template per
 section, and each vector is written from its runs, a run of equal
@@ -14,12 +16,12 @@ one gather of its block's formatted roots.  Floats go through ``%r``,
 which is ``float.__repr__``, json's own float encoder, and a float64
 array column of a `Table` through ``float.__repr__`` once per run of
 equal magnitudes, a negative value taking "-" before its magnitude's
-text, as ``repr`` writes it; ints through
-``%r`` or ``%d`` (both ``int.__repr__``); strings and keys through
-json's own ``encode_basestring_ascii``.  Anything else is written value
-by value in json's order and layout.  Every part of the text is
-appended to one list, which is joined once, so a large report is copied
-once rather than once per nesting level or per vector.
+text, as ``repr`` writes it; ints through ``%r``, ``%d`` or
+``int.__repr__``; strings and keys through json's own
+``encode_basestring_ascii``.  Anything else is written value by value
+in json's order and layout.  Every part of the text is appended to one
+list, which is joined once, so a large report is copied once rather
+than once per nesting level, per row or per vector.
 
 Every float must be finite.  json would write ``NaN`` or ``Infinity``,
 which is not JSON, so the writer raises NumericalError instead.
@@ -38,6 +40,9 @@ _STEP = "  "
 _NUMBERS = {float, int}  # exact types: bool and numpy scalars take the general path
 _SEQUENCES = {list, tuple}
 _NON_FINITE = "a non-finite number cannot be written as JSON"
+# the gather indices of a block's Fourier modes are made this many at a
+# time (or one vector's, when more), so that they take O(k) memory
+_CHUNK = 1 << 16
 
 
 def dumps(obj):
@@ -62,7 +67,8 @@ class FourierModes:
     Every row is written from one template.  A block's roots are
     formatted once, and each of its vectors is written as two zero runs,
     each one repeated text that the block's rows share, and one gather
-    of the root texts.
+    of the root texts, whose indices (m * j) % k are made by one
+    broadcast product for up to `_CHUNK` entries of vectors at a time.
     """
 
     __slots__ = ("n", "blocks")
@@ -93,11 +99,15 @@ class FourierModes:
             m = np.arange(k if rest else k - 1)
             tail = (zero + sep) * (rest - 1) + zero + close if rest else None
             values = _pairs(eigenvalues, field)
-            for j, value in enumerate(values, 1):
-                out += (before, head % (b, j, value), lead)
-                out += map(followed.__getitem__, (m * j % k).tolist())
-                out.append(tail or last[k - j] + close)
-                before = "," + inner
+            step = max(1, _CHUNK // k)
+            for first in range(1, k, step):
+                end = min(first + step, k)
+                rows = (np.arange(first, end)[:, None] * m % k).tolist()
+                for j, row in zip(range(first, end), rows):
+                    out += (before, head % (b, j, values[j - 1]), lead)
+                    out += map(followed.__getitem__, row)
+                    out.append(tail or last[k - j] + close)
+                    before = "," + inner
         out.append("[]" if len(out) == empty else nl + "]")
 
 
@@ -168,11 +178,13 @@ def _pairs(values, nl):
 class Table:
     """Flat dicts given as columns: ``dumps`` writes ``Table({key:
     column, ...})``, columns of equal length, as the list of dicts
-    ``{key: column[i], ...}``, every row from one template.  A float64
-    array column is written from `_float_texts`, all such columns in one
-    pass.  In a list column, floats are written with %r, ints with %d,
-    and any other values with %s from per-value texts, made once per
-    distinct value where equal values cannot have different texts."""
+    ``{key: column[i], ...}``.  Each column's texts are made once: a
+    float64 array column's by `_float_texts`, all such columns in one
+    pass; a float list's by ``float.__repr__``; and any other list's per
+    value, once per distinct value where equal values cannot have
+    different texts (ints, strings, None).  The rows are then gathered,
+    with no per-row formatting, into one list of parts that alternates
+    each column's one key text with its values' texts."""
 
     __slots__ = ("columns",)
 
@@ -186,37 +198,43 @@ class Table:
             flat = _float_texts(np.concatenate(list(arrays.values())))
             step = len(flat) // len(arrays)
             floats = {k: flat[i * step : (i + 1) * step] for i, k in enumerate(arrays)}
-        fields, texts = [], []
+        keys, texts = [], []
         for key, column in self.columns.items():
-            form = "%s"
             if key in floats:
                 column = floats[key]
             else:
                 types = set(map(type, column))
                 if types == {float}:
-                    # checked here, since _checked cannot test a text with strings
                     if not all(map(math.isfinite, column)):
                         raise NumericalError(_NON_FINITE)
-                    form = "%r"
-                elif types == {int}:
-                    form = "%d"
-                elif float in types or {bool, int} <= types:
+                    column = list(map(float.__repr__, column))
+                elif {bool, int} <= types or any(issubclass(t, float) for t in types):
                     # True == 1 == 1.0 and 0.0 == -0.0, but their texts differ
                     column = list(map(_scalar, column))
                 else:  # equal values have equal texts: format each once
                     once = {x: _scalar(x) for x in set(column)}
                     column = list(map(once.__getitem__, column))
-            fields.append(_key(key).replace("%", "%%") + ": " + form)
+            keys.append(_key(key) + ": ")
             texts.append(column)
-        values = tuple(chain.from_iterable(zip(*texts)))
-        if not values:
+        rows = len(texts[0]) if texts else 0
+        if not rows:
             out.append("[]")
             return
         inner = nl + _STEP
         deeper = inner + _STEP
-        row = "{" + deeper + ("," + deeper).join(fields) + inner + "}"
-        text = _template(row, inner, len(values) // len(fields)) % values
-        out += ("[" + inner, text, nl + "]")
+        # part 2i of a row is column i's key after the separator that ends
+        # the field before it, column 0's ending the row before; part
+        # 2i + 1 is the column's text
+        width = 2 * len(keys)
+        parts = [None] * (width * rows)
+        sep = inner + "}," + inner + "{" + deeper
+        for i, (key, column) in enumerate(zip(keys, texts)):
+            parts[i * 2 :: width] = [sep + key] * rows
+            parts[i * 2 + 1 :: width] = column
+            sep = "," + deeper
+        parts[0] = "[" + inner + "{" + deeper + keys[0]
+        out += parts
+        out.append(inner + "}" + nl + "]")
 
 
 def _float_texts(values):

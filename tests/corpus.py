@@ -54,6 +54,19 @@ def real_spectrum(c):
     return lam
 
 
+def complex_spectrum(c):
+    """A block's eigenvalues as a join with a complex block stores them,
+    from the block alone: np.fft.fft(c), and, for a Hermitian block
+    (c_0 real and c_(k-m) == conj(c_m) for every m), imaginary parts of
+    +0.0."""
+    c = np.asarray(c, dtype=np.complex128)
+    k = len(c)
+    lam = np.fft.fft(c)
+    if c[0].imag == 0 and all(c[k - m] == np.conj(c[m]) for m in range(1, k)):
+        lam.imag = 0.0
+    return lam
+
+
 def lifted_chains(decomposition):
     """The join's Jordan chains: each condensed chain with every vector's
     coordinate i repeated k_i times."""

@@ -1,11 +1,15 @@
+import sys
+
 import mpmath
 import numpy as np
 import pytest
 
 from circjoin import JoinSpec, root_of_unity_powers
 from circjoin.errors import PreconditionError
+from circjoin.graphs import ring_graph
 
 from corpus import (
+    complex_spectrum,
     dense_circulant,
     fourier_matrix,
     inf_norm,
@@ -179,6 +183,21 @@ def test_real_blocks_match_the_complex_transform_within_ulps():
             assert lam.tobytes() == real_spectrum(c).tobytes()
 
 
+def assert_matches_mpmath_dft(vectors, rows):
+    """Each row is the DFT of its block's vector within 1e-13 ||c||_1,
+    against a 50-digit mpmath sum."""
+    with mpmath.workdps(50):
+        for c, lam in zip(vectors, rows):
+            k = len(c)
+            tol = 1e-13 * np.abs(c).sum()
+            for j in range(k):
+                exact = mpmath.fsum(
+                    mpmath.mpc(complex(c[m])) * mpmath.expjpi(mpmath.mpf(-2 * m * j) / k)
+                    for m in range(k)
+                )
+                assert abs(complex(exact) - lam[j]) <= tol
+
+
 @pytest.mark.parametrize("k", [1, 2, 7, 8, 15])
 def test_real_blocks_match_mpmath(k):
     rng = np.random.default_rng(900 + k)
@@ -186,26 +205,80 @@ def test_real_blocks_match_mpmath(k):
     symmetric = plain.copy()
     symmetric[1:] += plain[:0:-1]
     got = layout_rows([plain, symmetric])
-    with mpmath.workdps(50):
-        for c, lam in zip((plain, symmetric), got):
-            tol = 1e-13 * np.abs(c).sum()
-            for j in range(k):
-                exact = mpmath.fsum(
-                    mpmath.mpf(float(c[m])) * mpmath.expjpi(mpmath.mpf(-2 * m * j) / k)
-                    for m in range(k)
-                )
-                assert abs(complex(exact) - lam[j]) <= tol
+    assert_matches_mpmath_dft((plain, symmetric), got)
     assert np.all(bits(got[1].imag) == 0)
+
+
+def hermitian_block(rng, k):
+    """A complex defining vector with c_0 real and c_(k-m) == conj(c_m)
+    bit for bit: u_m + conj(u_(k-m)), since addition commutes exactly."""
+    u = unit_disk(rng, k)
+    return u + np.conj(u[(-np.arange(k)) % k])
+
+
+@pytest.mark.parametrize("k", [1, 2, 7, 8, 15])
+def test_hermitian_blocks_in_complex_joins_match_mpmath(k):
+    # a complex Hermitian block and a real symmetric one beside a complex
+    # block: the complex transform, with imaginary parts of +0.0
+    rng = np.random.default_rng(950 + k)
+    symmetric = rng.uniform(-1.0, 1.0, k)
+    symmetric[1:] += symmetric[:0:-1].copy()
+    vectors = [hermitian_block(rng, k), symmetric, unit_disk(rng, k)]
+    got = layout_rows(vectors)
+    assert_matches_mpmath_dft(vectors, got)
+    assert np.all(bits(got[0].imag) == 0) and np.all(bits(got[1].imag) == 0)
 
 
 def test_complex_joins_are_the_complex_transform_bit_for_bit():
     joins = [spec for spec in structured_corpus() if spec.vector.imag.any()]
-    # real blocks in a join with complex ones take the complex transform
-    joins.append(JoinSpec([[0.0, 1.0, 2.0], [1.0, 1j, 0.0], [4.0, 1.0, 1.0]]))
+    # real blocks in a join with complex ones take the complex transform;
+    # a Hermitian block among them, real symmetric or complex, keeps its
+    # real parts and has imaginary parts of +0.0, where np.fft.fft leaves
+    # rounding; a block whose c_0 is not real is not Hermitian
+    rng = np.random.default_rng(940)
+    hermitian = hermitian_block(rng, 12)
+    symmetric = rng.uniform(-1.0, 1.0, 12)
+    symmetric[1:] += symmetric[:0:-1].copy()
+    for c in (hermitian, symmetric):
+        assert np.fft.fft(c + 0j).imag.any()
+    not_hermitian = hermitian + np.eye(12)[0] * 0.5j
+    joins.append(JoinSpec([[0.0, 1.0, 2.0], [1.0, 1j, 0.0], [4.0, 1.0, 1.0], hermitian,
+                           not_hermitian, symmetric, [2.0, 1 + 1j, 1 - 1j]]))
     for spec in joins:
         for group in spec.layout().groups:
             for i, row in zip(group.ids.tolist(), group.eigenvalues):
-                assert row.tobytes() == np.fft.fft(spec.blocks[i]).tobytes()
+                c = spec.blocks[i]
+                assert row.real.tobytes() == np.fft.fft(c).real.tobytes()
+                assert row.tobytes() == complex_spectrum(c).tobytes()
+    rows = layout_rows(joins[-1].blocks)
+    assert not rows[3].imag.any() and not rows[5].imag.any() and rows[4].imag.any()
+
+
+def test_ring_blocks_beside_a_complex_block_have_real_spectra():
+    # the undirected ring's closed form 2 sum_l cos(2 pi j l / k), l = 1..m
+    rng = np.random.default_rng(960)
+    rings = [ring_graph(k, m).connection_vector for k, m in ((12, 3), (9, 2), (12, 5))]
+    got = layout_rows([rings[0], unit_disk(rng, 12), *rings[1:]])
+    for c, lam in zip(rings, got[:1] + got[2:]):
+        k, m = len(c), int(c.sum()) // 2
+        angles = 2.0 * np.pi * np.outer(np.arange(k), np.arange(1, m + 1)) / k
+        closed = 2.0 * np.cos(angles).sum(axis=1)
+        assert np.all(bits(lam.imag) == 0)
+        assert np.abs(lam.real - closed).max() <= 1e-13 * 2 * m
+
+
+def test_joins_with_no_real_c0_skip_the_hermitian_test(monkeypatch):
+    # a block is Hermitian only when its c_0 is real, so a join of random
+    # complex blocks makes no per-block test
+    def refused(c):
+        raise AssertionError("_hermitian called")
+
+    monkeypatch.setattr(sys.modules[JoinSpec.__module__], "_hermitian", refused)
+    rng = np.random.default_rng(970)
+    spec = JoinSpec([unit_disk(rng, k) for k in (3, 1, 4, 3)], unit_disk(rng, (4, 4)))
+    for group in spec.layout().groups:
+        for i, row in zip(group.ids.tolist(), group.eigenvalues):
+            assert row.tobytes() == np.fft.fft(spec.blocks[i]).tobytes()
 
 
 @pytest.mark.parametrize("k", [1, 2, 5, 64])

@@ -32,6 +32,7 @@ from circjoin.graphs import (
 )
 
 from corpus import (
+    complex_spectrum,
     condensed_vectors,
     defective_joins,
     dense_decomposition_residual,
@@ -170,13 +171,13 @@ def test_block_eigenpairs_are_read_only_views_of_the_block_fft():
     assert set(real) == {True, False}
     for spec, real_blocks in zip(specs, real):
         lams = block_eigenpairs(spec)
-        transform = real_spectrum if real_blocks else np.fft.fft
+        transform = real_spectrum if real_blocks else complex_spectrum
         for group in spec.layout().groups:
             for i in group.ids.tolist():
                 # a view of the block's row of its size group's FFT,
                 # holding the bits of the transform of its vector alone:
-                # np.fft.fft, or the real-path oracle when every block of
-                # the join is real
+                # the real-path oracle when every block of the join is
+                # real, np.fft.fft with exact real Hermitian rows otherwise
                 assert lams[i].base is group.eigenvalues
                 assert lams[i].tobytes() == transform(spec.blocks[i])[1:].tobytes()
                 assert not lams[i].flags.writeable

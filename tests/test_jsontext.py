@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from circjoin import JoinSpec, NumericalError, cli, full_spectrum
 from circjoin.cli import decomposition_residual, emit_join_document, main
+from circjoin import jsontext
 from circjoin.jsontext import FourierModes, LiftedChains, Table, dumps
 
 from corpus import (
@@ -175,6 +176,28 @@ def test_fourier_modes_match_nested_lists(n, layout):
         assert dumps(wrap(FourierModes(n, blocks))) == oracle(wrap(nested))
 
 
+def test_fourier_modes_whose_blocks_span_several_index_chunks(monkeypatch):
+    # the gather indices are made jsontext._CHUNK entries at a time: a
+    # block of 260 spans a full chunk of 252 vectors and a part of one;
+    # at 7, every block of the layouts spans several, of one vector
+    # each from k = 8.  Distinct roots show any misplaced index.
+    rng = np.random.default_rng(12)
+    blocks = [
+        (b, start, unit_disk(rng, k - 1), np.exp(2j * np.pi * np.arange(k) / k))
+        for b, start, k in [(1, 0, 3), (2, 3, 260), (3, 263, 2)]
+    ]
+    assert jsontext._CHUNK // 260 == 252
+    assert dumps(FourierModes(265, blocks)) == oracle(fourier_rows(265, blocks))
+    monkeypatch.setattr(jsontext, "_CHUNK", 7)
+    layouts = [*FOURIER_LAYOUTS, (12, [(1, 0, 2), (2, 2, 9), (3, 11, 1)])]
+    for n, layout in layouts:
+        blocks = [
+            (b, start, unit_disk(rng, k - 1), np.exp(2j * np.pi * np.arange(k) / k))
+            for b, start, k in layout
+        ]
+        assert dumps(FourierModes(n, blocks)) == oracle(fourier_rows(n, blocks))
+
+
 @pytest.mark.parametrize(
     "sizes, lengths", [([2, 1, 3], [1, 2, 3]), ([4], [1, 2]), ([1, 1], [2]), ([3], [])]
 )
@@ -292,6 +315,14 @@ def table_of(rows):
         [{"p": v} for v in [1, 1.0, True, -0.0, 0.0, 0, "c", -0.0]],
         [{"%d": 1.0, "k%": "%s%r"}],
         [],
+        [{"only": v} for v in [3, 1, 3, 2]],
+        [{"re": 0.5, "n": 2, "p": "condensed", "x": None}],
+        [
+            {"%": i, '"q"': s, "back\\slash": i * 0.5, "\u00e9t\u00e9": s + "%r"}
+            for i, s in enumerate(["%s", "line\nbreak", "%%s\n", "\u00e9%(x)s"])
+        ],
+        [{"p": v} for v in [True, 1, 1.0, -0.0, 0.0, False, 0, -0.0, 1.0, True]],
+        [{"p": np.float64(v)} for v in [0.0, -0.0, 1.5, -0.0]],
     ],
 )
 def test_table_is_json_dumps_of_its_rows(rows):
@@ -351,6 +382,23 @@ def test_float64_columns_are_json_dumps_text(re, im):
         assert dumps(wrap(Table(columns))) == oracle(wrap(rows))
 
 
+def test_float64_columns_beside_each_kind_of_list_column():
+    re = [0.5, -0.5, 0.0, -0.0, 1e16, 0.1]
+    columns = {
+        "re": np.array(re),
+        "floats": [2.5, -0.0, 0.0, 1e-300, 2.5, -2.5],
+        "ints": [1, 10**20, -3, 1, 0, 2],
+        "mixed": [True, 1, 1.0, -0.0, 0.0, False],
+        "texts": ["%s", None, "a\n%r", "%s", None, "\u00e9"],
+        "im": np.array(re[::-1]),
+    }
+    rows = [dict(zip(columns, row)) for row in zip(*(list(c) for c in columns.values()))]
+    for row, x, y in zip(rows, re, re[::-1]):
+        row["re"], row["im"] = x, y  # json writes floats, not numpy scalars
+    for wrap in (lambda v: v, lambda v: {"rows": [v]}):
+        assert dumps(wrap(Table(columns))) == oracle(wrap(rows))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_float64_columns_reject_non_finite_values(bad):
     for column in ("re", "im"):
@@ -385,14 +433,17 @@ def test_float64_columns_match_json_dumps_on_generated_pairs(values):
 SPECTRUM_FLAGS = [[], ["--eigenvectors"], ["--verify"], ["--eigenvectors", "--verify"]]
 
 
-# -0.0 real and imaginary parts, and a value tied with a -0.0 one: the
-# report sorts -0.0 as 0.0, so the tie goes to the provenance rank
+# -0.0 real and imaginary parts, and values tied with -0.0 ones: the
+# report sorts -0.0 as 0.0, so a tie goes to the provenance rank.  Block
+# 2 of the first is Hermitian, so its row prints +0.0 where its complex
+# transform holds -0.0, and ties the condensed 0.0 exactly.
 NEGATIVE_ZERO_DOC = json.dumps(
     {
         "blocks": [[[-0.0, -1.0]], [[-0.0, -0.0], -0.0]],
         "couplings": [[-0.0, -1.0], [0.0, -1.0]],
     }
 )
+NEGATIVE_ZERO_TIE_DOC = json.dumps({"blocks": [[[-0.0, -1.0], -0.0]], "couplings": [[0.0]]})
 # a block and the condensed matrix share the eigenvalue -1
 SHARED_EIGENVALUE_DOC = json.dumps(
     {"blocks": [[0.0, 1.0], [-1.0]], "couplings": [[0.0, 0.0], [0.0, 0.0]]}
@@ -595,12 +646,13 @@ def test_real_join_reports_print_exact_conjugate_pairs(argv, doc, monkeypatch, c
     [
         (
             NEGATIVE_ZERO_DOC,
-            [(-0.0, -1.0, "condensed"), (0.0, 0.0, "condensed"), (0.0, -0.0, 2)],
+            [(-0.0, -1.0, "condensed"), (0.0, 0.0, "condensed"), (0.0, 0.0, 2)],
         ),
         (
             SHARED_EIGENVALUE_DOC,
             [(-1.0, 0.0, "condensed"), (-1.0, 0.0, 1), (1.0, 0.0, "condensed")],
         ),
+        (NEGATIVE_ZERO_TIE_DOC, [(-0.0, -1.0, "condensed"), (0.0, -1.0, 1)]),
     ],
 )
 def test_equal_eigenvalues_are_ordered_by_provenance_rank(doc, expected, monkeypatch, capsys):

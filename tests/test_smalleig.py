@@ -717,6 +717,85 @@ def test_jordan_mixed_structure():
     assert np.linalg.svd(stacked, compute_uv=False)[-1] >= 1e-6
 
 
+def unimodular(rng, d):
+    """A sympy integer matrix of determinant +-1, whose inverse is an
+    integer matrix too: unit lower times unit upper triangular factors
+    with entries in -1..1, rows permuted."""
+    lower, upper = sympy.eye(d), sympy.eye(d)
+    for i in range(d):
+        for j in range(i):
+            lower[i, j] = int(rng.integers(-1, 2))
+            upper[j, i] = int(rng.integers(-1, 2))
+    return (lower * upper).extract(rng.permutation(d).tolist(), list(range(d)))
+
+
+JORDAN_VALUES = [-6, -2, 0, 3, 7]
+
+
+def exact_jordan_case(seed, smallest, largest):
+    """An integer matrix M = S J S^-1, exact in float64, with d <= 6, S
+    unimodular and J in Jordan form, and J's blocks as {eigenvalue:
+    sorted sizes}: the first block's size is drawn from smallest..largest
+    and the others' from 1..largest, each eigenvalue from
+    JORDAN_VALUES."""
+    rng = np.random.default_rng(seed)
+    d = int(rng.integers(largest, 7))
+    sizes = [int(rng.integers(smallest, largest + 1))]
+    while sum(sizes) < d:
+        sizes.append(int(rng.integers(1, min(largest, d - sum(sizes)) + 1)))
+    values = rng.choice(JORDAN_VALUES, len(sizes)).tolist()
+    j = sympy.zeros(d, d)
+    blocks, start = {}, 0
+    for lam, size in zip(values, sizes):
+        for r in range(start, start + size):
+            j[r, r] = lam
+            if r > start:
+                j[r - 1, r] = 1
+        blocks.setdefault(lam, []).append(size)
+        start += size
+    s = unimodular(rng, d)
+    m = np.array((s * j * s.inv()).tolist(), dtype=float)
+    return m, {lam: sorted(sizes) for lam, sizes in blocks.items()}
+
+
+def assert_exact_jordan_structure(m, blocks, clusters):
+    """One cluster per eigenvalue of J, near it, with J's block sizes as
+    its chain lengths, and the chain relations at 1e-12 * inf-norm."""
+    norm = inf_norm(m)
+    assert len(clusters) == len(blocks)
+    for lam, mult, chains in clusters:
+        exact = min(blocks, key=lambda v: abs(v - lam))
+        assert abs(lam - exact) <= 1e-12 * norm
+        assert mult == sum(blocks[exact])
+        assert sorted(len(c) for c in chains) == blocks[exact]
+        chain_relations_hold(m, lam, chains, 1e-12 * norm)
+
+
+def test_exact_jordan_blocks_of_size_two_at_default_tolerances():
+    for seed in range(30):
+        m, blocks = exact_jordan_case(seed, 2, 2)
+        assert_exact_jordan_structure(m, blocks, smalleig.eigensystem(m).clusters)
+
+
+def test_exact_jordan_blocks_of_size_three_and_four_are_right_or_refused():
+    # rounding spreads an index-m eigenvalue by about eps^(1/m) * ||M||,
+    # which cluster_delta = 1e-3 * ||M|| covers; the solve may refuse a
+    # case, but never returns a wrong structure
+    solved = refused = 0
+    for seed in range(30):
+        m, blocks = exact_jordan_case(seed, 3, 4)
+        delta = 1e-3 * inf_norm(m)
+        assert min(np.diff(sorted(blocks)), default=np.inf) >= 8 * delta
+        try:
+            clusters = smalleig.eigensystem(m, cluster_delta=delta).clusters
+        except IllConditionedError:
+            refused += 1
+            continue
+        assert_exact_jordan_structure(m, blocks, clusters)
+        solved += 1
+    assert solved > refused
+
+
 @pytest.mark.parametrize("s", [-150, -60, 0, 60, 150])
 def test_jordan_chains_scale_with_the_matrix(s):
     # a length-3 chain plus an eigenvector: structure and normalized
